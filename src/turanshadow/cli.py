@@ -25,7 +25,7 @@ from .estimator import (
     run_trials,
     turan_shadow_count,
 )
-from .graph import degeneracy_order, load_edge_list
+from .graph import load_edge_list
 from .oracle import exact_kclique_count
 from .shadow import MAX_K, shadow_finder, shadow_stats
 
@@ -107,7 +107,7 @@ def cmd_count(args, emit: _Emitter) -> int:
         "exact_offset": report.exact_offset,
         "shadow_sets": report.shadow_set_count,
         "representation_size": report.representation_size,
-        "alpha": degeneracy_order(g).alpha,
+        "alpha": report.alpha,
         "n": g.vertex_count,
         "m": g.edge_count,
         "time_shadow_ms": _ms(report.time_shadow),
@@ -135,7 +135,8 @@ def cmd_exact(args, emit: _Emitter) -> int:
 def cmd_stats(args, emit: _Emitter) -> int:
     g = load_edge_list(args.input)
     t0 = time.perf_counter()
-    stats = shadow_stats(shadow_finder(g, args.k))
+    sh = shadow_finder(g, args.k)
+    stats = shadow_stats(sh)
     elapsed = time.perf_counter() - t0
     m = g.edge_count
     emit.row({
@@ -147,7 +148,7 @@ def cmd_stats(args, emit: _Emitter) -> int:
         "max_set_size": stats["max_set_size"],
         "ell_histogram": {str(k): v for k, v in stats["ell_histogram"].items()},
         "depth_reached": stats["depth_reached"],
-        "alpha": degeneracy_order(g).alpha,
+        "alpha": sh.alpha,
         "n": g.vertex_count,
         "m": m,
         "ratio_representation_to_m":
@@ -246,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="exact k-clique count")
     common(p)
-    p.add_argument("--time-budget-secs", type=int, default=None,
+    p.add_argument("--time-budget-secs", type=float, default=None,
                    help="refuse if the count runs longer than this")
     p.set_defaults(func=cmd_exact)
 

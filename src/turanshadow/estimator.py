@@ -7,25 +7,30 @@ an unbiased estimate of the clique count covered by the sampled entries.
 Entries with ell <= 2 carry no density guarantee and are counted exactly
 instead of sampled.
 
-All per-trial randomness is pregenerated from (seed, trial index), so the
-result is independent of processing order and thread count.
+All trials run in one array engine. It draws every trial's entry first,
+then the subset keys (max_ell uniforms per trial) block by block,
+_TRIAL_BLOCK trials at a time. A numpy Generator fills arrays in row-major
+order from one stream, so the block draws are exactly the rows of a single
+(t, max_ell) draw: the result is a pure function of (seed, t), whatever the
+block size. Each partial Fisher-Yates pick is found by undoing the earlier
+swaps, with no permutation array, and each of the C(ell, 2) pairs is one
+search in the graph's sorted edge keys.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, induced_adjacency_matrix
+from .graph import Graph, degeneracy_order, edge_keys
 from .shadow import MAX_K, TuranShadow, shadow_finder
 
 DEFAULT_SAMPLES = 50_000
 
-_AMAT_CACHE_LIMIT = 65_536
+_TRIAL_BLOCK = 8192
 
 
 def f_of(ell: int) -> float:
@@ -74,13 +79,14 @@ def required_samples(gamma: float, eps: float, delta: float) -> int:
 class SamplerState:
     """Frozen draw structure for one shadow: weights, alias table, offset.
 
-    vertex_sets/ells/sizes describe the sampled entries (ell >= 3);
+    The sampled entries (ell >= 3) are flat: entry i holds the sorted global
+    ids vertices[offsets[i]:offsets[i + 1]] and clique budget ells[i].
     exact_offset is the exact clique count contributed by ell <= 2 entries.
     """
 
-    vertex_sets: list[np.ndarray]
+    vertices: np.ndarray
+    offsets: np.ndarray
     ells: np.ndarray
-    sizes: np.ndarray
     weights: np.ndarray
     total_weight: float
     alias_prob: np.ndarray
@@ -88,21 +94,9 @@ class SamplerState:
     exact_offset: int
     max_ell: int
 
-    def __post_init__(self):
-        self._amat_cache: dict[int, np.ndarray] = {}
-
     @property
     def entry_count(self) -> int:
-        return len(self.vertex_sets)
-
-    def _local_adjacency(self, g: Graph, idx: int) -> np.ndarray:
-        # idempotent insert, so concurrent trial chunks may race harmlessly
-        mat = self._amat_cache.get(idx)
-        if mat is None:
-            mat = induced_adjacency_matrix(g, self.vertex_sets[idx])
-            if len(self._amat_cache) < _AMAT_CACHE_LIMIT:
-                self._amat_cache[idx] = mat
-        return mat
+        return len(self.ells)
 
 
 def _build_alias(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,33 +132,22 @@ def build_sampler(sh: TuranShadow, g: Graph) -> SamplerState:
     their induced edge count to the offset (ell = 1 would contribute |S|);
     only ell >= 3 entries enter the alias table.
     """
-    vertex_sets: list[np.ndarray] = []
-    ells: list[int] = []
-    weights: list[float] = []
-    offset = 0
-    for e in sh.entries:
-        if e.ell >= 3:
-            vertex_sets.append(e.vertices)
-            ells.append(e.ell)
-            weights.append(float(math.comb(e.size, e.ell)))
-        elif e.ell == 2:
-            offset += e.edges
-        else:
-            offset += e.size
-    w = np.asarray(weights, dtype=np.float64)
-    if w.size:
+    sampled = [e for e in sh.entries if e.ell >= 3]
+    offset = sum(e.edges if e.ell == 2 else e.size
+                 for e in sh.entries if e.ell <= 2)
+    w = np.array([float(math.comb(e.size, e.ell)) for e in sampled])
+    if sampled:
         prob, alias = _build_alias(w)
-        total = float(w.sum())
     else:
-        prob = np.empty(0, dtype=np.float64)
-        alias = np.empty(0, dtype=np.int64)
-        total = 0.0
+        prob, alias = np.empty(0), np.empty(0, dtype=np.int64)
+    ells = [e.ell for e in sampled]
     return SamplerState(
-        vertex_sets=vertex_sets,
-        ells=np.asarray(ells, dtype=np.int64),
-        sizes=np.asarray([v.size for v in vertex_sets], dtype=np.int64),
+        vertices=np.concatenate([e.vertices for e in sampled]
+                                or [np.empty(0, dtype=np.int64)]),
+        offsets=np.cumsum([0] + [e.size for e in sampled]),
+        ells=np.array(ells, dtype=np.int64),
         weights=w,
-        total_weight=total,
+        total_weight=float(w.sum()),
         alias_prob=prob,
         alias_index=alias,
         exact_offset=offset,
@@ -172,70 +155,67 @@ def build_sampler(sh: TuranShadow, g: Graph) -> SamplerState:
     )
 
 
-def _run_chunk(st: SamplerState, g: Graph, chosen: np.ndarray,
-               keys: np.ndarray, lo: int, hi: int) -> int:
-    """Process trials [lo, hi): subset draws and clique tests, grouped by entry."""
-    ch = chosen[lo:hi]
-    order = np.argsort(ch, kind="stable") + lo
-    sorted_ch = chosen[order]
-    bounds = np.flatnonzero(np.diff(sorted_ch)) + 1
-    starts = np.concatenate([[0], bounds])
-    ends = np.concatenate([bounds, [len(sorted_ch)]])
-    successes = 0
-    for a, z in zip(starts, ends):
-        idx = int(sorted_ch[a])
-        rows = order[a:z]
-        s = int(st.sizes[idx])
-        ell = int(st.ells[idx])
-        amat = st._local_adjacency(g, idx)
-        c = len(rows)
-        # partial Fisher-Yates on index arrays, one uniform per step
-        perm = np.broadcast_to(np.arange(s, dtype=np.int64), (c, s)).copy()
-        rowsel = np.arange(c)
-        for i in range(ell):
-            j = i + (keys[rows, i] * (s - i)).astype(np.int64)
-            pi = perm[rowsel, i].copy()
-            perm[rowsel, i] = perm[rowsel, j]
-            perm[rowsel, j] = pi
-        picks = perm[:, :ell]
-        ok = np.ones(c, dtype=bool)
-        for a2 in range(ell - 1):
-            col = picks[:, a2]
-            for b2 in range(a2 + 1, ell):
-                ok &= amat[col, picks[:, b2]]
-            if not ok.any():
-                break
-        successes += int(np.count_nonzero(ok))
-    return successes
+def _count_cliques(steps: np.ndarray, starts: np.ndarray,
+                   vertices: np.ndarray, keys: np.ndarray, n: int) -> int:
+    """Rows of steps whose partial Fisher-Yates picks form a clique.
+
+    Step i swaps slot i with slot steps[:, i] of the set that starts at
+    vertices[starts]; keys are the sorted edge keys u * n + v.
+    """
+    picked: list[np.ndarray] = []
+    for b in range(steps.shape[1]):
+        # later steps leave slot b alone: undo steps b-1..0 on steps[:, b]
+        pos = steps[:, b]
+        for i in range(b - 1, -1, -1):
+            j = steps[:, i]
+            pos = np.where(pos == i, j, np.where(pos == j, i, pos))
+        vb = vertices[starts + pos]
+        ok = np.ones(vb.size, dtype=bool)
+        for va in picked:
+            q = va * n + vb
+            at = np.searchsorted(keys, q).clip(max=keys.size - 1)
+            ok &= keys[at] == q
+        live = np.flatnonzero(ok)  # rows missing an edge are done
+        steps, starts = steps[live], starts[live]
+        picked = [v[live] for v in picked + [vb]]
+    return int(starts.size)
 
 
-def run_trials(st: SamplerState, g: Graph, t: int, seed: int,
-               threads: int = 1) -> tuple[int, int]:
+def run_trials(st: SamplerState, g: Graph, t: int,
+               seed: int) -> tuple[int, int]:
     """Run t Bernoulli trials; returns (successes, trials run).
 
-    Skips (returning (0, 0)) when the sampler has no sampled entries. Each
-    trial's draws come from fixed positions in arrays pregenerated from
-    `seed`, so the outcome is a pure function of (seed, trial index) and the
-    total is identical for any thread count.
+    Skips (returning (0, 0)) when the sampler has no sampled entries. The
+    outcome is a pure function of (seed, t): trial r always gets the r-th
+    entry draw and the r-th row of subset keys from the seeded stream.
     """
-    if st.entry_count == 0:
-        return 0, 0
     if t < 1:
         raise ValueError("t must be >= 1")
+    if st.entry_count == 0:
+        return 0, 0
     rng = np.random.default_rng(seed)
     raw_idx = rng.integers(0, st.entry_count, size=t)
     raw_u = rng.random(t)
-    keys = rng.random((t, st.max_ell))
     chosen = np.where(raw_u < st.alias_prob[raw_idx], raw_idx,
                       st.alias_index[raw_idx])
-    if threads <= 1 or t < 2 * threads:
-        return _run_chunk(st, g, chosen, keys, 0, t), t
-    cuts = np.linspace(0, t, threads + 1, dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(lambda i: _run_chunk(st, g, chosen, keys,
-                                              int(cuts[i]), int(cuts[i + 1])),
-                         range(threads))
-    return sum(parts), t
+    del raw_idx, raw_u
+    keys = edge_keys(g)
+    sizes = np.diff(st.offsets)
+    successes = 0
+    for lo in range(0, t, _TRIAL_BLOCK):
+        block = chosen[lo:lo + _TRIAL_BLOCK]
+        u = rng.random((block.size, st.max_ell))
+        block_ells = st.ells[block]
+        for ell in np.unique(block_ells).tolist():
+            rows = np.flatnonzero(block_ells == ell)
+            idx = block[rows]
+            # step i swaps slot i with a uniform slot in [i, s)
+            i = np.arange(ell)
+            span = sizes[idx, None] - i
+            steps = i + (u[rows, :ell] * span).astype(np.int64)
+            successes += _count_cliques(steps, st.offsets[idx], st.vertices,
+                                        keys, g.vertex_count)
+    return successes, t
 
 
 def estimate_from_trials(st: SamplerState, successes: int, t: int) -> float:
@@ -261,6 +241,7 @@ class EstimateReport:
     exact_offset: int
     shadow_set_count: int
     representation_size: int
+    alpha: int  # degeneracy of the input graph
     time_shadow: float
     time_sample: float
     seed: int
@@ -268,7 +249,7 @@ class EstimateReport:
 
 def turan_shadow_count(g: Graph, k: int, *, samples: int | None = None,
                        eps: float | None = None, delta: float | None = None,
-                       seed: int = 0, threads: int = 1) -> EstimateReport:
+                       seed: int = 0) -> EstimateReport:
     """End-to-end k-clique estimate: build the shadow, then sample it.
 
     k = 1 and k = 2 return the exact vertex and edge counts without building
@@ -281,13 +262,16 @@ def turan_shadow_count(g: Graph, k: int, *, samples: int | None = None,
         raise ValueError("eps and delta must be given together")
     if eps is not None and samples is not None:
         raise ValueError("choose either a fixed sample count or (eps, delta)")
+    if samples is not None and samples < 1:
+        raise ValueError("samples must be >= 1")
     if k <= 2:
         exact = g.vertex_count if k == 1 else g.edge_count
         return EstimateReport(
             k=k, estimate=float(exact), samples_run=0, successes=0,
             success_ratio=0.0, gamma=1.0, total_weight=0.0,
             exact_offset=exact, shadow_set_count=0, representation_size=0,
-            time_shadow=0.0, time_sample=0.0, seed=seed)
+            alpha=degeneracy_order(g).alpha, time_shadow=0.0,
+            time_sample=0.0, seed=seed)
     t0 = time.perf_counter()
     sh = shadow_finder(g, k)
     st = build_sampler(sh, g)
@@ -297,7 +281,7 @@ def turan_shadow_count(g: Graph, k: int, *, samples: int | None = None,
         t = required_samples(gamma, eps, delta)
     else:
         t = samples if samples is not None else DEFAULT_SAMPLES
-    successes, t_run = run_trials(st, g, t, seed, threads=threads)
+    successes, t_run = run_trials(st, g, t, seed)
     estimate = estimate_from_trials(st, successes, t_run)
     t2 = time.perf_counter()
     return EstimateReport(
@@ -311,6 +295,7 @@ def turan_shadow_count(g: Graph, k: int, *, samples: int | None = None,
         exact_offset=st.exact_offset,
         shadow_set_count=len(sh.entries),
         representation_size=sh.representation_size,
+        alpha=sh.alpha,
         time_shadow=t1 - t0,
         time_sample=t2 - t1,
         seed=seed,

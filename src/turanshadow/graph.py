@@ -225,6 +225,16 @@ def _neighbor_mask(g: Graph, u: int, verts: np.ndarray) -> np.ndarray:
     return ok
 
 
+def edge_keys(g: Graph) -> np.ndarray:
+    """Ascending keys u * n + v of all ordered adjacent pairs (u, v).
+
+    The CSR is lexsorted by (row, column), so the keys need no sort.
+    """
+    n = g.vertex_count
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
+    return rows * n + g.indices
+
+
 def induced_adjacency_matrix(g: Graph, vertices) -> np.ndarray:
     """Dense boolean adjacency of the subgraph induced by `vertices`.
 

@@ -58,6 +58,7 @@ class TuranShadow:
     representation_size: int
     ell_histogram: dict[int, int]
     max_set_size: int
+    alpha: int  # degeneracy of the graph the shadow covers
 
 
 def _saturated(edges: int, size: int, ell: int) -> bool:
@@ -164,11 +165,11 @@ def shadow_finder(g: Graph, k: int) -> TuranShadow:
         raise ValueError(f"k must be <= {MAX_K}")
     b = _Builder(k)
     n, m = g.vertex_count, g.edge_count
+    order = degeneracy_order(g)
     if n >= k:
         if _saturated(m, n, k):
             b.emit(np.arange(n, dtype=np.int64), k, m)
         else:
-            order = degeneracy_order(g)
             child_ell = k - 1
             for v in range(n):
                 child = out_neighbors(g, order, v)
@@ -189,6 +190,7 @@ def shadow_finder(g: Graph, k: int) -> TuranShadow:
         representation_size=sum(e.size for e in entries),
         ell_histogram=dict(sorted(hist.items())),
         max_set_size=max((e.size for e in entries), default=0),
+        alpha=order.alpha,
     )
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from turanshadow import estimator
 from turanshadow.baseline import edge_sampling_estimate
 from turanshadow.cli import main as cli_main
 from turanshadow.estimator import (
@@ -284,7 +285,7 @@ def test_criterion_10_baseline_unbiasedness():
                    f"{mean_rel:.4%} of {truth4} (< 5%)")
 
 
-def test_criterion_11_determinism(tmp_path, capsys):
+def test_criterion_11_determinism(tmp_path, capsys, monkeypatch):
     graph_file = tmp_path / "det.txt"
     g = er_graph(60, 0.3, seed=1)
     with open(graph_file, "w") as fh:
@@ -306,12 +307,15 @@ def test_criterion_11_determinism(tmp_path, capsys):
 
     cli_ok = masked(out1) == masked(out2)
 
-    reps = [turan_shadow_count(g, 5, samples=20_000, seed=3, threads=nt)
-            for nt in (1, 4)]
+    blocks = (estimator._TRIAL_BLOCK, 1, 97)
+    reps = []
+    for block in blocks:
+        monkeypatch.setattr(estimator, "_TRIAL_BLOCK", block)
+        reps.append(turan_shadow_count(g, 5, samples=20_000, seed=3))
     fields = [(r.estimate, r.samples_run, r.successes, r.success_ratio,
                r.gamma, r.total_weight, r.exact_offset, r.shadow_set_count,
-               r.representation_size, r.seed) for r in reps]
-    threads_ok = fields[0] == fields[1]
-    report(11, cli_ok and threads_ok,
+               r.representation_size, r.alpha, r.seed) for r in reps]
+    blocks_ok = all(f == fields[0] for f in fields)
+    report(11, cli_ok and blocks_ok,
            f"CLI reruns byte-identical modulo timing: {cli_ok}, "
-           f"thread counts 1 vs 4 identical: {threads_ok}")
+           f"trial block sizes {blocks} identical: {blocks_ok}")

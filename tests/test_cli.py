@@ -6,7 +6,7 @@ import pytest
 
 from turanshadow.cli import main
 from turanshadow.estimator import required_samples
-from turanshadow.graph import load_edge_list
+from turanshadow.graph import degeneracy_order, load_edge_list
 from turanshadow.oracle import exact_kclique_count
 
 from genutil import complete_graph, cycle_graph, er_graph
@@ -113,6 +113,28 @@ def test_count_rejects_both_sampling_modes(capsys, er_file):
     assert "error" in err
 
 
+def test_count_rejects_zero_samples(capsys, tmp_path):
+    for name, g in (("c5", cycle_graph(5)), ("k4", complete_graph(4))):
+        path = write_graph(tmp_path / f"{name}.txt", g)
+        code, out, err = run_cli(capsys, ["count", "--input", path, "--k",
+                                          "3", "--samples", "0"])
+        assert (code, out) == (1, "")
+        assert "samples must be >= 1" in err
+
+
+@pytest.mark.parametrize("graph,k", [
+    (er_graph(60, 0.3, seed=1), 4),
+    (complete_graph(8), 4),  # root saturated: no refinement pass
+    (er_graph(60, 0.3, seed=1), 2),  # counted without a shadow
+], ids=["er", "saturated", "k2"])
+def test_count_alpha_is_graph_degeneracy(capsys, tmp_path, graph, k):
+    path = write_graph(tmp_path / "g.txt", graph)
+    code, out, _ = run_cli(capsys, ["count", "--input", path, "--k", str(k),
+                                    "--samples", "1000"])
+    assert code == 0
+    assert json_rows(out)[0]["alpha"] == degeneracy_order(graph).alpha
+
+
 def test_missing_input_file_fails(capsys):
     code, out, err = run_cli(capsys, ["count", "--input", "/no/such", "--k", "3"])
     assert code == 1
@@ -133,6 +155,17 @@ def test_exact_command(capsys, tmp_path):
     code, out, _ = run_cli(capsys, ["exact", "--input", path, "--k", "5"])
     assert code == 0
     assert json_rows(out)[0]["count"] == 252
+
+
+def test_exact_time_budget_takes_fractional_seconds(capsys, tmp_path):
+    path = write_graph(tmp_path / "k10.txt", complete_graph(10))
+    args = ["exact", "--input", path, "--k", "5", "--time-budget-secs"]
+    code, out, _ = run_cli(capsys, args + ["0.5"])
+    assert code == 0
+    assert json_rows(out)[0]["count"] == 252
+    code, _, err = run_cli(capsys, args + ["0"])
+    assert code == 1
+    assert "budget" in err
 
 
 def test_exact_time_budget_refusal(capsys, er_file):
@@ -226,13 +259,19 @@ def test_baseline_sweep_emits_ten_rows(capsys, er_file):
 
 
 def test_console_entry_point_subprocess(er_file):
+    import os
     import subprocess
     import sys
 
+    import turanshadow
+
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(turanshadow.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "turanshadow.cli", "count", "--input", er_file,
          "--k", "3", "--samples", "1000", "--seed", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     row = json.loads(proc.stdout)
     assert list(row.keys()) == COUNT_KEYS

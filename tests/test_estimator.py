@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from turanshadow import estimator
 from turanshadow.estimator import (
     EstimateReport,
     build_sampler,
@@ -134,6 +136,61 @@ def test_run_trials_rejects_nonpositive_t():
         run_trials(st, g, 0, seed=0)
 
 
+def test_sample_count_checked_before_any_work(monkeypatch):
+    g = cycle_graph(5)
+    st = build_sampler(shadow_finder(g, 3), g)
+    with pytest.raises(ValueError, match="t must be >= 1"):
+        run_trials(st, g, 0, seed=0)  # even with nothing to sample
+
+    def no_shadow(*args):
+        raise AssertionError("shadow built before samples were checked")
+
+    monkeypatch.setattr(estimator, "shadow_finder", no_shadow)
+    for graph in (g, complete_graph(4)):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            turan_shadow_count(graph, 3, samples=0)
+
+
+def reference_successes(sh, g, t, seed):
+    """One trial at a time: the same draws, a list shuffle, has_edge tests."""
+    st = build_sampler(sh, g)
+    sets = [e.vertices.tolist() for e in sh.entries if e.ell >= 3]
+    rng = np.random.default_rng(seed)
+    raw_idx = rng.integers(0, st.entry_count, size=t)
+    raw_u = rng.random(t)
+    keys = rng.random((t, st.max_ell))
+    successes = 0
+    for r in range(t):
+        idx = int(raw_idx[r])
+        if raw_u[r] >= st.alias_prob[idx]:
+            idx = int(st.alias_index[idx])
+        verts, ell = sets[idx], int(st.ells[idx])
+        s = len(verts)
+        perm = list(range(s))
+        for i in range(ell):
+            j = i + int(keys[r, i] * (s - i))
+            perm[i], perm[j] = perm[j], perm[i]
+        picks = [verts[p] for p in perm[:ell]]
+        successes += all(g.has_edge(a, b)
+                         for a, b in itertools.combinations(picks, 2))
+    return successes
+
+
+@pytest.mark.parametrize("graph", [
+    er_graph(40, 0.6, seed=3), turan_graph(24, 6), complete_graph(9)],
+    ids=["er", "turan", "complete"])
+def test_run_trials_matches_per_trial_reference(monkeypatch, graph):
+    monkeypatch.setattr(estimator, "_TRIAL_BLOCK", 97)
+    t = 1000  # ten full blocks plus a partial one
+    for k in range(3, 7):
+        sh = shadow_finder(graph, k)
+        st = build_sampler(sh, graph)
+        assert st.entry_count > 0
+        for seed in range(3):
+            expected = reference_successes(sh, graph, t, seed)
+            assert run_trials(st, graph, t, seed) == (expected, t)
+
+
 def test_trial_level_unbiasedness():
     # success probability must equal (sum of entry clique counts) / W
     g = er_graph(30, 0.5, seed=19)
@@ -221,12 +278,14 @@ def test_scale_identity_zero_offset():
     assert lhs == pytest.approx(0.0, abs=1e-9)
 
 
-def test_determinism_same_seed_and_thread_count_independence():
+def test_determinism_same_seed_and_block_size_independence(monkeypatch):
     g = er_graph(70, 0.4, seed=11)
     a = turan_shadow_count(g, 5, samples=30_000, seed=6)
-    b = turan_shadow_count(g, 5, samples=30_000, seed=6)
-    c = turan_shadow_count(g, 5, samples=30_000, seed=6, threads=4)
-    for x in (b, c):
+    others = [turan_shadow_count(g, 5, samples=30_000, seed=6)]
+    for block in (1, 97):
+        monkeypatch.setattr(estimator, "_TRIAL_BLOCK", block)
+        others.append(turan_shadow_count(g, 5, samples=30_000, seed=6))
+    for x in others:
         assert (a.estimate, a.successes, a.samples_run, a.gamma,
                 a.total_weight, a.exact_offset) == \
                (x.estimate, x.successes, x.samples_run, x.gamma,
