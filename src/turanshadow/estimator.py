@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, degeneracy_order, edge_keys
+from .graph import Graph, degeneracy_order, edge_keys, has_edge_keys
 from .shadow import MAX_K, TuranShadow, shadow_finder
 
 DEFAULT_SAMPLES = 50_000
@@ -53,11 +53,10 @@ def gamma_of(sh: TuranShadow) -> float:
     entries exist (the sampling phase is then vacuous).
     """
     worst = 0.0
-    for e in sh.entries:
-        if e.ell >= 3:
-            val = f_of(e.ell) * e.size * e.size
-            if val > worst:
-                worst = val
+    sizes = sh.sizes
+    for ell in np.unique(sh.ells[sh.ells >= 3]).tolist():
+        size = int(sizes[sh.ells == ell].max())
+        worst = max(worst, f_of(ell) * size * size)
     return 1.0 / worst if worst > 0.0 else 1.0
 
 
@@ -79,13 +78,15 @@ def required_samples(gamma: float, eps: float, delta: float) -> int:
 class SamplerState:
     """Frozen draw structure for one shadow: weights, alias table, offset.
 
-    The sampled entries (ell >= 3) are flat: entry i holds the sorted global
-    ids vertices[offsets[i]:offsets[i + 1]] and clique budget ells[i].
-    exact_offset is the exact clique count contributed by ell <= 2 entries.
+    Sampled entry i (an ell >= 3 entry of the shadow) holds the sorted global
+    ids vertices[starts[i]:starts[i] + sizes[i]] and clique budget ells[i];
+    vertices is the shadow's own array, not a copy. exact_offset is the
+    exact clique count contributed by ell <= 2 entries.
     """
 
     vertices: np.ndarray
-    offsets: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
     ells: np.ndarray
     weights: np.ndarray
     total_weight: float
@@ -105,8 +106,8 @@ def _build_alias(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     prob = np.empty(n, dtype=np.float64)
     alias = np.zeros(n, dtype=np.int64)
     scaled = weights * (n / weights.sum())
-    small = [i for i in range(n) if scaled[i] < 1.0]
-    large = [i for i in range(n) if scaled[i] >= 1.0]
+    small = np.flatnonzero(scaled < 1.0).tolist()
+    large = np.flatnonzero(scaled >= 1.0).tolist()
     scaled = scaled.tolist()
     while small and large:
         s = small.pop()
@@ -121,7 +122,7 @@ def _build_alias(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for i in large:
         prob[i] = 1.0
     for i in small:
-        prob[i] = 1.0  # numerical leftovers; their alias is themselves
+        prob[i] = 1.0  # numerical leftovers: alias stays 0, never taken
     return prob, alias
 
 
@@ -132,26 +133,29 @@ def build_sampler(sh: TuranShadow, g: Graph) -> SamplerState:
     their induced edge count to the offset (ell = 1 would contribute |S|);
     only ell >= 3 entries enter the alias table.
     """
-    sampled = [e for e in sh.entries if e.ell >= 3]
-    offset = sum(e.edges if e.ell == 2 else e.size
-                 for e in sh.entries if e.ell <= 2)
-    w = np.array([float(math.comb(e.size, e.ell)) for e in sampled])
-    if sampled:
+    sizes, ells = sh.sizes, sh.ells
+    sampled = np.flatnonzero(ells >= 3)
+    offset = int(sh.edges[ells == 2].sum()) + int(sizes[ells == 1].sum())
+    # one exact binomial per distinct (size, ell), the same doubles as per entry
+    pairs, inverse = np.unique(sizes[sampled] * (MAX_K + 1) + ells[sampled],
+                               return_inverse=True)
+    w = np.array([float(math.comb(*divmod(p, MAX_K + 1)))
+                  for p in pairs.tolist()])[inverse]
+    if sampled.size:
         prob, alias = _build_alias(w)
     else:
         prob, alias = np.empty(0), np.empty(0, dtype=np.int64)
-    ells = [e.ell for e in sampled]
     return SamplerState(
-        vertices=np.concatenate([e.vertices for e in sampled]
-                                or [np.empty(0, dtype=np.int64)]),
-        offsets=np.cumsum([0] + [e.size for e in sampled]),
-        ells=np.array(ells, dtype=np.int64),
+        vertices=sh.vertices,
+        starts=sh.offsets[sampled],
+        sizes=sizes[sampled],
+        ells=ells[sampled],
         weights=w,
         total_weight=float(w.sum()),
         alias_prob=prob,
         alias_index=alias,
         exact_offset=offset,
-        max_ell=max(ells, default=0),
+        max_ell=int(ells[sampled].max(initial=0)),
     )
 
 
@@ -172,9 +176,7 @@ def _count_cliques(steps: np.ndarray, starts: np.ndarray,
         vb = vertices[starts + pos]
         ok = np.ones(vb.size, dtype=bool)
         for va in picked:
-            q = va * n + vb
-            at = np.searchsorted(keys, q).clip(max=keys.size - 1)
-            ok &= keys[at] == q
+            ok &= has_edge_keys(keys, va * n + vb)
         live = np.flatnonzero(ok)  # rows missing an edge are done
         steps, starts = steps[live], starts[live]
         picked = [v[live] for v in picked + [vb]]
@@ -200,7 +202,6 @@ def run_trials(st: SamplerState, g: Graph, t: int,
                       st.alias_index[raw_idx])
     del raw_idx, raw_u
     keys = edge_keys(g)
-    sizes = np.diff(st.offsets)
     successes = 0
     for lo in range(0, t, _TRIAL_BLOCK):
         block = chosen[lo:lo + _TRIAL_BLOCK]
@@ -211,9 +212,9 @@ def run_trials(st: SamplerState, g: Graph, t: int,
             idx = block[rows]
             # step i swaps slot i with a uniform slot in [i, s)
             i = np.arange(ell)
-            span = sizes[idx, None] - i
+            span = st.sizes[idx, None] - i
             steps = i + (u[rows, :ell] * span).astype(np.int64)
-            successes += _count_cliques(steps, st.offsets[idx], st.vertices,
+            successes += _count_cliques(steps, st.starts[idx], st.vertices,
                                         keys, g.vertex_count)
     return successes, t
 
@@ -293,7 +294,7 @@ def turan_shadow_count(g: Graph, k: int, *, samples: int | None = None,
         gamma=gamma,
         total_weight=st.total_weight,
         exact_offset=st.exact_offset,
-        shadow_set_count=len(sh.entries),
+        shadow_set_count=len(sh.ells),
         representation_size=sh.representation_size,
         alpha=sh.alpha,
         time_shadow=t1 - t0,

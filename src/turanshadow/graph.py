@@ -16,6 +16,19 @@ import numpy as np
 
 Source = Union[str, Path, IO, Iterable]
 
+# Largest vertex count whose pair keys u * n + v (u, v < n) fit in int64.
+MAX_VERTICES = 3_037_000_499
+
+# Pair lookups per chunk of induced_adjacency_rows.
+_LOOKUP_CHUNK = 1 << 17
+
+
+def _check_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise ValueError(f"{n} vertices exceed the supported maximum "
+                         f"{MAX_VERTICES}: pair keys u * n + v would "
+                         "overflow int64")
+
 
 class EdgeListParseError(ValueError):
     """A malformed edge-list line; carries the 1-based line number."""
@@ -33,7 +46,8 @@ class Graph:
     Safe for concurrent reads once constructed.
     """
 
-    __slots__ = ("indptr", "indices", "vertex_count", "edge_count", "original_ids")
+    __slots__ = ("indptr", "indices", "vertex_count", "edge_count",
+                 "original_ids", "_edge_keys")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
                  original_ids: np.ndarray | None = None):
@@ -42,6 +56,7 @@ class Graph:
         self.vertex_count = int(len(indptr) - 1)
         self.edge_count = int(len(indices)) // 2
         self.original_ids = original_ids
+        self._edge_keys = None  # filled on first use by edge_keys()
 
     @classmethod
     def from_edges(cls, edges, num_vertices: int | None = None,
@@ -50,8 +65,10 @@ class Graph:
 
         Self-loops are dropped, parallel edges and reversed duplicates are
         merged. `num_vertices` may exceed the largest endpoint to keep
-        isolated vertices.
+        isolated vertices, up to MAX_VERTICES.
         """
+        if num_vertices is not None:
+            _check_vertex_count(num_vertices)
         e = np.asarray(edges, dtype=np.int64)
         if e.size == 0:
             e = e.reshape(0, 2)
@@ -59,22 +76,22 @@ class Graph:
             raise ValueError("edges must be an (E, 2) array of vertex pairs")
         if num_vertices is None:
             num_vertices = int(e.max()) + 1 if len(e) else 0
+            _check_vertex_count(num_vertices)
+        n = num_vertices
         if len(e):
-            if int(e.min()) < 0 or int(e.max()) >= num_vertices:
+            if int(e.min()) < 0 or int(e.max()) >= n:
                 raise ValueError("vertex id out of range")
             e = e[e[:, 0] != e[:, 1]]
-        lo = np.minimum(e[:, 0], e[:, 1])
-        hi = np.maximum(e[:, 0], e[:, 1])
-        und = np.stack([lo, hi], axis=1)
-        if len(und):
-            und = np.unique(und, axis=0)
-        src = np.concatenate([und[:, 0], und[:, 1]])
-        dst = np.concatenate([und[:, 1], und[:, 0]])
-        order = np.lexsort((dst, src))
-        indices = np.ascontiguousarray(dst[order])
-        counts = np.bincount(src, minlength=num_vertices)
-        indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+        # one scalar key lo * n + hi per undirected edge; sorting the keys
+        # of both directions lists every row's neighbours in ascending order
+        und = np.unique(np.minimum(e[:, 0], e[:, 1]) * n
+                        + np.maximum(e[:, 0], e[:, 1]))
+        lo, hi = np.divmod(und, max(n, 1))
+        keys = np.concatenate([und, hi * n + lo])
+        keys.sort()
+        src, indices = np.divmod(keys, max(n, 1))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         return cls(indptr, indices, original_ids)
 
     def neighbors(self, v: int) -> np.ndarray:
@@ -214,25 +231,52 @@ def out_neighbors(g: Graph, order: DegeneracyOrder, v: int) -> np.ndarray:
     return nbrs[order.position[nbrs] > order.position[v]]
 
 
-def _neighbor_mask(g: Graph, u: int, verts: np.ndarray) -> np.ndarray:
-    """Boolean mask over `verts` marking neighbors of u (verts sorted asc)."""
-    nbrs = g.neighbors(u)
-    if nbrs.size == 0:
-        return np.zeros(verts.size, dtype=bool)
-    pos = np.searchsorted(nbrs, verts)
-    ok = pos < nbrs.size
-    ok[ok] = nbrs[pos[ok]] == verts[ok]
-    return ok
-
-
 def edge_keys(g: Graph) -> np.ndarray:
     """Ascending keys u * n + v of all ordered adjacent pairs (u, v).
 
-    The CSR is lexsorted by (row, column), so the keys need no sort.
+    The CSR is lexsorted by (row, column), so the keys need no sort. They
+    are computed once per graph and returned read-only.
     """
+    if g._edge_keys is None:
+        n = g.vertex_count
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
+        keys = rows * n + g.indices
+        keys.flags.writeable = False
+        g._edge_keys = keys
+    return g._edge_keys
+
+
+def has_edge_keys(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Elementwise membership of the pair keys q in the sorted `keys`."""
+    if keys.size == 0:
+        return np.zeros(np.shape(q), dtype=bool)
+    at = np.searchsorted(keys, q).clip(max=keys.size - 1)
+    return keys[at] == q
+
+
+def induced_adjacency_rows(g: Graph, sets: np.ndarray
+                           ) -> Iterator[tuple[int, np.ndarray]]:
+    """Adjacency rows of the subgraphs induced by a batch of vertex sets.
+
+    `sets` is an (R, W) int64 array, one vertex set per row, padded at the
+    end with -1. Flat row r = i * W + a stands for member a of set i. Yields
+    (r0, block) in order, where block[r - r0, b] tells whether members a
+    and b of set i are adjacent; padding is adjacent to nothing. Each block
+    costs about _LOOKUP_CHUNK pair lookups, so no (R * W, W) key array is
+    built at once.
+    """
+    keys = edge_keys(g)
     n = g.vertex_count
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
-    return rows * n + g.indices
+    width = sets.shape[1]
+    flat = sets.reshape(-1)
+    step = max(1, _LOOKUP_CHUNK // max(width, 1))
+    for r0 in range(0, flat.size, step):
+        u = flat[r0:r0 + step]
+        v = sets[np.arange(r0, r0 + u.size) // width]
+        real = (u >= 0)[:, None] & (v >= 0)  # padding is looked up never
+        block = np.zeros(real.shape, dtype=bool)
+        block[real] = has_edge_keys(keys, (u[:, None] * n + v)[real])
+        yield r0, block
 
 
 def induced_adjacency_matrix(g: Graph, vertices) -> np.ndarray:
@@ -242,19 +286,17 @@ def induced_adjacency_matrix(g: Graph, vertices) -> np.ndarray:
     ascending global ids.
     """
     verts = np.asarray(vertices, dtype=np.int64)
-    s = verts.size
-    mat = np.zeros((s, s), dtype=bool)
-    for i in range(s):
-        mat[i] = _neighbor_mask(g, int(verts[i]), verts)
+    mat = np.zeros((verts.size, verts.size), dtype=bool)
+    for r0, block in induced_adjacency_rows(g, verts[None, :]):
+        mat[r0:r0 + len(block)] = block
     return mat
 
 
 def induced_edge_count(g: Graph, vertices) -> int:
     """Number of edges of g with both endpoints in `vertices`."""
     verts = np.asarray(vertices, dtype=np.int64)
-    total = 0
-    for i in range(verts.size):
-        total += int(np.count_nonzero(_neighbor_mask(g, int(verts[i]), verts)))
+    total = sum(int(np.count_nonzero(block))
+                for _, block in induced_adjacency_rows(g, verts[None, :]))
     return total // 2
 
 

@@ -14,24 +14,51 @@ ell-cliques. Normalizing by C(s,2) instead would admit clique-free sets
 sampler's success-probability floor. Comparisons are exact integer
 cross-multiplications, so extremal graphs sit exactly on the boundary and
 route deterministically to refinement.
+
+The builder is level-synchronous. Unless the whole graph saturates, every
+vertex whose out-neighborhood in the global degeneracy order holds at least
+k - 1 vertices is a root. A root's members are numbered 0..s-1 in ascending
+id, and each member's adjacency inside the root is a row of uint64 words,
+so every set refined below the root is a member bitmask. Roots are grouped
+by power-of-two width class. At budget ell, all frontier sets of a class
+are tested together; the saturated ones (and all at ell <= 2) are emitted,
+the rest are peeled together, one minimum-degree member per step (argmin
+picks the lowest index among ties, which is the lowest id), and each
+member's out-neighborhood with at least ell - 1 members joins the frontier
+at budget ell - 1.
+
+A set is named by its path: the root id, then the member index taken at
+each level. A recursive builder visits children in ascending member order,
+and emitted sets are leaves, so no emitted path is a prefix of another;
+sorting the emitted sets by path therefore restores exactly the
+depth-first emission order, and with it every draw of the sampler.
+
+Roots are processed in id-ordered batches of _ROOT_BATCH, and each
+temporary of a step (gathered rows, degrees, children) is cut into chunks
+of about _CHUNK_ELEMS elements, so memory is bounded by one batch's
+frontier plus the chunk budget, whatever the size of the graph.
+
+The shadow itself is flat: entry i is the sorted ids
+vertices[offsets[i]:offsets[i + 1]] with budget ells[i] and induced edge
+count edges[i]. `entries` is a lazy view that makes ShadowEntry objects
+only when they are read.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
-from .graph import (
-    Graph,
-    degeneracy_order,
-    induced_adjacency_matrix,
-    out_neighbors,
-)
+from .graph import Graph, degeneracy_order, induced_adjacency_rows
 
 MAX_K = 64
+
+_ROOT_BATCH = 256
+_CHUNK_ELEMS = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +66,7 @@ class ShadowEntry:
     """One shadow element: count `ell`-cliques inside `vertices`.
 
     vertices are sorted ascending global ids; edges caches the induced
-    edge count computed during construction.
+    edge count computed during construction. Entries compare by value.
     """
 
     vertices: np.ndarray
@@ -50,105 +77,239 @@ class ShadowEntry:
     def size(self) -> int:
         return int(self.vertices.size)
 
+    def __eq__(self, other):
+        if not isinstance(other, ShadowEntry):
+            return NotImplemented
+        return ((self.ell, self.edges) == (other.ell, other.edges)
+                and np.array_equal(self.vertices, other.vertices))
+
+    __hash__ = None
+
+
+class ShadowEntries(Sequence):
+    """Read-only view of a shadow's entries; each is made when read."""
+
+    __slots__ = ("_sh",)
+
+    def __init__(self, sh: "TuranShadow"):
+        self._sh = sh
+
+    def __len__(self) -> int:
+        return int(self._sh.ells.size)
+
+    def __getitem__(self, i) -> ShadowEntry:
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("shadow entry index out of range")
+        sh = self._sh
+        return ShadowEntry(sh.vertices[sh.offsets[i]:sh.offsets[i + 1]],
+                           int(sh.ells[i]), int(sh.edges[i]))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
 
 @dataclass(frozen=True, eq=False)
 class TuranShadow:
+    """A k-clique shadow as four flat read-only arrays.
+
+    Entry i holds the sorted global ids vertices[offsets[i]:offsets[i+1]],
+    the clique budget ells[i] and the induced edge count edges[i].
+    """
+
     k: int
-    entries: list[ShadowEntry]
-    representation_size: int
-    ell_histogram: dict[int, int]
-    max_set_size: int
+    offsets: np.ndarray
+    vertices: np.ndarray
+    ells: np.ndarray
+    edges: np.ndarray
     alpha: int  # degeneracy of the graph the shadow covers
 
+    @property
+    def entries(self) -> ShadowEntries:
+        return ShadowEntries(self)
 
-def _saturated(edges: int, size: int, ell: int) -> bool:
-    # edges > (1 - 1/(ell-1)) * size^2 / 2, cross-multiplied to stay exact
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    @property
+    def representation_size(self) -> int:
+        return int(self.offsets[-1])
+
+    @property
+    def max_set_size(self) -> int:
+        return int(self.sizes.max(initial=0))
+
+    @property
+    def ell_histogram(self) -> dict[int, int]:
+        ells, counts = np.unique(self.ells, return_counts=True)
+        return dict(zip(ells.tolist(), counts.tolist()))
+
+
+def _saturated(edges, size, ell):
+    # edges > (1 - 1/(ell-1)) * size^2 / 2, cross-multiplied to stay exact;
+    # takes Python ints or int64 arrays
     return 2 * edges * (ell - 1) > size * size * (ell - 2)
 
 
-def _pack_rows(mat: np.ndarray) -> list[int]:
-    """Rows of a boolean adjacency matrix as little-endian bitmask ints."""
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    return [int.from_bytes(packed[i].tobytes(), "little")
-            for i in range(mat.shape[0])]
+def _pack(bits: np.ndarray, nw: int) -> np.ndarray:
+    """(c, W) booleans -> (c, nw) uint64 words, bit j of word j // 64."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    words = np.zeros((bits.shape[0], nw * 8), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    return words.view("<u8").astype(np.uint64)
 
 
-def _bit_indices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        lsb = mask & -mask
-        out.append(lsb.bit_length() - 1)
-        mask ^= lsb
-    return out
+def _unpack(words: np.ndarray, width: int) -> np.ndarray:
+    """(..., nw) uint64 words -> (..., width) booleans."""
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=-1, count=width,
+                         bitorder="little").view(bool)
 
 
-def _mask_edges(rows: list[int], members: int) -> int:
-    total = 0
-    m = members
-    while m:
-        lsb = m & -m
-        total += (rows[lsb.bit_length() - 1] & members).bit_count()
-        m ^= lsb
-    return total // 2
+def _chunks(total: int, per_item: int):
+    step = max(1, _CHUNK_ELEMS // per_item)
+    for lo in range(0, total, step):
+        yield slice(lo, min(lo + step, total))
 
 
-def _peel_out_masks(rows: list[int], members: int, width: int) -> list[int]:
-    """Out-neighborhood mask per member under min-degree peeling.
+@dataclass
+class _Sets:
+    """Sets of one width class: member masks under their roots."""
 
-    Ties go to the lowest bit index, which is the smallest global id since
-    bit order follows the sorted vertex list.
+    root: np.ndarray   # index of the root in the class
+    mask: np.ndarray   # (F, nw) uint64 member bitmask
+    size: np.ndarray
+    edges: np.ndarray
+    path: np.ndarray   # (F, L): root id, then member indices, -1 padded
+
+    def take(self, idx) -> "_Sets":
+        return _Sets(self.root[idx], self.mask[idx], self.size[idx],
+                     self.edges[idx], self.path[idx])
+
+    @staticmethod
+    def concat(parts: list["_Sets"]) -> "_Sets":
+        return _Sets(*(np.concatenate([getattr(p, f) for p in parts])
+                       for f in ("root", "mask", "size", "edges", "path")))
+
+
+def _children(rows: np.ndarray, sets: _Sets, ell: int, depth: int) -> _Sets:
+    """Out-neighborhoods (budget ell - 1) of unsaturated sets at budget ell.
+
+    Peels every set of a chunk together: each step removes, in each set,
+    the alive member of least degree (lowest index among ties), records its
+    out-neighborhood rows[best] & alive, and lowers its neighbors' degrees.
+    Out-neighborhoods with fewer than ell - 1 members are dropped.
     """
-    nplus = [0] * width
-    deg = [0] * width
-    for b in _bit_indices(members):
-        deg[b] = (rows[b] & members).bit_count()
-    alive = members
-    while alive:
-        best = -1
-        best_deg = width + 1
-        m = alive
-        while m:
-            lsb = m & -m
-            b = lsb.bit_length() - 1
-            m ^= lsb
-            if deg[b] < best_deg:
-                best_deg = deg[b]
-                best = b
-        alive ^= 1 << best
-        rest = rows[best] & alive
-        nplus[best] = rest
-        while rest:
-            lsb = rest & -rest
-            deg[lsb.bit_length() - 1] -= 1
-            rest ^= lsb
-    return nplus
+    _, width, nw = rows.shape
+    big = width + 1
+    sets = sets.take(np.argsort(-sets.size, kind="stable"))
+    out = []
+    for c in _chunks(len(sets.size), width * nw):
+        root, mask, size = sets.root[c], sets.mask[c], sets.size[c]
+        deg = np.bitwise_count(rows[root] & mask[:, None, :]).sum(
+            axis=2, dtype=np.int64)
+        deg[~_unpack(mask, width)] = big
+        alive = mask.copy()
+        nplus = np.zeros((size.size, width, nw), dtype=np.uint64)
+        for step in range(int(size[0])):
+            na = int(np.count_nonzero(size > step))  # sizes are descending
+            it = np.arange(na)
+            best = deg[:na].argmin(axis=1)
+            alive[it, best >> 6] ^= np.left_shift(
+                np.uint64(1), (best & 63).astype(np.uint64))
+            rest = rows[root[:na], best] & alive[:na]
+            nplus[it, best] = rest
+            deg[it, best] = big
+            deg[:na] -= _unpack(rest, width)
+        csize = np.bitwise_count(nplus).sum(axis=2, dtype=np.int64)
+        item, member = np.nonzero(csize >= ell - 1)
+        cmask = nplus[item, member]
+        cedges = np.empty(item.size, dtype=np.int64)
+        for d in _chunks(item.size, width * nw):
+            per_row = np.bitwise_count(
+                rows[root[item[d]]] & cmask[d][:, None, :]).sum(
+                    axis=2, dtype=np.int64)
+            cedges[d] = (per_row * _unpack(cmask[d], width)).sum(axis=1) // 2
+        path = sets.path[c][item]
+        path[:, depth] = member
+        out.append(_Sets(root[item], cmask, csize[item, member], cedges,
+                         path))
+    return _Sets.concat(out)
 
 
-class _Builder:
-    def __init__(self, k: int):
-        self.k = k
-        self.entries: list[ShadowEntry] = []
+def _roots(g: Graph, ids: np.ndarray, members: np.ndarray,
+           k: int) -> tuple[_Sets, np.ndarray]:
+    """Root sets of one width class and their member adjacency rows.
 
-    def emit(self, vertices: np.ndarray, ell: int, edges: int) -> None:
-        self.entries.append(ShadowEntry(vertices, ell, edges))
+    Row i of the (R, W) `members` holds the out-neighborhood of root ids[i]
+    in ascending id, padded with -1. Returns the roots as sets at budget
+    k - 1 and the (R, W, nw) uint64 rows.
+    """
+    count, width = members.shape
+    nw = (width + 63) // 64
+    rows = np.empty((count * width, nw), dtype=np.uint64)
+    for r0, block in induced_adjacency_rows(g, members):
+        rows[r0:r0 + len(block)] = _pack(block, nw)
+    rows = rows.reshape(count, width, nw)
+    size = np.count_nonzero(members >= 0, axis=1)
+    path = np.full((count, max(k - 2, 1)), -1, dtype=np.int64)
+    path[:, 0] = ids
+    sets = _Sets(np.arange(count), _pack(members >= 0, nw), size,
+                 np.bitwise_count(rows).sum(axis=(1, 2), dtype=np.int64) // 2,
+                 path)
+    return sets, rows
 
-    def refine_masks(self, rows: list[int], ids: np.ndarray,
-                     members: int, ell: int) -> None:
-        # members is known unsaturated with ell >= 3; replace it by the
-        # out-neighborhoods of its degeneracy DAG at budget ell - 1
-        nplus = _peel_out_masks(rows, members, ids.size)
-        child_ell = ell - 1
-        for b in _bit_indices(members):
-            child = nplus[b]
-            size = child.bit_count()
-            if size < child_ell:
-                continue  # holds no clique of the required size
-            edges = _mask_edges(rows, child)
-            if child_ell <= 2 or _saturated(edges, size, child_ell):
-                verts = ids[np.asarray(_bit_indices(child), dtype=np.int64)]
-                self.emit(verts, child_ell, edges)
-            else:
-                self.refine_masks(rows, ids, child, child_ell)
+
+def _build_batch(g: Graph, k: int, roots: np.ndarray, deg: np.ndarray,
+                 start: np.ndarray, out_ids: np.ndarray):
+    """Emitted entries of one id-ordered batch of roots, in path order.
+
+    Returns (sizes, flat vertices, ells, edges).
+    """
+    classes = np.maximum(8, 1 << np.ceil(np.log2(deg)).astype(np.int64))
+    paths, ells, sizes, edges = [], [], [], []
+    verts = [np.empty(0, dtype=np.int64)]
+    for width in np.unique(classes).tolist():
+        sel = np.flatnonzero(classes == width)
+        col = np.arange(width)
+        inside = col < deg[sel, None]
+        members = np.full((sel.size, width), -1, dtype=np.int64)
+        members[inside] = out_ids[(start[sel, None] + col)[inside]]
+        sets, rows = _roots(g, roots[sel], members, k)
+        ell, depth = k - 1, 1
+        while sets.size.size:
+            done = (_saturated(sets.edges, sets.size, ell) if ell > 2
+                    else np.ones(sets.size.size, dtype=bool))
+            emitted = sets.take(done)
+            paths.append(emitted.path)
+            ells.append(np.full(emitted.size.size, ell, dtype=np.int64))
+            sizes.append(emitted.size)
+            edges.append(emitted.edges)
+            for c in _chunks(emitted.size.size, width):
+                e, j = np.nonzero(_unpack(emitted.mask[c], width))
+                verts.append(members[emitted.root[c][e], j])
+            sets = sets.take(~done)
+            if not sets.size.size:
+                break
+            sets = _children(rows, sets, ell, depth)
+            ell, depth = ell - 1, depth + 1
+    path = np.concatenate(paths)
+    size = np.concatenate(sizes)
+    perm = np.lexsort(path.T[::-1])
+    size_sorted = size[perm]
+    old_start = np.cumsum(size) - size
+    new_start = np.cumsum(size_sorted) - size_sorted
+    gather = (np.repeat(old_start[perm] - new_start, size_sorted)
+              + np.arange(int(size.sum())))
+    return (size_sorted, np.concatenate(verts)[gather],
+            np.concatenate(ells)[perm], np.concatenate(edges)[perm])
 
 
 def shadow_finder(g: Graph, k: int) -> TuranShadow:
@@ -163,54 +324,54 @@ def shadow_finder(g: Graph, k: int) -> TuranShadow:
         raise ValueError("k must be >= 3; smaller k are counted directly")
     if k > MAX_K:
         raise ValueError(f"k must be <= {MAX_K}")
-    b = _Builder(k)
     n, m = g.vertex_count, g.edge_count
     order = degeneracy_order(g)
-    if n >= k:
-        if _saturated(m, n, k):
-            b.emit(np.arange(n, dtype=np.int64), k, m)
-        else:
-            child_ell = k - 1
-            for v in range(n):
-                child = out_neighbors(g, order, v)
-                if child.size < child_ell:
-                    continue
-                mat = induced_adjacency_matrix(g, child)
-                edges = int(np.count_nonzero(mat)) // 2
-                if child_ell <= 2 or _saturated(edges, child.size, child_ell):
-                    b.emit(child, child_ell, edges)
-                else:
-                    b.refine_masks(_pack_rows(mat), child,
-                                   (1 << child.size) - 1, child_ell)
-    entries = b.entries
-    hist = Counter(e.ell for e in entries)
-    return TuranShadow(
-        k=k,
-        entries=entries,
-        representation_size=sum(e.size for e in entries),
-        ell_histogram=dict(sorted(hist.items())),
-        max_set_size=max((e.size for e in entries), default=0),
-        alpha=order.alpha,
-    )
+    none = np.empty(0, dtype=np.int64)
+    parts = [(none, none, none, none)]  # (sizes, vertices, ells, edges)
+    if n >= k and _saturated(m, n, k):
+        parts.append((np.array([n]), np.arange(n, dtype=np.int64),
+                      np.array([k]), np.array([m])))
+    elif n >= k:
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
+        later = order.position[g.indices] > order.position[src]
+        out_ids = g.indices[later]
+        out_deg = np.bincount(src[later], minlength=n)
+        del src, later
+        out_start = np.cumsum(out_deg) - out_deg
+        roots = np.flatnonzero(out_deg >= k - 1)
+        for lo in range(0, roots.size, _ROOT_BATCH):
+            batch = roots[lo:lo + _ROOT_BATCH]
+            parts.append(_build_batch(g, k, batch, out_deg[batch],
+                                      out_start[batch], out_ids))
+    sizes, vertices, ells, edges = (np.concatenate([p[i] for p in parts])
+                                    for i in range(4))
+    offsets = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    for a in (offsets, vertices, ells, edges):
+        a.flags.writeable = False
+    return TuranShadow(k=k, offsets=offsets, vertices=vertices, ells=ells,
+                       edges=edges, alpha=order.alpha)
 
 
 def shadow_stats(sh: TuranShadow) -> dict:
     """Aggregate structure of a shadow, as plain serializable values."""
-    min_ell = min((e.ell for e in sh.entries), default=sh.k)
+    min_ell = int(sh.ells.min(initial=sh.k))
     return {
-        "set_count": len(sh.entries),
+        "set_count": len(sh.ells),
         "representation_size": sh.representation_size,
         "max_set_size": sh.max_set_size,
-        "ell_histogram": dict(sh.ell_histogram),
+        "ell_histogram": sh.ell_histogram,
         "depth_reached": sh.k - min_ell,
     }
 
 
 def dump_shadow(sh: TuranShadow, stream: IO | None = None) -> str | None:
     """Debug dump, one entry per line: ell TAB size TAB sorted global ids."""
+    ids = sh.vertices.tolist()
+    bounds = sh.offsets.tolist()
     lines = (
-        f"{e.ell}\t{e.size}\t{' '.join(str(v) for v in e.vertices.tolist())}"
-        for e in sh.entries
+        f"{ell}\t{b - a}\t{' '.join(map(str, ids[a:b]))}"
+        for ell, a, b in zip(sh.ells.tolist(), bounds, bounds[1:])
     )
     if stream is None:
         return "\n".join(lines)

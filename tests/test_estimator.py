@@ -48,6 +48,16 @@ def test_gamma_vacuous_when_nothing_sampled():
     assert gamma_of(shadow_finder(cycle_graph(5), 3)) == 1.0
 
 
+def test_gamma_matches_per_entry_loop():
+    # f(ell) * |S| * |S| in this order, maximised entry by entry
+    for g, k in [(er_graph(60, 0.4, seed=1), 4), (er_graph(60, 0.5, seed=2), 5),
+                 (turan_graph(24, 6), 5), (complete_graph(9), 6)]:
+        sh = shadow_finder(g, k)
+        worst = max(f_of(e.ell) * e.size * e.size
+                    for e in sh.entries if e.ell >= 3)
+        assert gamma_of(sh) == 1.0 / worst
+
+
 def test_gamma_lower_bound_from_edge_count():
     # |S| <= alpha <= sqrt(2m) gives gamma >= 1 / (2 f(k) m)
     for seed in range(4):
@@ -114,6 +124,14 @@ def test_total_weight_matches_recomputation_from_dump():
         if int(ell_s) >= 3:
             recomputed += float(math.comb(int(size_s), int(ell_s)))
     assert st.total_weight == pytest.approx(recomputed, rel=1e-12)
+    # per-entry weights are the exact doubles, over the shadow's own ids
+    sampled = [e for e in sh.entries if e.ell >= 3]
+    assert st.weights.tolist() == [float(math.comb(e.size, e.ell))
+                                   for e in sampled]
+    assert st.vertices is sh.vertices
+    assert [st.vertices[a:a + b].tolist()
+            for a, b in zip(st.starts, st.sizes)] == \
+        [e.vertices.tolist() for e in sampled]
 
 
 def test_run_trials_complete_graph_always_succeeds():

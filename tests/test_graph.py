@@ -220,3 +220,31 @@ def test_edge_density():
     assert cycle_graph(5).edge_density() == 0.5
     assert Graph.from_edges([], num_vertices=1).edge_density() == 0.0
     assert Graph.from_edges([], num_vertices=0).edge_density() == 0.0
+
+
+def test_from_edges_matches_set_reference():
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        n = int(rng.integers(1, 40))
+        total = n + int(rng.integers(0, 4))  # isolated trailing vertices
+        # random pairs include self-loops, duplicates and reversed edges
+        e = rng.integers(0, n, size=(int(rng.integers(0, 120)), 2))
+        g = Graph.from_edges(e, num_vertices=total)
+        adj = [set() for _ in range(total)]
+        for u, v in e.tolist():
+            if u != v:
+                adj[u].add(v)
+                adj[v].add(u)
+        assert g.vertex_count == total
+        assert g.indptr.tolist() == np.cumsum(
+            [0] + [len(a) for a in adj]).tolist()
+        assert g.indices.tolist() == [w for a in adj for w in sorted(a)]
+        assert g.indptr.dtype == g.indices.dtype == np.int64
+
+
+def test_from_edges_rejects_vertex_counts_past_key_range():
+    # n * n would overflow the int64 pair keys u * n + v
+    with pytest.raises(ValueError, match="overflow"):
+        Graph.from_edges([(0, 1)], num_vertices=4_000_000_000)
+    with pytest.raises(ValueError, match="overflow"):
+        Graph.from_edges([(0, 3_037_000_499)])

@@ -1,9 +1,11 @@
 import io
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from turanshadow import graph, shadow
 from turanshadow.graph import (
     degeneracy_order,
     induced_edge_count,
@@ -24,6 +26,7 @@ from genutil import (
     star_graph,
     turan_graph,
 )
+from shadow_reference import reference_shadow
 
 
 def entry_exact_count(g, entry):
@@ -222,3 +225,69 @@ def test_turan_graph_sits_exactly_on_the_boundary():
     sh2 = shadow_finder(Graph.from_edges(dense, num_vertices=12), 5)
     assert [e.ell for e in sh2.entries] == [5]
     assert sh2.entries[0].size == 12
+
+
+def reference_cases():
+    yield from validity_suite()
+    yield complete_graph(6), 4   # saturated root
+    yield cycle_graph(5), 3
+    yield turan_graph(12, 4), 5  # root exactly on the boundary
+    yield complete_graph(3), 5   # n < k
+    g = er_graph(160, 0.6, seed=2)  # alpha = 81: rows of two words
+    for k in (4, 5, 6):
+        yield g, k
+
+
+@lru_cache(maxsize=None)
+def reference_entries():
+    return [reference_shadow(g, k) for g, k in reference_cases()]
+
+
+@pytest.mark.parametrize("budget", [None, 1], ids=["default", "unit"])
+def test_builder_matches_recursive_reference(monkeypatch, budget):
+    # the level engine must emit exactly the depth-first builder's ordered
+    # entries, whatever the root batch and chunk sizes
+    if budget is not None:
+        monkeypatch.setattr(shadow, "_ROOT_BATCH", budget)
+        monkeypatch.setattr(shadow, "_CHUNK_ELEMS", budget)
+        monkeypatch.setattr(graph, "_LOOKUP_CHUNK", budget)
+    widths = []
+    roots = shadow._roots
+
+    def spy(g, ids, members, k):
+        widths.append(members.shape[1])
+        return roots(g, ids, members, k)
+
+    monkeypatch.setattr(shadow, "_roots", spy)
+    for (g, k), expected in zip(reference_cases(), reference_entries()):
+        got = [(e.ell, tuple(e.vertices.tolist()), e.edges)
+               for e in shadow_finder(g, k).entries]
+        assert got == expected, (g, k)
+    assert max(widths) > 64
+
+
+def test_flat_shadow_invariants():
+    for g, k in reference_cases():
+        sh = shadow_finder(g, k)
+        assert sh.offsets[0] == 0
+        assert np.all(np.diff(sh.offsets) >= 0)
+        assert sh.offsets[-1] == sh.representation_size == sh.vertices.size
+        assert len(sh.entries) == len(sh.ells) == len(sh.edges) \
+            == len(sh.offsets) - 1
+        for i, e in enumerate(sh.entries):
+            a, b = sh.offsets[i], sh.offsets[i + 1]
+            assert np.array_equal(e.vertices, sh.vertices[a:b])
+            assert (e.ell, e.edges) == (sh.ells[i], sh.edges[i])
+        for a in (sh.offsets, sh.vertices, sh.ells, sh.edges):
+            assert not a.flags.writeable
+
+
+def test_entries_view_indexing():
+    sh = shadow_finder(er_graph(40, 0.4, seed=33), 4)
+    n = len(sh.entries)
+    assert n > 1
+    assert sh.entries[-1] == sh.entries[n - 1]
+    assert sh.entries[0] != sh.entries[1]
+    assert list(sh.entries) == sh.entries
+    with pytest.raises(IndexError):
+        sh.entries[n]
