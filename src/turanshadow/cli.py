@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: count (shadow estimator), exact (brute-force ground truth),
-stats (shadow structure), sweep (estimates over a k range), convergence
-(repeated runs at one or more sample counts), baseline (edge sampling).
+Subcommands: count (shadow estimator), exact (exact count by the
+degeneracy-ordered clique counter, the ground truth), stats (shadow
+structure), sweep (estimates over a k range), convergence (repeated runs
+at one or more sample counts), baseline (edge sampling).
 Data goes to stdout as JSON objects (one per line) or CSV; diagnostics go
 to stderr. Reruns with identical flags are byte-identical except for the
 timing fields.

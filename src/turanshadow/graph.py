@@ -8,6 +8,7 @@ ids and keep the original-id map around for reporting.
 from __future__ import annotations
 
 import heapq
+import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
@@ -122,31 +123,16 @@ class Graph:
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
 
 
-def _iter_lines(source: Source) -> Iterator:
-    if isinstance(source, (str, Path)):
-        with open(source, "rt") as fh:
-            yield from fh
-    else:
-        yield from source
-
-
-def load_edge_list(source: Source, comment_prefix: str = "#",
-                   delimiter: str | None = None) -> Graph:
-    """Parse a whitespace-separated edge list into a simple undirected graph.
-
-    One edge per line as two integer tokens; lines starting with
-    `comment_prefix` and blank lines are skipped. Direction is ignored,
-    self-loops are dropped, and parallel edges are merged. Input ids are
-    compacted to [0, n) in ascending numeric order; the original ids are
-    retained on the graph when relabeling actually changed anything.
-    """
+def _parse_lines(lines: Iterable, comment_prefix: str,
+                 delimiter: str | None) -> np.ndarray:
+    """(E, 2) int64 edges of an edge list, parsed line by line."""
     us: list[int] = []
     vs: list[int] = []
-    for line_number, raw in enumerate(_iter_lines(source), start=1):
+    for line_number, raw in enumerate(lines, start=1):
         if isinstance(raw, bytes):
             raw = raw.decode()
         line = raw.strip()
-        if not line or line.startswith(comment_prefix):
+        if not line or (comment_prefix and line.startswith(comment_prefix)):
             continue
         parts = line.split(delimiter)
         if len(parts) != 2:
@@ -158,10 +144,53 @@ def load_edge_list(source: Source, comment_prefix: str = "#",
         except ValueError:
             raise EdgeListParseError(
                 line_number, f"non-integer token in {line!r}") from None
-    if not us:
+    return np.stack([np.asarray(us, dtype=np.int64),
+                     np.asarray(vs, dtype=np.int64)], axis=1)
+
+
+def _parse_text(text: str, comment_prefix: str,
+                delimiter: str | None) -> np.ndarray:
+    """(E, 2) int64 edges of a whole edge-list text.
+
+    One np.loadtxt call parses ASCII, whitespace-separated text that holds
+    no comment prefix; on such text it accepts exactly the lines the
+    per-line parser accepts and reads the same integers (on non-ASCII text
+    it can misread letters as digits). Any other text, or text it rejects,
+    is parsed line by line, which skips comments and reports the number of
+    a malformed line.
+    """
+    if (delimiter is None and text.isascii() and text.strip()
+            and not (comment_prefix and comment_prefix in text)):
+        try:
+            edges = np.loadtxt(io.StringIO(text), dtype=np.int64,
+                               comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if edges.shape[1] == 2:
+                return edges
+    return _parse_lines(io.StringIO(text), comment_prefix, delimiter)
+
+
+def load_edge_list(source: Source, comment_prefix: str = "#",
+                   delimiter: str | None = None) -> Graph:
+    """Parse a whitespace-separated edge list into a simple undirected graph.
+
+    One edge per line as two integer tokens; lines starting with
+    `comment_prefix` (unless it is empty) and blank lines are skipped.
+    Direction is ignored, self-loops are dropped, and parallel edges are
+    merged. Input ids are compacted to [0, n) in ascending numeric order;
+    the original ids are retained on the graph when relabeling actually
+    changed anything. A file path is read whole and parsed in one numpy
+    call where that gives the same edges as the per-line parser.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, "rt") as fh:
+            raw_edges = _parse_text(fh.read(), comment_prefix, delimiter)
+    else:
+        raw_edges = _parse_lines(source, comment_prefix, delimiter)
+    if not len(raw_edges):
         return Graph.from_edges(np.empty((0, 2), dtype=np.int64), num_vertices=0)
-    raw_edges = np.stack([np.asarray(us, dtype=np.int64),
-                          np.asarray(vs, dtype=np.int64)], axis=1)
     ids = np.unique(raw_edges)
     compact = np.searchsorted(ids, raw_edges)
     relabeled = ids.size != int(ids[-1]) + 1 or int(ids[0]) != 0

@@ -1,9 +1,21 @@
 """Exact k-clique counting.
 
-The main counter walks the degeneracy ordering and recursively intersects
-out-neighborhoods, the standard orientation-based search. A brute-force
-enumerator over all k-subsets is kept as an independent second oracle for
-testing the tester.
+Every k-clique has one member that comes first in the degeneracy order, so
+the count is the sum, over the roots the shadow builder uses (vertices with
+at least k - 1 out-neighbours), of the (k-1)-cliques inside each root's
+out-neighbourhood. The counter takes the builder's id-ordered root batches,
+width classes and uint64 member rows, and keeps in each row only the
+higher-indexed members, so a clique is found once, from its lowest member.
+It then runs level by level over (root, member mask) sets: a set that needs
+`need` more vertices is replaced by one child per member u, the mask
+restricted to u's row, and children too small to hold need - 1 are
+dropped. A set that induces a clique adds C(size, need) at once, in Python
+ints; at need = 2 the edges inside each mask are counted with
+np.bitwise_count and no pair is enumerated. Sets wait on a stack of
+chunks of about _CHUNK_ELEMS elements and the deepest level is expanded
+first, so memory stays O(k * chunk) on any graph. A brute-force enumerator
+over all k-subsets is kept as an independent second oracle for testing the
+tester.
 """
 
 from __future__ import annotations
@@ -15,7 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import shadow
 from .graph import Graph, degeneracy_order, induced_adjacency_matrix
+from .shadow import _pack, _unpack
 
 UINT64_MAX = 2**64 - 1
 
@@ -43,20 +57,46 @@ def _check_uint64(count: int) -> int:
     return count
 
 
-def _count_rec(outs: list[set], cand: set, j: int) -> int:
-    c = len(cand)
-    if j > c:
-        return 0
-    if j == 1:
-        return c
-    if j == 2:
-        return sum(len(outs[u] & cand) for u in cand)
-    inters = [outs[u] & cand for u in cand]
-    e = sum(len(x) for x in inters)
-    if 2 * e == c * (c - 1):
-        # candidate set induces a clique: all j-subsets count
-        return math.comb(c, j)
-    return sum(_count_rec(outs, x, j - 1) for x in inters if len(x) >= j - 1)
+def _count_class(rows: np.ndarray, masks: np.ndarray, k: int,
+                 check_time) -> int:
+    """(k-1)-cliques inside the member masks of one width class of roots.
+
+    rows are the (R, W, nw) member_rows of the roots and masks their (R, nw)
+    member masks. Frontier items are (root, mask, need) sets, kept as a
+    stack of chunks and expanded deepest level first; check_time() runs
+    before every chunk.
+    """
+    _, width, nw = rows.shape
+    # member a keeps only members b > a, so each clique is found once, from
+    # its lowest member
+    rows = rows & _pack(np.triu(np.ones((width, width), dtype=bool), 1), nw)
+    step = max(1, shadow._CHUNK_ELEMS // (width * nw))
+    stack = [(k - 1, np.arange(masks.shape[0]), masks)]
+    total = 0
+    while stack:
+        check_time()
+        need, root, mask = stack.pop()
+        if root.size > step:
+            stack.append((need, root[step:], mask[step:]))
+            root, mask = root[:step], mask[:step]
+        # 1-D flatnonzero: 2-D nonzero is several times slower
+        item, member = np.divmod(np.flatnonzero(_unpack(mask, width)), width)
+        child = rows[root[item], member] & mask[item]
+        csize = np.bitwise_count(child).sum(axis=1, dtype=np.int64)
+        if need == 2:
+            total += int(csize.sum())
+            continue
+        size = np.bitwise_count(mask).sum(axis=1, dtype=np.int64)
+        # every mask is nonempty, so its members start at these offsets
+        edges = np.add.reduceat(csize, np.cumsum(size) - size)
+        clique = 2 * edges == size * (size - 1)
+        sizes, counts = np.unique(size[clique], return_counts=True)
+        total += sum(math.comb(s, need) * c
+                     for s, c in zip(sizes.tolist(), counts.tolist()))
+        keep = (csize >= need - 1) & ~clique[item]
+        if keep.any():
+            stack.append((need - 1, root[item[keep]], child[keep]))
+    return total
 
 
 def exact_kclique_count(g: Graph, k: int,
@@ -64,35 +104,32 @@ def exact_kclique_count(g: Graph, k: int,
     """Exact number of k-cliques of g.
 
     k=1 and k=2 are the vertex and edge counts. For k >= 3 the count is the
-    sum, over vertices in degeneracy order, of (k-1)-cliques found inside the
-    out-neighborhood by repeated intersection. Raises CountOverflowError if
-    the result does not fit in 64 bits, and TimeBudgetExceeded if a soft
-    `time_budget` (seconds) runs out mid-count.
+    sum, over the roots of the degeneracy DAG, of the (k-1)-cliques inside
+    each root's out-neighbourhood. Raises CountOverflowError if the result
+    does not fit in 64 bits, and TimeBudgetExceeded if a soft `time_budget`
+    (seconds) runs out mid-count.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     start = time.perf_counter()
-    n = g.vertex_count
+
+    def check_time():
+        if (time_budget is not None
+                and time.perf_counter() - start > time_budget):
+            raise TimeBudgetExceeded(
+                f"exact count exceeded {time_budget}s time budget")
+
     if k == 1:
-        count = n
+        count = g.vertex_count
     elif k == 2:
         count = g.edge_count
     else:
-        order = degeneracy_order(g)
-        pos = order.position
-        outs: list[set] = [set() for _ in range(n)]
-        for v in range(n):
-            nbrs = g.neighbors(v)
-            if nbrs.size:
-                outs[v] = set(nbrs[pos[nbrs] > pos[v]].tolist())
         count = 0
-        for v in range(n):
-            if time_budget is not None and (v & 0xFF) == 0:
-                if time.perf_counter() - start > time_budget:
-                    raise TimeBudgetExceeded(
-                        f"exact count exceeded {time_budget}s time budget")
-            if len(outs[v]) >= k - 1:
-                count += _count_rec(outs, outs[v], k - 1)
+        for group in shadow.root_batches(g, degeneracy_order(g), k):
+            for _, members in group:
+                rows = shadow.member_rows(g, members)
+                masks = _pack(members >= 0, rows.shape[2])
+                count += _count_class(rows, masks, k, check_time)
     _check_uint64(count)
     return ExactCount(k, count, time.perf_counter() - start)
 

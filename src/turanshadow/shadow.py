@@ -53,7 +53,12 @@ from typing import IO
 
 import numpy as np
 
-from .graph import Graph, degeneracy_order, induced_adjacency_rows
+from .graph import (
+    DegeneracyOrder,
+    Graph,
+    degeneracy_order,
+    induced_adjacency_rows,
+)
 
 MAX_K = 64
 
@@ -244,45 +249,78 @@ def _children(rows: np.ndarray, sets: _Sets, ell: int, depth: int) -> _Sets:
     return _Sets.concat(out)
 
 
-def _roots(g: Graph, ids: np.ndarray, members: np.ndarray,
-           k: int) -> tuple[_Sets, np.ndarray]:
-    """Root sets of one width class and their member adjacency rows.
+def root_batches(g: Graph, order: DegeneracyOrder, k: int):
+    """Roots of g for budget k and their members, batch by batch.
 
-    Row i of the (R, W) `members` holds the out-neighborhood of root ids[i]
-    in ascending id, padded with -1. Returns the roots as sets at budget
-    k - 1 and the (R, W, nw) uint64 rows.
+    The roots are the vertices with at least k - 1 out-neighbours in
+    `order`, taken in id-ordered batches of _ROOT_BATCH. Yields one list per
+    batch holding an (ids, members) pair per power-of-two width class (at
+    least 8), in ascending width: row i of the (R, W) `members` is the
+    out-neighbourhood of root ids[i] in ascending id, padded with -1.
+    """
+    n = g.vertex_count
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
+    later = order.position[g.indices] > order.position[src]
+    out_ids = g.indices[later]
+    out_deg = np.bincount(src[later], minlength=n)
+    del src, later
+    out_start = np.cumsum(out_deg) - out_deg
+    roots = np.flatnonzero(out_deg >= k - 1)
+    for lo in range(0, roots.size, _ROOT_BATCH):
+        batch = roots[lo:lo + _ROOT_BATCH]
+        deg, start = out_deg[batch], out_start[batch]
+        classes = np.maximum(8, 1 << np.ceil(np.log2(deg)).astype(np.int64))
+        group = []
+        for width in np.unique(classes).tolist():
+            sel = np.flatnonzero(classes == width)
+            col = np.arange(width)
+            inside = col < deg[sel, None]
+            members = np.full((sel.size, width), -1, dtype=np.int64)
+            members[inside] = out_ids[(start[sel, None] + col)[inside]]
+            group.append((batch[sel], members))
+        yield group
+
+
+def member_rows(g: Graph, members: np.ndarray) -> np.ndarray:
+    """(R, W, nw) uint64 adjacency rows of the members of each root.
+
+    Bit b of row [i, a] tells whether members a and b of root i are
+    adjacent; padding is adjacent to nothing.
     """
     count, width = members.shape
     nw = (width + 63) // 64
     rows = np.empty((count * width, nw), dtype=np.uint64)
     for r0, block in induced_adjacency_rows(g, members):
         rows[r0:r0 + len(block)] = _pack(block, nw)
-    rows = rows.reshape(count, width, nw)
+    return rows.reshape(count, width, nw)
+
+
+def _roots(g: Graph, ids: np.ndarray, members: np.ndarray,
+           k: int) -> tuple[_Sets, np.ndarray]:
+    """Root sets of one width class and their member adjacency rows.
+
+    Takes one (ids, members) pair of root_batches. Returns the roots as
+    sets at budget k - 1 and their member_rows.
+    """
+    rows = member_rows(g, members)
     size = np.count_nonzero(members >= 0, axis=1)
-    path = np.full((count, max(k - 2, 1)), -1, dtype=np.int64)
+    path = np.full((ids.size, max(k - 2, 1)), -1, dtype=np.int64)
     path[:, 0] = ids
-    sets = _Sets(np.arange(count), _pack(members >= 0, nw), size,
-                 np.bitwise_count(rows).sum(axis=(1, 2), dtype=np.int64) // 2,
-                 path)
-    return sets, rows
+    mask = _pack(members >= 0, rows.shape[2])
+    edges = np.bitwise_count(rows).sum(axis=(1, 2), dtype=np.int64) // 2
+    return _Sets(np.arange(ids.size), mask, size, edges, path), rows
 
 
-def _build_batch(g: Graph, k: int, roots: np.ndarray, deg: np.ndarray,
-                 start: np.ndarray, out_ids: np.ndarray):
-    """Emitted entries of one id-ordered batch of roots, in path order.
+def _build_batch(g: Graph, k: int, group: list):
+    """Emitted entries of one batch of root_batches, in path order.
 
     Returns (sizes, flat vertices, ells, edges).
     """
-    classes = np.maximum(8, 1 << np.ceil(np.log2(deg)).astype(np.int64))
     paths, ells, sizes, edges = [], [], [], []
     verts = [np.empty(0, dtype=np.int64)]
-    for width in np.unique(classes).tolist():
-        sel = np.flatnonzero(classes == width)
-        col = np.arange(width)
-        inside = col < deg[sel, None]
-        members = np.full((sel.size, width), -1, dtype=np.int64)
-        members[inside] = out_ids[(start[sel, None] + col)[inside]]
-        sets, rows = _roots(g, roots[sel], members, k)
+    for ids, members in group:
+        width = members.shape[1]
+        sets, rows = _roots(g, ids, members, k)
         ell, depth = k - 1, 1
         while sets.size.size:
             done = (_saturated(sets.edges, sets.size, ell) if ell > 2
@@ -332,17 +370,8 @@ def shadow_finder(g: Graph, k: int) -> TuranShadow:
         parts.append((np.array([n]), np.arange(n, dtype=np.int64),
                       np.array([k]), np.array([m])))
     elif n >= k:
-        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
-        later = order.position[g.indices] > order.position[src]
-        out_ids = g.indices[later]
-        out_deg = np.bincount(src[later], minlength=n)
-        del src, later
-        out_start = np.cumsum(out_deg) - out_deg
-        roots = np.flatnonzero(out_deg >= k - 1)
-        for lo in range(0, roots.size, _ROOT_BATCH):
-            batch = roots[lo:lo + _ROOT_BATCH]
-            parts.append(_build_batch(g, k, batch, out_deg[batch],
-                                      out_start[batch], out_ids))
+        for group in root_batches(g, order, k):
+            parts.append(_build_batch(g, k, group))
     sizes, vertices, ells, edges = (np.concatenate([p[i] for p in parts])
                                     for i in range(4))
     offsets = np.zeros(sizes.size + 1, dtype=np.int64)

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from turanshadow import graph
 from turanshadow.graph import (
     EdgeListParseError,
     Graph,
@@ -57,6 +58,64 @@ def test_load_accepts_bytes_and_large_ids():
     g = load_edge_list(io.BytesIO(b"9999999999999 1\n"))
     assert g.vertex_count == 2
     assert g.original_ids.tolist() == [1, 9999999999999]
+
+
+def test_load_path_fast_parse_matches_line_parser(tmp_path, monkeypatch):
+    # a relabeled file with duplicates, reversed pairs, self-loops, blank
+    # lines and uneven spacing takes the one-call parse from a path and
+    # must give the per-line parser's CSR and original ids
+    rng = np.random.default_rng(8)
+    pairs = rng.integers(0, 300, size=(2000, 2)) * 7 + 1000
+    lines = [f"{u}{' ' * int(s)}{v}" for (u, v), s in
+             zip(pairs.tolist(), rng.integers(1, 4, size=2000))]
+    lines[10] = lines[20] = ""
+    lines.append(f"{pairs[0, 0]} {pairs[0, 0]}")
+    path = tmp_path / "g.txt"
+    path.write_text("\n".join(lines) + "\n")
+    line_parses = []
+    parse_lines = graph._parse_lines
+
+    def spy(lines, comment_prefix, delimiter):
+        line_parses.append(1)
+        return parse_lines(lines, comment_prefix, delimiter)
+
+    monkeypatch.setattr(graph, "_parse_lines", spy)
+    fast = load_edge_list(path)
+    assert line_parses == []
+    with open(path) as fh:
+        slow = load_edge_list(fh)
+    assert line_parses == [1]
+    assert fast.vertex_count == slow.vertex_count > 200
+    for a, b in ((fast.indptr, slow.indptr), (fast.indices, slow.indices),
+                 (fast.original_ids, slow.original_ids)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("text, line_number", [
+    ("0 1\n1 x\n", 2),
+    ("0 1\n\n1 2 3\n", 3),
+    ("# c\n0 1\n5\n", 3),
+    ("0 1\n1.0 2\n", 2),
+    ("0 1\n\u01fe1 2\n", 2),  # np.loadtxt would read 4621
+    ("0 1 2\n3 4 5\n", 1),
+])
+def test_load_path_malformed_line_number(tmp_path, text, line_number):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    for source in (path, io.StringIO(text)):
+        with pytest.raises(EdgeListParseError) as exc:
+            load_edge_list(source)
+        assert exc.value.line_number == line_number
+
+
+def test_load_empty_comment_prefix_means_no_comments(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n1 2\n")
+    for source in (io.StringIO("0 1\n1 2\n"), path):
+        g = load_edge_list(source, comment_prefix="")
+        assert (g.vertex_count, g.edge_count) == (3, 2)
+    with pytest.raises(EdgeListParseError):
+        load_edge_list(io.StringIO("# c\n0 1\n"), comment_prefix="")
 
 
 def test_adjacency_invariants():

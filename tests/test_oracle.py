@@ -1,8 +1,10 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from turanshadow import graph, shadow
 from turanshadow.graph import Graph
 from turanshadow.oracle import (
     CountOverflowError,
@@ -13,6 +15,7 @@ from turanshadow.oracle import (
 )
 
 from genutil import complete_graph, cycle_graph, er_graph, turan_graph
+from oracle_reference import reference_count
 
 
 def test_complete_graph_binomial():
@@ -94,6 +97,57 @@ def test_overflow_is_reported_not_wrapped():
     _check_uint64(2**64 - 1)
     with pytest.raises(CountOverflowError):
         _check_uint64(2**64)
+
+
+def test_overflow_through_the_counter():
+    # C(70, 35) = 112186277816662845432 > 2^64: roots of two-word rows and
+    # the clique shortcut must carry it in Python ints, then refuse it
+    g = complete_graph(70)
+    with pytest.raises(CountOverflowError):
+        exact_kclique_count(g, 35)
+    assert exact_kclique_count(g, 10).count == math.comb(70, 10)
+
+
+def reference_cases():
+    """(graph, ks, unit): unit says whether the one-element budgets run."""
+    # alpha = 81: rows of two words; its deep levels hold millions of sets,
+    # too many to take one at a time
+    g = er_graph(160, 0.6, seed=2)
+    yield g, (3, 4), True
+    yield g, (5, 6, 7), False
+    yield turan_graph(24, 5), range(3, 8), True
+    yield complete_graph(30), range(3, 8), True
+    yield complete_graph(4), range(3, 8), True  # n < k from k = 5
+
+
+@lru_cache(maxsize=None)
+def reference_counts():
+    return [[reference_count(g, k) for k in ks]
+            for g, ks, _ in reference_cases()]
+
+
+@pytest.mark.parametrize("budget", [None, 1], ids=["default", "unit"])
+def test_exact_matches_set_reference(monkeypatch, budget):
+    # the level engine must count exactly what the set recursion counts,
+    # whatever the root batch, chunk and lookup sizes
+    if budget is not None:
+        monkeypatch.setattr(shadow, "_ROOT_BATCH", budget)
+        monkeypatch.setattr(shadow, "_CHUNK_ELEMS", budget)
+        monkeypatch.setattr(graph, "_LOOKUP_CHUNK", budget)
+    widths = []
+    rows = shadow.member_rows
+
+    def spy(g, members):
+        widths.append(members.shape[1])
+        return rows(g, members)
+
+    monkeypatch.setattr(shadow, "member_rows", spy)
+    for (g, ks, unit), expected in zip(reference_cases(), reference_counts()):
+        if budget is not None and not unit:
+            continue
+        got = [exact_kclique_count(g, k).count for k in ks]
+        assert got == expected, (g, list(ks))
+    assert max(widths) > 64
 
 
 def test_time_budget_refusal():
