@@ -13,8 +13,10 @@ _TRIAL_BLOCK trials at a time. A numpy Generator fills arrays in row-major
 order from one stream, so the block draws are exactly the rows of a single
 (t, max_ell) draw: the result is a pure function of (seed, t), whatever the
 block size. Each partial Fisher-Yates pick is found by undoing the earlier
-swaps, with no permutation array, and each of the C(ell, 2) pairs is one
-search in the graph's sorted edge keys.
+swaps, with no permutation array. Pairs are tested in the shadow's own
+adjacency table, without touching the graph: pick b is adjacent to an
+earlier pick a when bit labels[b] of table row rowbase + labels[a] is set,
+so each of the C(ell, 2) pairs costs one word gather and one AND.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, degeneracy_order, edge_keys, has_edge_keys
+from .graph import Graph, degeneracy_order
 from .shadow import MAX_K, TuranShadow, shadow_finder
 
 DEFAULT_SAMPLES = 50_000
@@ -80,7 +82,9 @@ class SamplerState:
 
     Sampled entry i (an ell >= 3 entry of the shadow) holds the sorted global
     ids vertices[starts[i]:starts[i] + sizes[i]] and clique budget ells[i];
-    vertices is the shadow's own array, not a copy. exact_offset is the
+    their root-local labels sit at the same positions of labels, and their
+    adjacency rows start at row rowbase[i] of table. vertices, labels and
+    table are the shadow's own arrays, not copies. exact_offset is the
     exact clique count contributed by ell <= 2 entries.
     """
 
@@ -88,6 +92,9 @@ class SamplerState:
     starts: np.ndarray
     sizes: np.ndarray
     ells: np.ndarray
+    labels: np.ndarray
+    rowbase: np.ndarray
+    table: np.ndarray
     weights: np.ndarray
     total_weight: float
     alias_prob: np.ndarray
@@ -150,6 +157,9 @@ def build_sampler(sh: TuranShadow, g: Graph) -> SamplerState:
         starts=sh.offsets[sampled],
         sizes=sizes[sampled],
         ells=ells[sampled],
+        labels=sh.labels,
+        rowbase=sh.rowbase[sampled],
+        table=sh.table,
         weights=w,
         total_weight=float(w.sum()),
         alias_prob=prob,
@@ -160,26 +170,34 @@ def build_sampler(sh: TuranShadow, g: Graph) -> SamplerState:
 
 
 def _count_cliques(steps: np.ndarray, starts: np.ndarray,
-                   vertices: np.ndarray, keys: np.ndarray, n: int) -> int:
+                   rowbase: np.ndarray, labels: np.ndarray,
+                   table: np.ndarray) -> int:
     """Rows of steps whose partial Fisher-Yates picks form a clique.
 
-    Step i swaps slot i with slot steps[:, i] of the set that starts at
-    vertices[starts]; keys are the sorted edge keys u * n + v.
+    Step i swaps slot i with slot steps[:, i] of the set whose labels start
+    at labels[starts]; its adjacency rows start at row rowbase of the
+    (rows, nw) table.
     """
-    picked: list[np.ndarray] = []
+    nw = table.shape[1]
+    words = table.reshape(-1)
+    heads: list[np.ndarray] = []  # word offset of each earlier pick's row
     for b in range(steps.shape[1]):
         # later steps leave slot b alone: undo steps b-1..0 on steps[:, b]
         pos = steps[:, b]
         for i in range(b - 1, -1, -1):
             j = steps[:, i]
             pos = np.where(pos == i, j, np.where(pos == j, i, pos))
-        vb = vertices[starts + pos]
-        ok = np.ones(vb.size, dtype=bool)
-        for va in picked:
-            ok &= has_edge_keys(keys, va * n + vb)
-        live = np.flatnonzero(ok)  # rows missing an edge are done
-        steps, starts = steps[live], starts[live]
-        picked = [v[live] for v in picked + [vb]]
+        lb = labels[starts + pos]
+        if heads:
+            word = lb >> 6
+            hit = np.left_shift(np.uint64(1), (lb & 63).astype(np.uint64))
+            for head in heads:
+                hit &= words[head + word]
+            live = np.flatnonzero(hit)  # rows missing an edge are done
+            steps, starts, rowbase, lb = (steps[live], starts[live],
+                                          rowbase[live], lb[live])
+            heads = [h[live] for h in heads]
+        heads.append((rowbase + lb) * nw)
     return int(starts.size)
 
 
@@ -189,7 +207,8 @@ def run_trials(st: SamplerState, g: Graph, t: int,
 
     Skips (returning (0, 0)) when the sampler has no sampled entries. The
     outcome is a pure function of (seed, t): trial r always gets the r-th
-    entry draw and the r-th row of subset keys from the seeded stream.
+    entry draw and the r-th row of subset keys from the seeded stream. The
+    pair tests read only the sampler's table, never g.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -201,21 +220,20 @@ def run_trials(st: SamplerState, g: Graph, t: int,
     chosen = np.where(raw_u < st.alias_prob[raw_idx], raw_idx,
                       st.alias_index[raw_idx])
     del raw_idx, raw_u
-    keys = edge_keys(g)
     successes = 0
     for lo in range(0, t, _TRIAL_BLOCK):
         block = chosen[lo:lo + _TRIAL_BLOCK]
         u = rng.random((block.size, st.max_ell))
         block_ells = st.ells[block]
-        for ell in np.unique(block_ells).tolist():
+        for ell in np.flatnonzero(np.bincount(block_ells)).tolist():
             rows = np.flatnonzero(block_ells == ell)
             idx = block[rows]
             # step i swaps slot i with a uniform slot in [i, s)
             i = np.arange(ell)
             span = st.sizes[idx, None] - i
             steps = i + (u[rows, :ell] * span).astype(np.int64)
-            successes += _count_cliques(steps, st.starts[idx], st.vertices,
-                                        keys, g.vertex_count)
+            successes += _count_cliques(steps, st.starts[idx],
+                                        st.rowbase[idx], st.labels, st.table)
     return successes, t
 
 

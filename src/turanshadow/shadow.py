@@ -42,6 +42,17 @@ The shadow itself is flat: entry i is the sorted ids
 vertices[offsets[i]:offsets[i + 1]] with budget ells[i] and induced edge
 count edges[i]. `entries` is a lazy view that makes ShadowEntry objects
 only when they are read.
+
+The shadow also keeps what the sampler needs to test a pair without the
+graph. Each member's root-local index is kept in `labels`, parallel to
+`vertices`, in the narrowest unsigned dtype that holds an index below
+alpha. The member rows of every root that emits an ell >= 3 entry go into
+one (rows, nw) uint64 `table`, one row per member, with nw = ceil(alpha /
+64) words (a root has at most alpha members); `rowbase[i]` is the row
+where the rows of entry i's root start. That costs one word per member of
+those roots, at most m * nw words, plus one label per shadow member. The
+saturated whole graph instead stores its packed adjacency matrix,
+n * ceil(n / 64) words, under m / 16 + n because the graph is dense.
 """
 
 from __future__ import annotations
@@ -102,7 +113,10 @@ class ShadowEntries(Sequence):
     def __len__(self) -> int:
         return int(self._sh.ells.size)
 
-    def __getitem__(self, i) -> ShadowEntry:
+    def __getitem__(self, i):
+        """Entry i, or a list of entries for a slice (like list slicing)."""
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
         i = operator.index(i)
         if i < 0:
             i += len(self)
@@ -122,10 +136,19 @@ class ShadowEntries(Sequence):
 
 @dataclass(frozen=True, eq=False)
 class TuranShadow:
-    """A k-clique shadow as four flat read-only arrays.
+    """A k-clique shadow as flat read-only arrays.
 
     Entry i holds the sorted global ids vertices[offsets[i]:offsets[i+1]],
     the clique budget ells[i] and the induced edge count edges[i].
+
+    The adjacency inside every sampled (ell >= 3) entry is kept too. Each
+    member has a root-local index labels[j] (parallel to vertices, in the
+    narrowest unsigned dtype), and members a and b of entry i are adjacent
+    exactly when bit labels[b] of row rowbase[i] + labels[a] of the uint64
+    table is set. The table holds, for each root with an ell >= 3 entry,
+    one row of ceil(alpha / 64) words per member (at most m such rows), or
+    the whole graph's packed adjacency when that is the only entry;
+    rowbase[i] is -1 for an ell <= 2 entry.
     """
 
     k: int
@@ -134,6 +157,9 @@ class TuranShadow:
     ells: np.ndarray
     edges: np.ndarray
     alpha: int  # degeneracy of the graph the shadow covers
+    labels: np.ndarray
+    rowbase: np.ndarray
+    table: np.ndarray  # (rows, words per row) uint64
 
     @property
     def entries(self) -> ShadowEntries:
@@ -311,33 +337,65 @@ def _roots(g: Graph, ids: np.ndarray, members: np.ndarray,
     return _Sets(np.arange(ids.size), mask, size, edges, path), rows
 
 
-def _build_batch(g: Graph, k: int, group: list):
+def _fit_words(rows: np.ndarray, nw: int) -> np.ndarray:
+    """(c, w) uint64 rows cut or zero-padded to nw words."""
+    out = np.zeros((rows.shape[0], nw), dtype=np.uint64)
+    keep = min(nw, rows.shape[1])
+    out[:, :keep] = rows[:, :keep]
+    return out
+
+
+def _build_batch(g: Graph, k: int, group: list, nw: int, label_dtype,
+                 first_row: int):
     """Emitted entries of one batch of root_batches, in path order.
 
-    Returns (sizes, flat vertices, ells, edges).
+    Returns (sizes, flat vertices, flat labels, ells, edges, rowbase,
+    table): labels are the members' root-local indices, table holds the
+    nw-word member rows of each root that emits an ell >= 3 entry, and
+    rowbase[i] is where the rows of entry i's root start, counting from
+    first_row for this batch's first table row (-1 for an ell <= 2 entry).
     """
-    paths, ells, sizes, edges = [], [], [], []
+    paths, ells, sizes, edges, rowbase = [], [], [], [], []
     verts = [np.empty(0, dtype=np.int64)]
+    labels = [np.empty(0, dtype=label_dtype)]
+    tables = [np.empty((0, nw), dtype=np.uint64)]
+    table_rows = first_row
     for ids, members in group:
         width = members.shape[1]
         sets, rows = _roots(g, ids, members, k)
         ell, depth = k - 1, 1
+        roots, class_ells = [], []
         while sets.size.size:
             done = (_saturated(sets.edges, sets.size, ell) if ell > 2
                     else np.ones(sets.size.size, dtype=bool))
             emitted = sets.take(done)
             paths.append(emitted.path)
-            ells.append(np.full(emitted.size.size, ell, dtype=np.int64))
+            class_ells.append(np.full(emitted.size.size, ell, dtype=np.int64))
             sizes.append(emitted.size)
             edges.append(emitted.edges)
+            roots.append(emitted.root)
             for c in _chunks(emitted.size.size, width):
                 e, j = np.nonzero(_unpack(emitted.mask[c], width))
                 verts.append(members[emitted.root[c][e], j])
+                labels.append(j.astype(label_dtype))
             sets = sets.take(~done)
             if not sets.size.size:
                 break
             sets = _children(rows, sets, ell, depth)
             ell, depth = ell - 1, depth + 1
+        # only ell >= 3 entries are sampled, so only their roots keep rows
+        root = np.concatenate(roots)
+        class_ells = np.concatenate(class_ells)
+        sampled = class_ells >= 3
+        keep = np.unique(root[sampled])
+        inside = members[keep] >= 0  # a root's members come first
+        deg = np.count_nonzero(inside, axis=1)
+        base = np.full(ids.size, -1, dtype=np.int64)
+        base[keep] = table_rows + np.cumsum(deg) - deg
+        rowbase.append(np.where(sampled, base[root], -1))
+        tables.append(_fit_words(rows[keep][inside], nw))
+        table_rows += int(deg.sum())
+        ells.append(class_ells)
     path = np.concatenate(paths)
     size = np.concatenate(sizes)
     perm = np.lexsort(path.T[::-1])
@@ -347,7 +405,14 @@ def _build_batch(g: Graph, k: int, group: list):
     gather = (np.repeat(old_start[perm] - new_start, size_sorted)
               + np.arange(int(size.sum())))
     return (size_sorted, np.concatenate(verts)[gather],
-            np.concatenate(ells)[perm], np.concatenate(edges)[perm])
+            np.concatenate(labels)[gather], np.concatenate(ells)[perm],
+            np.concatenate(edges)[perm], np.concatenate(rowbase)[perm],
+            np.concatenate(tables))
+
+
+def _label_dtype(count: int) -> np.dtype:
+    """Narrowest unsigned dtype that holds every index below count."""
+    return np.min_scalar_type(max(count - 1, 0))
 
 
 def shadow_finder(g: Graph, k: int) -> TuranShadow:
@@ -364,22 +429,33 @@ def shadow_finder(g: Graph, k: int) -> TuranShadow:
         raise ValueError(f"k must be <= {MAX_K}")
     n, m = g.vertex_count, g.edge_count
     order = degeneracy_order(g)
-    none = np.empty(0, dtype=np.int64)
-    parts = [(none, none, none, none)]  # (sizes, vertices, ells, edges)
     if n >= k and _saturated(m, n, k):
-        parts.append((np.array([n]), np.arange(n, dtype=np.int64),
-                      np.array([k]), np.array([m])))
-    elif n >= k:
-        for group in root_batches(g, order, k):
-            parts.append(_build_batch(g, k, group))
-    sizes, vertices, ells, edges = (np.concatenate([p[i] for p in parts])
-                                    for i in range(4))
+        # one entry, the whole graph: its rows are the packed adjacency
+        # matrix, about n * n / 64 < m / 16 words because the graph is dense
+        dtype = _label_dtype(n)
+        table = member_rows(g, np.arange(n, dtype=np.int64)[None, :])[0]
+        parts = [(np.array([n]), np.arange(n, dtype=np.int64),
+                  np.arange(n, dtype=dtype), np.array([k]), np.array([m]),
+                  np.array([0]), table)]
+    else:
+        # a root has at most alpha members, all below alpha
+        nw, dtype = max(1, -(-order.alpha // 64)), _label_dtype(order.alpha)
+        none = np.empty(0, dtype=np.int64)
+        parts = [(none, none, none.astype(dtype), none, none, none,
+                  np.empty((0, nw), dtype=np.uint64))]
+        first_row = 0
+        for group in root_batches(g, order, k) if n >= k else ():
+            parts.append(_build_batch(g, k, group, nw, dtype, first_row))
+            first_row += len(parts[-1][6])
+    sizes, vertices, labels, ells, edges, rowbase, table = (
+        np.concatenate([p[i] for p in parts]) for i in range(7))
     offsets = np.zeros(sizes.size + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
-    for a in (offsets, vertices, ells, edges):
+    for a in (offsets, vertices, labels, ells, edges, rowbase, table):
         a.flags.writeable = False
     return TuranShadow(k=k, offsets=offsets, vertices=vertices, ells=ells,
-                       edges=edges, alpha=order.alpha)
+                       edges=edges, alpha=order.alpha, labels=labels,
+                       rowbase=rowbase, table=table)
 
 
 def shadow_stats(sh: TuranShadow) -> dict:

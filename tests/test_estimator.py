@@ -129,6 +129,9 @@ def test_total_weight_matches_recomputation_from_dump():
     assert st.weights.tolist() == [float(math.comb(e.size, e.ell))
                                    for e in sampled]
     assert st.vertices is sh.vertices
+    assert st.labels is sh.labels and st.table is sh.table
+    assert st.rowbase.tolist() == [sh.rowbase[i] for i, e in
+                                   enumerate(sh.entries) if e.ell >= 3]
     assert [st.vertices[a:a + b].tolist()
             for a, b in zip(st.starts, st.sizes)] == \
         [e.vertices.tolist() for e in sampled]
@@ -195,15 +198,19 @@ def reference_successes(sh, g, t, seed):
 
 
 @pytest.mark.parametrize("graph", [
-    er_graph(40, 0.6, seed=3), turan_graph(24, 6), complete_graph(9)],
-    ids=["er", "turan", "complete"])
+    er_graph(40, 0.6, seed=3), turan_graph(24, 6), complete_graph(9),
+    er_graph(160, 0.6, seed=2)],
+    ids=["er", "turan", "complete", "er160"])
 def test_run_trials_matches_per_trial_reference(monkeypatch, graph):
+    # er160 reads past the first table word: at k = 3 its whole graph is
+    # one saturated entry, at k >= 4 member labels reach 80
     monkeypatch.setattr(estimator, "_TRIAL_BLOCK", 97)
     t = 1000  # ten full blocks plus a partial one
     for k in range(3, 7):
         sh = shadow_finder(graph, k)
         st = build_sampler(sh, graph)
         assert st.entry_count > 0
+        assert (graph.vertex_count < 64) == (int(sh.labels.max()) < 64)
         for seed in range(3):
             expected = reference_successes(sh, graph, t, seed)
             assert run_trials(st, graph, t, seed) == (expected, t)

@@ -15,7 +15,14 @@ from turanshadow.graph import (
     out_neighbors,
 )
 
-from genutil import complete_graph, cycle_graph, er_graph, path_graph
+from degeneracy_reference import reference_degeneracy_order
+from genutil import (
+    complete_graph,
+    cycle_graph,
+    er_graph,
+    path_graph,
+    star_graph,
+)
 
 
 def test_load_dedup_and_self_loops():
@@ -175,6 +182,31 @@ def test_peeling_matches_bruteforce_recomputation():
         assert d.order.tolist() == ref_order
         assert [int(d.core_number[v]) for v in ref_order] == ref_degs
         assert d.alpha == max(ref_degs, default=0)
+
+
+def _sparse_random_graph(n, m, seed):
+    """About m uniform random pairs on n vertices (self-loops dropped)."""
+    rng = np.random.default_rng(seed)
+    return Graph.from_edges(rng.integers(0, n, size=(m, 2)), num_vertices=n)
+
+
+@pytest.mark.parametrize("g", [
+    _sparse_random_graph(3000, 9000, seed=1),
+    star_graph(500),
+    path_graph(500),
+    complete_graph(60),
+    Graph.from_edges([], num_vertices=0),
+    Graph.from_edges([(0, 1), (1, 2), (2, 0), (5, 6)], num_vertices=10),
+], ids=["sparse3000", "star", "path", "complete", "empty", "isolated"])
+def test_degeneracy_matches_lazy_heap_reference(g):
+    # far past the brute-force sizes: many ties on equal degrees, and
+    # degrees that fall below the current minimum
+    d, ref = degeneracy_order(g), reference_degeneracy_order(g)
+    assert np.array_equal(d.order, ref.order)
+    assert np.array_equal(d.position, ref.position)
+    assert np.array_equal(d.core_number, ref.core_number)
+    assert d.alpha == ref.alpha
+    assert d.order.dtype == d.core_number.dtype == np.int64
 
 
 def test_alpha_never_grows_in_induced_subgraphs():

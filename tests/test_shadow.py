@@ -278,8 +278,41 @@ def test_flat_shadow_invariants():
             a, b = sh.offsets[i], sh.offsets[i + 1]
             assert np.array_equal(e.vertices, sh.vertices[a:b])
             assert (e.ell, e.edges) == (sh.ells[i], sh.edges[i])
-        for a in (sh.offsets, sh.vertices, sh.ells, sh.edges):
+        assert sh.labels.size == sh.vertices.size
+        assert sh.rowbase.size == sh.ells.size
+        assert sh.labels.dtype.kind == "u"
+        for a in (sh.offsets, sh.vertices, sh.ells, sh.edges, sh.labels,
+                  sh.rowbase, sh.table):
             assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("batch", [None, 3], ids=["default", "batch3"])
+def test_table_bits_match_adjacency(monkeypatch, batch):
+    # bit labels[b] of table row rowbase[i] + labels[a] is the edge test of
+    # members a and b of entry i; ell <= 2 entries are never sampled. er160
+    # has rows of several words: at k = 3 its whole graph saturates. Small
+    # root batches put every graph's table rows in several batches
+    if batch is not None:
+        monkeypatch.setattr(shadow, "_ROOT_BATCH", batch)
+    wide = er_graph(160, 0.6, seed=2)
+    for g, k in [*validity_suite(), (wide, 3), (wide, 4)]:
+        sh = shadow_finder(g, k)
+        assert sh.labels.dtype == np.uint8
+        for i, e in enumerate(sh.entries):
+            base = int(sh.rowbase[i])
+            if e.ell <= 2:
+                assert base == -1
+                continue
+            labels = sh.labels[sh.offsets[i]:sh.offsets[i + 1]].tolist()
+            verts = e.vertices.tolist()
+            bits = 0
+            for la, u in zip(labels, verts):
+                row = sh.table[base + la]
+                for lb, v in zip(labels, verts):
+                    bit = int(row[lb // 64]) >> (lb % 64) & 1
+                    assert bit == g.has_edge(u, v), (g, k, i)
+                    bits += bit
+            assert bits == 2 * e.edges
 
 
 def test_entries_view_indexing():
@@ -291,3 +324,8 @@ def test_entries_view_indexing():
     assert list(sh.entries) == sh.entries
     with pytest.raises(IndexError):
         sh.entries[n]
+    # slices give lists of entries, as list slicing does
+    assert sh.entries[1:3] == [sh.entries[1], sh.entries[2]]
+    assert isinstance(sh.entries[1:3], list)
+    assert sh.entries[::-1] == list(sh.entries)[::-1]
+    assert sh.entries[n:] == []
