@@ -46,6 +46,8 @@ def edge_sampling_estimate(g: Graph, k: int, p: float,
         raise ValueError("p must be in (0, 1]")
     if k < 3:
         raise ValueError("k must be >= 3")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     start = time.perf_counter()
     edges = _edge_array(g)
     rng = np.random.default_rng(seed)

@@ -1,22 +1,23 @@
 """Weighted-sampling clique estimator over a shadow.
 
 Each shadow entry (S, ell) gets weight C(|S|, ell). A trial draws an entry
-from the weight distribution via an alias table, draws a uniform ell-subset
-of it, and tests cliqueness; the success fraction times the total weight is
-an unbiased estimate of the clique count covered by the sampled entries.
-Entries with ell <= 2 carry no density guarantee and are counted exactly
-instead of sampled.
+from the weight distribution, draws a uniform ell-subset of it, and tests
+cliqueness; the success fraction times the total weight is an unbiased
+estimate of the clique count covered by the sampled entries. Entries with
+ell <= 2 carry no density guarantee and are counted exactly instead of
+sampled.
 
-All trials run in one array engine. It draws every trial's entry first,
-then the subset keys (max_ell uniforms per trial) block by block,
-_TRIAL_BLOCK trials at a time. A numpy Generator fills arrays in row-major
-order from one stream, so the block draws are exactly the rows of a single
-(t, max_ell) draw: the result is a pure function of (seed, t), whatever the
-block size. Each partial Fisher-Yates pick is found by undoing the earlier
-swaps, with no permutation array. Pairs are tested in the shadow's own
-adjacency table, without touching the graph: pick b is adjacent to an
-earlier pick a when bit labels[b] of table row rowbase + labels[a] is set,
-so each of the C(ell, 2) pairs costs one word gather and one AND.
+The weight depends only on (size, ell), so entries are drawn by class: one
+multinomial draw splits the t trials over the (ell, size) weight classes,
+and each trial then picks a uniform entry of its class. Per entry that is
+probability exactly C(|S|, ell) / W, with no per-entry table. All trials
+run in one array engine, ell by ell and _TRIAL_BLOCK trials at a time,
+each with ell + 1 uniforms: one for the entry, ell for the subset. Each
+partial Fisher-Yates pick is found by undoing the earlier swaps, with no
+permutation array. Pairs are tested in the shadow's own adjacency table,
+without touching the graph: pick b is adjacent to an earlier pick a when
+bit labels[b] of table row rowbase + labels[a] is set, so each of the
+C(ell, 2) pairs costs one word gather and one AND.
 """
 
 from __future__ import annotations
@@ -78,94 +79,66 @@ def required_samples(gamma: float, eps: float, delta: float) -> int:
 
 @dataclass(eq=False)
 class SamplerState:
-    """Frozen draw structure for one shadow: weights, alias table, offset.
+    """Frozen draw structure for one shadow: weight classes and an offset.
 
-    Sampled entry i (an ell >= 3 entry of the shadow) holds the sorted global
-    ids vertices[starts[i]:starts[i] + sizes[i]] and clique budget ells[i];
-    their root-local labels sit at the same positions of labels, and their
-    adjacency rows start at row rowbase[i] of table. vertices, labels and
-    table are the shadow's own arrays, not copies. exact_offset is the
-    exact clique count contributed by ell <= 2 entries.
+    Sampled entry i (an ell >= 3 entry of the shadow) holds clique budget
+    ells[i] and the labels[starts[i]:starts[i] + sizes[i]] of its members,
+    whose adjacency rows start at row rowbase[i] of table; labels and
+    table are the shadow's own arrays, not copies. The entries are sorted
+    by (ell, size), in shadow order within each weight class of equal
+    (ell, size): class c holds entries first[c] .. first[c] + count[c] - 1
+    and is drawn with probability p[c] = W_c / W, where
+    W_c = count[c] * C(size, ell) and W, the total_weight, is the sum over
+    classes; p[c] is the correctly rounded double of that ratio.
+    exact_offset is the exact clique count contributed by ell <= 2 entries.
     """
 
-    vertices: np.ndarray
     starts: np.ndarray
     sizes: np.ndarray
     ells: np.ndarray
     labels: np.ndarray
     rowbase: np.ndarray
     table: np.ndarray
-    weights: np.ndarray
+    first: np.ndarray
+    count: np.ndarray
+    p: np.ndarray
     total_weight: float
-    alias_prob: np.ndarray
-    alias_index: np.ndarray
     exact_offset: int
-    max_ell: int
 
     @property
     def entry_count(self) -> int:
         return len(self.ells)
 
 
-def _build_alias(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vose alias table: O(1) draws with probabilities weights / sum."""
-    n = len(weights)
-    prob = np.empty(n, dtype=np.float64)
-    alias = np.zeros(n, dtype=np.int64)
-    scaled = weights * (n / weights.sum())
-    small = np.flatnonzero(scaled < 1.0).tolist()
-    large = np.flatnonzero(scaled >= 1.0).tolist()
-    scaled = scaled.tolist()
-    while small and large:
-        s = small.pop()
-        l = large.pop()
-        prob[s] = scaled[s]
-        alias[s] = l
-        scaled[l] = scaled[l] - (1.0 - scaled[s])
-        if scaled[l] < 1.0:
-            small.append(l)
-        else:
-            large.append(l)
-    for i in large:
-        prob[i] = 1.0
-    for i in small:
-        prob[i] = 1.0  # numerical leftovers: alias stays 0, never taken
-    return prob, alias
-
-
 def build_sampler(sh: TuranShadow, g: Graph) -> SamplerState:
     """Split a shadow into sampled entries plus an exactly-counted offset.
 
-    Weights are C(|S|, ell) as doubles. Entries with ell = 2 contribute
-    their induced edge count to the offset (ell = 1 would contribute |S|);
-    only ell >= 3 entries enter the alias table.
+    Entries with ell = 2 contribute their induced edge count to the offset;
+    the ell >= 3 entries are grouped into weight classes of equal
+    (ell, size), with class weights summed in exact integers.
     """
     sizes, ells = sh.sizes, sh.ells
     sampled = np.flatnonzero(ells >= 3)
-    offset = int(sh.edges[ells == 2].sum()) + int(sizes[ells == 1].sum())
-    # one exact binomial per distinct (size, ell), the same doubles as per entry
-    pairs, inverse = np.unique(sizes[sampled] * (MAX_K + 1) + ells[sampled],
-                               return_inverse=True)
-    w = np.array([float(math.comb(*divmod(p, MAX_K + 1)))
-                  for p in pairs.tolist()])[inverse]
-    if sampled.size:
-        prob, alias = _build_alias(w)
-    else:
-        prob, alias = np.empty(0), np.empty(0, dtype=np.int64)
+    sampled = sampled[np.lexsort((sizes[sampled], ells[sampled]))]
+    sizes, ells = sizes[sampled], ells[sampled]
+    first = np.flatnonzero(np.diff(ells, prepend=0)
+                           | np.diff(sizes, prepend=0))
+    count = np.diff(first, append=len(ells))
+    wc = [c * math.comb(s, e) for c, s, e in
+          zip(count.tolist(), sizes[first].tolist(), ells[first].tolist())]
+    w = sum(wc)
     return SamplerState(
-        vertices=sh.vertices,
         starts=sh.offsets[sampled],
-        sizes=sizes[sampled],
-        ells=ells[sampled],
+        sizes=sizes,
+        ells=ells,
         labels=sh.labels,
         rowbase=sh.rowbase[sampled],
         table=sh.table,
-        weights=w,
-        total_weight=float(w.sum()),
-        alias_prob=prob,
-        alias_index=alias,
-        exact_offset=offset,
-        max_ell=int(ells[sampled].max(initial=0)),
+        first=first,
+        count=count,
+        p=np.array([x / w for x in wc]),  # int / int rounds correctly
+        total_weight=float(w),
+        exact_offset=int(sh.edges[sh.ells == 2].sum()),
     )
 
 
@@ -206,32 +179,39 @@ def run_trials(st: SamplerState, g: Graph, t: int,
     """Run t Bernoulli trials; returns (successes, trials run).
 
     Skips (returning (0, 0)) when the sampler has no sampled entries. The
-    outcome is a pure function of (seed, t): trial r always gets the r-th
-    entry draw and the r-th row of subset keys from the seeded stream. The
-    pair tests read only the sampler's table, never g.
+    stream is one multinomial(t, p) draw of trials per weight class, then,
+    for each ell in ascending order, one (n_ell, ell + 1) matrix of
+    uniforms, whose rows are that ell's n_ell trials in class order. In a
+    row, column 0 picks a uniform entry of the row's class and columns
+    1..ell are the Fisher-Yates keys of its ell-subset. The matrix is drawn
+    _TRIAL_BLOCK rows at a time, and a Generator fills arrays in row-major
+    order from one stream, so the outcome is a pure function of (seed, t)
+    whatever the block size, and memory is O(classes + block * ell) at any
+    t. The pair tests read only the sampler's table, never g.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if st.entry_count == 0:
         return 0, 0
     rng = np.random.default_rng(seed)
-    raw_idx = rng.integers(0, st.entry_count, size=t)
-    raw_u = rng.random(t)
-    chosen = np.where(raw_u < st.alias_prob[raw_idx], raw_idx,
-                      st.alias_index[raw_idx])
-    del raw_idx, raw_u
+    hits = rng.multinomial(t, st.p)
+    class_ells = st.ells[st.first]
     successes = 0
-    for lo in range(0, t, _TRIAL_BLOCK):
-        block = chosen[lo:lo + _TRIAL_BLOCK]
-        u = rng.random((block.size, st.max_ell))
-        block_ells = st.ells[block]
-        for ell in np.flatnonzero(np.bincount(block_ells)).tolist():
-            rows = np.flatnonzero(block_ells == ell)
-            idx = block[rows]
+    for ell in np.unique(class_ells).tolist():
+        classes = np.flatnonzero(class_ells == ell)
+        ends = np.cumsum(hits[classes])  # this ell's trials, class by class
+        n = int(ends[-1])
+        for lo in range(0, n, _TRIAL_BLOCK):
+            u = rng.random((min(_TRIAL_BLOCK, n - lo), ell + 1))
+            c = classes[np.searchsorted(ends, np.arange(lo, lo + len(u)),
+                                        side="right")]
+            idx = st.first[c] + (u[:, 0] * st.count[c]).astype(np.int64)
             # step i swaps slot i with a uniform slot in [i, s)
             i = np.arange(ell)
             span = st.sizes[idx, None] - i
-            steps = i + (u[rows, :ell] * span).astype(np.int64)
+            steps = i + (u[:, 1:] * span).astype(np.int64)
             successes += _count_cliques(steps, st.starts[idx],
                                         st.rowbase[idx], st.labels, st.table)
     return successes, t
@@ -283,6 +263,8 @@ def turan_shadow_count(g: Graph, k: int, *, samples: int | None = None,
         raise ValueError("choose either a fixed sample count or (eps, delta)")
     if samples is not None and samples < 1:
         raise ValueError("samples must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if k <= 2:
         exact = g.vertex_count if k == 1 else g.edge_count
         return EstimateReport(

@@ -41,3 +41,28 @@ def turan_graph(n: int, r: int) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if part[i] != part[j]]
     return Graph.from_edges(edges, num_vertices=n)
+
+
+def validity_suite():
+    """Mixed (graph, k) cases, k = 3..6, for exact shadow and sampler checks."""
+    rng = np.random.default_rng(505)
+    graphs = [
+        er_graph(40, 0.2, seed=1),
+        er_graph(60, 0.4, seed=2),
+        er_graph(30, 0.5, seed=3),
+        turan_graph(12, 3),
+        turan_graph(18, 5),
+        complete_graph(9),
+        star_graph(12),
+        path_graph(10),
+        cycle_graph(7),
+    ]
+    for g in graphs:
+        for k in range(3, 7):
+            yield g, k
+    for _ in range(4):
+        n = int(rng.integers(20, 70))
+        p = float(rng.choice([0.1, 0.3, 0.5]))
+        g = er_graph(n, p, seed=int(rng.integers(2**31)))
+        for k in range(3, 7):
+            yield g, k

@@ -211,6 +211,15 @@ def test_sweep_rejects_bad_ranges(capsys, er_file):
         assert "error" in err
 
 
+def test_negative_seed_exits_before_any_row(capsys, er_file):
+    for args in (["count", "--k", "2"], ["sweep", "--k-range", "2:3"]):
+        code, out, err = run_cli(
+            capsys, [*args, "--input", er_file, "--seed", "-1"])
+        assert code == 1
+        assert out == ""
+        assert "seed must be >= 0" in err
+
+
 def test_convergence_single_run(capsys, er_file):
     code, out, _ = run_cli(
         capsys, ["convergence", "--input", er_file, "--k", "4",

@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from turanshadow import estimator
+from turanshadow import baseline, estimator
 from turanshadow.estimator import (
     EstimateReport,
     build_sampler,
@@ -19,7 +21,13 @@ from turanshadow.graph import induced_subgraph
 from turanshadow.oracle import exact_kclique_count
 from turanshadow.shadow import dump_shadow, shadow_finder
 
-from genutil import complete_graph, cycle_graph, er_graph, turan_graph
+from genutil import (
+    complete_graph,
+    cycle_graph,
+    er_graph,
+    turan_graph,
+    validity_suite,
+)
 
 
 def test_f_small_values():
@@ -83,25 +91,74 @@ def test_required_samples_domain_errors():
         required_samples(1.0, 1.0, 1.0)
 
 
-def test_alias_table_probabilities_match_weights():
-    from turanshadow.estimator import _build_alias
+def entry_cliques(g, e):
+    sub, _ = induced_subgraph(g, e.vertices)
+    return exact_kclique_count(sub, e.ell).count
 
-    rng = np.random.default_rng(0)
-    w = rng.random(57) * 10 + 0.01
-    prob, alias = _build_alias(w)
-    n = len(w)
-    implied = prob.copy()
-    for j in range(n):
-        if prob[j] < 1.0:
-            implied[int(alias[j])] += 1.0 - prob[j]
-    np.testing.assert_allclose(implied / n, w / w.sum(), rtol=1e-9)
+
+def sampler_check_cases():
+    yield from validity_suite()
+    wide = er_graph(160, 0.6, seed=2)
+    yield wide, 3  # one saturated whole-graph entry
+    yield wide, 4
+    yield er_graph(30, 0.5, seed=19), 4  # test_trial_level_unbiasedness
+
+
+def test_weight_classes_draw_entries_with_exact_probabilities():
+    # exact rational checks of the class table; numpy's multinomial takes
+    # the last class's probability as 1 minus the others, which moves it by
+    # at most one rounding error per class
+    for g, k in sampler_check_cases():
+        sh = shadow_finder(g, k)
+        st = build_sampler(sh, g)
+        sampled = [e for e in sh.entries if e.ell >= 3]
+        if not sampled:
+            assert st.entry_count == 0 and st.p.size == 0
+            continue
+        w = sum(math.comb(e.size, e.ell) for e in sampled)
+        ends = (st.first + st.count).tolist()
+        assert st.first[0] == 0 and ends[-1] == st.entry_count == len(sampled)
+        assert st.first[1:].tolist() == ends[:-1] and min(st.count) >= 1
+        keys = [(int(st.ells[a]), int(st.sizes[a])) for a in st.first]
+        assert keys == sorted(set(keys))
+        wc = []
+        for (ell, size), a, n in zip(keys, st.first, st.count):
+            assert set(st.ells[a:a + n].tolist()) == {ell}
+            assert set(st.sizes[a:a + n].tolist()) == {size}
+            wc.append(int(n) * math.comb(size, ell))
+        assert sum(wc) == w and st.total_weight == float(w)
+        assert st.p.tolist() == [float(Fraction(x, w)) for x in wc]
+        tol = len(wc) * 2.0 ** -52
+        last = 1 - sum(Fraction(x) for x in st.p.tolist()[:-1])
+        assert abs(last - Fraction(wc[-1], w)) <= tol
+        # per entry: class probability over class size is C(|S|, ell) / W
+        position = {int(a): i for i, a in
+                    enumerate(sh.offsets[:-1]) if sh.ells[i] >= 3}
+        cliques = [0] * len(wc)
+        for c, (a, n) in enumerate(zip(st.first, st.count)):
+            for i in range(a, a + n):
+                e = sh.entries[position.pop(int(st.starts[i]))]
+                assert Fraction(wc[c], w) / n == \
+                    Fraction(math.comb(e.size, e.ell), w)
+                cliques[c] += entry_cliques(g, e)
+        assert not position  # every sampled entry drawn exactly once
+        # expected success ratio of one trial, from the class table alone
+        covered = sum(cliques)
+        expected = sum(Fraction(x, w) * Fraction(cl, x)
+                       for x, cl in zip(wc, cliques))
+        assert expected == Fraction(covered, w)
+        drawn = [Fraction(x) for x in st.p.tolist()[:-1]] + [last]
+        ratio = sum(q * Fraction(cl, x)
+                    for q, x, cl in zip(drawn, wc, cliques))
+        assert abs(ratio - Fraction(covered, w)) <= tol
 
 
 def test_build_sampler_complete_graph():
     g = complete_graph(6)
     st = build_sampler(shadow_finder(g, 4), g)
     assert st.entry_count == 1
-    assert st.weights.tolist() == [15.0]
+    assert (st.first.tolist(), st.count.tolist(), st.p.tolist()) == \
+        ([0], [1], [1.0])
     assert st.total_weight == 15.0
     assert st.exact_offset == 0
 
@@ -118,23 +175,28 @@ def test_total_weight_matches_recomputation_from_dump():
     g = er_graph(80, 0.4, seed=42)
     sh = shadow_finder(g, 5)
     st = build_sampler(sh, g)
-    recomputed = 0.0
+    recomputed = 0
     for line in dump_shadow(sh).split("\n"):
         ell_s, size_s, _ = line.split("\t")
         if int(ell_s) >= 3:
-            recomputed += float(math.comb(int(size_s), int(ell_s)))
-    assert st.total_weight == pytest.approx(recomputed, rel=1e-12)
-    # per-entry weights are the exact doubles, over the shadow's own ids
-    sampled = [e for e in sh.entries if e.ell >= 3]
-    assert st.weights.tolist() == [float(math.comb(e.size, e.ell))
-                                   for e in sampled]
-    assert st.vertices is sh.vertices
+            recomputed += math.comb(int(size_s), int(ell_s))
+    assert st.total_weight == float(recomputed)
+    # entries sorted by (ell, size), in shadow order within a class, over
+    # the shadow's own arrays
+    sampled = sorted((i for i, e in enumerate(sh.entries) if e.ell >= 3),
+                     key=lambda i: (sh.entries[i].ell, sh.entries[i].size))
+    assert st.starts.tolist() == [sh.offsets[i] for i in sampled]
+    assert st.rowbase.tolist() == [sh.rowbase[i] for i in sampled]
     assert st.labels is sh.labels and st.table is sh.table
-    assert st.rowbase.tolist() == [sh.rowbase[i] for i, e in
-                                   enumerate(sh.entries) if e.ell >= 3]
-    assert [st.vertices[a:a + b].tolist()
-            for a, b in zip(st.starts, st.sizes)] == \
-        [e.vertices.tolist() for e in sampled]
+    assert [(st.ells[i], sh.vertices[a:a + b].tolist())
+            for i, (a, b) in enumerate(zip(st.starts, st.sizes))] == \
+        [(sh.entries[i].ell, sh.entries[i].vertices.tolist())
+         for i in sampled]
+    # one class per distinct (ell, size), weights the exact binomials
+    keys = sorted({(sh.entries[i].ell, sh.entries[i].size) for i in sampled})
+    assert len(st.first) == len(keys) > 1
+    assert [float(Fraction(n * math.comb(s, e), recomputed))
+            for (e, s), n in zip(keys, st.count.tolist())] == st.p.tolist()
 
 
 def test_run_trials_complete_graph_always_succeeds():
@@ -172,28 +234,51 @@ def test_sample_count_checked_before_any_work(monkeypatch):
             turan_shadow_count(graph, 3, samples=0)
 
 
+def test_negative_seed_checked_before_any_work(monkeypatch):
+    g = cycle_graph(5)
+    st = build_sampler(shadow_finder(g, 3), g)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        run_trials(st, g, 10, seed=-1)  # even with nothing to sample
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the seed was checked")
+
+    monkeypatch.setattr(estimator, "shadow_finder", no_work)
+    monkeypatch.setattr(estimator, "degeneracy_order", no_work)
+    monkeypatch.setattr(baseline, "exact_kclique_count", no_work)
+    for k in (1, 2, 3):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            turan_shadow_count(g, k, seed=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        baseline.edge_sampling_estimate(g, 3, 0.5, seed=-1)
+
+
 def reference_successes(sh, g, t, seed):
-    """One trial at a time: the same draws, a list shuffle, has_edge tests."""
-    st = build_sampler(sh, g)
-    sets = [e.vertices.tolist() for e in sh.entries if e.ell >= 3]
+    """One trial at a time: the same class draw, then for each ell in
+    ascending order a row of ell + 1 uniforms per trial (the entry within
+    its class, then the keys of a list shuffle), and has_edge tests."""
+    classes = {}
+    for e in sh.entries:
+        if e.ell >= 3:
+            classes.setdefault((e.ell, e.size), []).append(e.vertices.tolist())
+    keys = sorted(classes)
+    weights = [len(classes[key]) * math.comb(key[1], key[0]) for key in keys]
     rng = np.random.default_rng(seed)
-    raw_idx = rng.integers(0, st.entry_count, size=t)
-    raw_u = rng.random(t)
-    keys = rng.random((t, st.max_ell))
+    hits = rng.multinomial(t, [float(Fraction(w, sum(weights)))
+                               for w in weights])
     successes = 0
-    for r in range(t):
-        idx = int(raw_idx[r])
-        if raw_u[r] >= st.alias_prob[idx]:
-            idx = int(st.alias_index[idx])
-        verts, ell = sets[idx], int(st.ells[idx])
-        s = len(verts)
-        perm = list(range(s))
-        for i in range(ell):
-            j = i + int(keys[r, i] * (s - i))
-            perm[i], perm[j] = perm[j], perm[i]
-        picks = [verts[p] for p in perm[:ell]]
-        successes += all(g.has_edge(a, b)
-                         for a, b in itertools.combinations(picks, 2))
+    for (ell, s), h in zip(keys, hits.tolist()):
+        for _ in range(h):
+            u = rng.random(ell + 1)
+            sets = classes[ell, s]
+            verts = sets[int(u[0] * len(sets))]
+            perm = list(range(s))
+            for i in range(ell):
+                j = i + int(u[1 + i] * (s - i))
+                perm[i], perm[j] = perm[j], perm[i]
+            picks = [verts[p] for p in perm[:ell]]
+            successes += all(g.has_edge(a, b)
+                             for a, b in itertools.combinations(picks, 2))
     return successes
 
 
@@ -214,6 +299,28 @@ def test_run_trials_matches_per_trial_reference(monkeypatch, graph):
         for seed in range(3):
             expected = reference_successes(sh, graph, t, seed)
             assert run_trials(st, graph, t, seed) == (expected, t)
+
+
+def test_run_trials_stream_is_pinned():
+    # a literal from the class-draw stream: any change to the order or
+    # number of draws changes it
+    g = er_graph(70, 0.4, seed=11)
+    st = build_sampler(shadow_finder(g, 5), g)
+    assert run_trials(st, g, 30_000, seed=6) == (14566, 30_000)
+
+
+def test_trial_memory_bounded_in_t():
+    # O(classes + block * ell) whatever t is: the draws of all t trials
+    # (about 63 MiB at this t) are never held at once
+    g = er_graph(40, 0.5, seed=3)
+    st = build_sampler(shadow_finder(g, 5), g)
+    tracemalloc.start()
+    try:
+        run_trials(st, g, 2_000_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_trial_level_unbiasedness():

@@ -22,9 +22,8 @@ from genutil import (
     complete_graph,
     cycle_graph,
     er_graph,
-    path_graph,
-    star_graph,
     turan_graph,
+    validity_suite,
 )
 from shadow_reference import reference_shadow
 
@@ -80,30 +79,6 @@ def test_er_validity_exact_equality():
     g = er_graph(80, 0.4, seed=42)
     sh = shadow_finder(g, 5)
     assert shadow_total(g, sh) == exact_kclique_count(g, 5).count
-
-
-def validity_suite():
-    rng = np.random.default_rng(505)
-    graphs = [
-        er_graph(40, 0.2, seed=1),
-        er_graph(60, 0.4, seed=2),
-        er_graph(30, 0.5, seed=3),
-        turan_graph(12, 3),
-        turan_graph(18, 5),
-        complete_graph(9),
-        star_graph(12),
-        path_graph(10),
-        cycle_graph(7),
-    ]
-    for g in graphs:
-        for k in range(3, 7):
-            yield g, k
-    for _ in range(4):
-        n = int(rng.integers(20, 70))
-        p = float(rng.choice([0.1, 0.3, 0.5]))
-        g = er_graph(n, p, seed=int(rng.integers(2**31)))
-        for k in range(3, 7):
-            yield g, k
 
 
 def test_validity_on_mixed_suite():
@@ -274,6 +249,7 @@ def test_flat_shadow_invariants():
         assert sh.offsets[-1] == sh.representation_size == sh.vertices.size
         assert len(sh.entries) == len(sh.ells) == len(sh.edges) \
             == len(sh.offsets) - 1
+        assert sh.ells.min(initial=k) >= 2  # ell <= 1 is never emitted
         for i, e in enumerate(sh.entries):
             a, b = sh.offsets[i], sh.offsets[i + 1]
             assert np.array_equal(e.vertices, sh.vertices[a:b])
