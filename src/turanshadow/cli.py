@@ -183,6 +183,8 @@ def cmd_convergence(args, emit: _Emitter) -> int:
     sample_counts = _parse_samples_list(args.samples or str(DEFAULT_SAMPLES))
     if args.repeat < 1:
         raise ValueError("--repeat must be >= 1")
+    if args.seed < 0:
+        raise ValueError("seed must be >= 0")
     sh = shadow_finder(g, args.k)  # built once, shared by all runs
     st = build_sampler(sh, g)
     for t in sample_counts:

@@ -55,11 +55,11 @@ def gamma_of(sh: TuranShadow) -> float:
     1 / max over entries with ell >= 3 of f(ell) * |S|**2; 1 when no such
     entries exist (the sampling phase is then vacuous).
     """
-    worst = 0.0
-    sizes = sh.sizes
-    for ell in np.unique(sh.ells[sh.ells >= 3]).tolist():
-        size = int(sizes[sh.ells == ell].max())
-        worst = max(worst, f_of(ell) * size * size)
+    largest = np.zeros(sh.k + 1, dtype=np.int64)  # largest set per ell
+    np.maximum.at(largest, sh.ells, sh.sizes)
+    worst = max((f_of(ell) * size * size
+                 for ell, size in enumerate(largest.tolist())
+                 if ell >= 3 and size), default=0.0)
     return 1.0 / worst if worst > 0.0 else 1.0
 
 
@@ -81,33 +81,34 @@ def required_samples(gamma: float, eps: float, delta: float) -> int:
 class SamplerState:
     """Frozen draw structure for one shadow: weight classes and an offset.
 
-    Sampled entry i (an ell >= 3 entry of the shadow) holds clique budget
-    ells[i] and the labels[starts[i]:starts[i] + sizes[i]] of its members,
-    whose adjacency rows start at row rowbase[i] of table; labels and
-    table are the shadow's own arrays, not copies. The entries are sorted
-    by (ell, size), in shadow order within each weight class of equal
-    (ell, size): class c holds entries first[c] .. first[c] + count[c] - 1
-    and is drawn with probability p[c] = W_c / W, where
-    W_c = count[c] * C(size, ell) and W, the total_weight, is the sum over
-    classes; p[c] is the correctly rounded double of that ratio.
-    exact_offset is the exact clique count contributed by ell <= 2 entries.
+    The sampled entries (the ell >= 3 entries of the shadow) are sorted by
+    (ell, size), in shadow order within each weight class of equal
+    (ell, size). Class c holds entries first[c] .. first[c] + count[c] - 1,
+    each with clique budget ells[c] and sizes[c] members, and is drawn with
+    probability p[c] = W_c / W, where W_c = count[c] * C(sizes[c], ells[c])
+    and W, the total_weight, is the sum over classes; p[c] is the correctly
+    rounded double of that ratio. Only two arrays are kept per entry: the
+    members of sampled entry i have labels[starts[i]:starts[i] + size] and
+    adjacency rows from row rowbase[i] of table; labels and table are the
+    shadow's own arrays, not copies. exact_offset is the exact clique count
+    contributed by ell <= 2 entries.
     """
 
     starts: np.ndarray
-    sizes: np.ndarray
-    ells: np.ndarray
-    labels: np.ndarray
     rowbase: np.ndarray
+    labels: np.ndarray
     table: np.ndarray
     first: np.ndarray
     count: np.ndarray
+    sizes: np.ndarray
+    ells: np.ndarray
     p: np.ndarray
     total_weight: float
     exact_offset: int
 
     @property
     def entry_count(self) -> int:
-        return len(self.ells)
+        return len(self.starts)
 
 
 def build_sampler(sh: TuranShadow, g: Graph) -> SamplerState:
@@ -117,25 +118,34 @@ def build_sampler(sh: TuranShadow, g: Graph) -> SamplerState:
     the ell >= 3 entries are grouped into weight classes of equal
     (ell, size), with class weights summed in exact integers.
     """
-    sizes, ells = sh.sizes, sh.ells
-    sampled = np.flatnonzero(ells >= 3)
-    sampled = sampled[np.lexsort((sizes[sampled], ells[sampled]))]
-    sizes, ells = sizes[sampled], ells[sampled]
-    first = np.flatnonzero(np.diff(ells, prepend=0)
-                           | np.diff(sizes, prepend=0))
-    count = np.diff(first, append=len(ells))
+    # sort by (ell, size), then shadow order, through one int64 key per
+    # sampled entry, below (k + 1) * span * n; the steps work in place, so
+    # at most four arrays of one word per entry are alive at a time
+    n = len(sh.ells)
+    sampled = np.flatnonzero(sh.ells >= 3)
+    key = sh.sizes[sampled]
+    span = int(key.max(initial=0)) + 1
+    key += span * sh.ells[sampled]
+    key *= n
+    key += sampled
+    key.sort()
+    np.remainder(key, n, out=sampled)
+    key //= n
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    count = np.diff(first, append=key.size)
+    ells, sizes = np.divmod(key[first], span)
     wc = [c * math.comb(s, e) for c, s, e in
-          zip(count.tolist(), sizes[first].tolist(), ells[first].tolist())]
+          zip(count.tolist(), sizes.tolist(), ells.tolist())]
     w = sum(wc)
     return SamplerState(
         starts=sh.offsets[sampled],
-        sizes=sizes,
-        ells=ells,
-        labels=sh.labels,
         rowbase=sh.rowbase[sampled],
+        labels=sh.labels,
         table=sh.table,
         first=first,
         count=count,
+        sizes=sizes,
+        ells=ells,
         p=np.array([x / w for x in wc]),  # int / int rounds correctly
         total_weight=float(w),
         exact_offset=int(sh.edges[sh.ells == 2].sum()),
@@ -197,10 +207,9 @@ def run_trials(st: SamplerState, g: Graph, t: int,
         return 0, 0
     rng = np.random.default_rng(seed)
     hits = rng.multinomial(t, st.p)
-    class_ells = st.ells[st.first]
     successes = 0
-    for ell in np.unique(class_ells).tolist():
-        classes = np.flatnonzero(class_ells == ell)
+    for ell in sorted(set(st.ells.tolist())):
+        classes = np.flatnonzero(st.ells == ell)
         ends = np.cumsum(hits[classes])  # this ell's trials, class by class
         n = int(ends[-1])
         for lo in range(0, n, _TRIAL_BLOCK):
@@ -210,7 +219,7 @@ def run_trials(st: SamplerState, g: Graph, t: int,
             idx = st.first[c] + (u[:, 0] * st.count[c]).astype(np.int64)
             # step i swaps slot i with a uniform slot in [i, s)
             i = np.arange(ell)
-            span = st.sizes[idx, None] - i
+            span = st.sizes[c, None] - i
             steps = i + (u[:, 1:] * span).astype(np.int64)
             successes += _count_cliques(steps, st.starts[idx],
                                         st.rowbase[idx], st.labels, st.table)

@@ -308,14 +308,16 @@ def has_edge_keys(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def induced_adjacency_rows(g: Graph, sets: np.ndarray
                            ) -> Iterator[tuple[int, np.ndarray]]:
-    """Adjacency rows of the subgraphs induced by a batch of vertex sets.
+    """Upper-triangle adjacency rows of the subgraphs induced by vertex sets.
 
     `sets` is an (R, W) int64 array, one vertex set per row, padded at the
     end with -1. Flat row r = i * W + a stands for member a of set i. Yields
-    (r0, block) in order, where block[r - r0, b] tells whether members a
-    and b of set i are adjacent; padding is adjacent to nothing. Each block
-    costs about _LOOKUP_CHUNK pair lookups, so no (R * W, W) key array is
-    built at once.
+    (r0, block) in order, where block[r - r0, b] tells, for b > a, whether
+    members a and b of set i are adjacent; it is False for b <= a, so each
+    unordered pair is looked up once, and the caller mirrors the block if it
+    needs both halves. Padding is adjacent to nothing. Each block costs
+    about _LOOKUP_CHUNK pair lookups, so no (R * W, W) key array is built at
+    once.
     """
     keys = edge_keys(g)
     n = g.vertex_count
@@ -324,8 +326,11 @@ def induced_adjacency_rows(g: Graph, sets: np.ndarray
     step = max(1, _LOOKUP_CHUNK // max(width, 1))
     for r0 in range(0, flat.size, step):
         u = flat[r0:r0 + step]
-        v = sets[np.arange(r0, r0 + u.size) // width]
-        real = (u >= 0)[:, None] & (v >= 0)  # padding is looked up never
+        r = np.arange(r0, r0 + u.size)
+        v = sets[r // width]
+        # padding is looked up never, nor any pair below the diagonal
+        real = ((u >= 0)[:, None] & (v >= 0)
+                & (np.arange(width) > (r % width)[:, None]))
         block = np.zeros(real.shape, dtype=bool)
         block[real] = has_edge_keys(keys, (u[:, None] * n + v)[real])
         yield r0, block
@@ -341,15 +346,14 @@ def induced_adjacency_matrix(g: Graph, vertices) -> np.ndarray:
     mat = np.zeros((verts.size, verts.size), dtype=bool)
     for r0, block in induced_adjacency_rows(g, verts[None, :]):
         mat[r0:r0 + len(block)] = block
-    return mat
+    return mat | mat.T
 
 
 def induced_edge_count(g: Graph, vertices) -> int:
     """Number of edges of g with both endpoints in `vertices`."""
     verts = np.asarray(vertices, dtype=np.int64)
-    total = sum(int(np.count_nonzero(block))
-                for _, block in induced_adjacency_rows(g, verts[None, :]))
-    return total // 2
+    return sum(int(np.count_nonzero(block))
+               for _, block in induced_adjacency_rows(g, verts[None, :]))
 
 
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, np.ndarray]:

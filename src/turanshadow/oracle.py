@@ -3,9 +3,13 @@
 Every k-clique has one member that comes first in the degeneracy order, so
 the count is the sum, over the roots the shadow builder uses (vertices with
 at least k - 1 out-neighbours), of the (k-1)-cliques inside each root's
-out-neighbourhood. The counter takes the builder's id-ordered root batches,
-width classes and uint64 member rows, and keeps in each row only the
-higher-indexed members, so a clique is found once, from its lowest member.
+out-neighbourhood. The counter takes the builder's root batches, width
+classes and uint64 member rows. A batch is id-ordered and cut by member
+pairs: the sum of W * W over its roots, W being a root's width class,
+stays within 2 * _CHUNK_ELEMS unless it holds one root, so its member rows
+take at most 2 * _CHUNK_ELEMS / 8 words. The counter keeps in each row
+only the higher-indexed members, so a clique is found once, from its
+lowest member.
 It then runs level by level over (root, member mask) sets: a set that needs
 `need` more vertices is replaced by one child per member u, the mask
 restricted to u's row, and children too small to hold need - 1 are

@@ -33,10 +33,18 @@ and emitted sets are leaves, so no emitted path is a prefix of another;
 sorting the emitted sets by path therefore restores exactly the
 depth-first emission order, and with it every draw of the sampler.
 
-Roots are processed in id-ordered batches of _ROOT_BATCH, and each
-temporary of a step (gathered rows, degrees, children) is cut into chunks
-of about _CHUNK_ELEMS elements, so memory is bounded by one batch's
-frontier plus the chunk budget, whatever the size of the graph.
+Roots are processed in id-ordered batches cut by member pairs: a batch
+closes before the sum of W * W over its roots, W being a root's width
+class, would pass 2 * _CHUNK_ELEMS, unless it holds only one root. So a
+batch's member rows take at most 2 * _CHUNK_ELEMS / 8 words (W * ceil(W /
+64) <= W * W / 8), or one root's W * ceil(W / 64), and narrow classes fill
+whole chunks at every peel step. Each temporary of a step (gathered rows,
+degrees, children) is cut into chunks of about _CHUNK_ELEMS elements, so
+memory is bounded by one batch's rows and frontier plus the chunk budget,
+whatever the size of the graph. Batches are id-contiguous, so sorting each
+batch by path gives the global depth-first order, and the table holds the
+rows of its roots in ascending id: every shadow array is a function of the
+graph and k alone, whatever the batch and chunk sizes.
 
 The shadow itself is flat: entry i is the sorted ids
 vertices[offsets[i]:offsets[i + 1]] with budget ells[i] and induced edge
@@ -73,7 +81,6 @@ from .graph import (
 
 MAX_K = 64
 
-_ROOT_BATCH = 256
 _CHUNK_ELEMS = 1 << 17
 
 
@@ -279,10 +286,13 @@ def root_batches(g: Graph, order: DegeneracyOrder, k: int):
     """Roots of g for budget k and their members, batch by batch.
 
     The roots are the vertices with at least k - 1 out-neighbours in
-    `order`, taken in id-ordered batches of _ROOT_BATCH. Yields one list per
-    batch holding an (ids, members) pair per power-of-two width class (at
-    least 8), in ascending width: row i of the (R, W) `members` is the
-    out-neighbourhood of root ids[i] in ascending id, padded with -1.
+    `order`, in ascending id. Each root has a power-of-two width class W
+    (at least 8), and W * W is the size of its member-pair block. A batch
+    takes roots in id order until the next one would carry the sum of their
+    W * W past 2 * _CHUNK_ELEMS, and holds at least one root. Yields one
+    list per batch holding an (ids, members) pair per width class, in
+    ascending width: row i of the (R, W) `members` is the out-neighbourhood
+    of root ids[i] in ascending id, padded with -1.
     """
     n = g.vertex_count
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
@@ -292,12 +302,17 @@ def root_batches(g: Graph, order: DegeneracyOrder, k: int):
     del src, later
     out_start = np.cumsum(out_deg) - out_deg
     roots = np.flatnonzero(out_deg >= k - 1)
-    for lo in range(0, roots.size, _ROOT_BATCH):
-        batch = roots[lo:lo + _ROOT_BATCH]
+    widths = np.maximum(
+        8, 1 << np.ceil(np.log2(out_deg[roots])).astype(np.int64))
+    spent = np.cumsum(widths * widths)
+    lo = 0
+    while lo < roots.size:
+        budget = 2 * _CHUNK_ELEMS + (int(spent[lo - 1]) if lo else 0)
+        hi = max(lo + 1, int(np.searchsorted(spent, budget, side="right")))
+        batch, classes = roots[lo:hi], widths[lo:hi]
         deg, start = out_deg[batch], out_start[batch]
-        classes = np.maximum(8, 1 << np.ceil(np.log2(deg)).astype(np.int64))
         group = []
-        for width in np.unique(classes).tolist():
+        for width in sorted(set(classes.tolist())):
             sel = np.flatnonzero(classes == width)
             col = np.arange(width)
             inside = col < deg[sel, None]
@@ -305,20 +320,26 @@ def root_batches(g: Graph, order: DegeneracyOrder, k: int):
             members[inside] = out_ids[(start[sel, None] + col)[inside]]
             group.append((batch[sel], members))
         yield group
+        lo = hi
 
 
 def member_rows(g: Graph, members: np.ndarray) -> np.ndarray:
     """(R, W, nw) uint64 adjacency rows of the members of each root.
 
     Bit b of row [i, a] tells whether members a and b of root i are
-    adjacent; padding is adjacent to nothing.
+    adjacent; padding is adjacent to nothing. Each unordered pair is looked
+    up once and mirrored, through one (R, W, W) boolean block: at most
+    2 * _CHUNK_ELEMS bytes for the members of a root batch, or W * W for
+    its one root.
     """
     count, width = members.shape
-    nw = (width + 63) // 64
-    rows = np.empty((count * width, nw), dtype=np.uint64)
+    adj = np.zeros((count * width, width), dtype=bool)
     for r0, block in induced_adjacency_rows(g, members):
-        rows[r0:r0 + len(block)] = _pack(block, nw)
-    return rows.reshape(count, width, nw)
+        adj[r0:r0 + len(block)] = block
+    adj = adj.reshape(count, width, width)
+    adj |= adj.transpose(0, 2, 1)
+    nw = (width + 63) // 64
+    return _pack(adj.reshape(-1, width), nw).reshape(count, width, nw)
 
 
 def _roots(g: Graph, ids: np.ndarray, members: np.ndarray,
@@ -345,21 +366,30 @@ def _fit_words(rows: np.ndarray, nw: int) -> np.ndarray:
     return out
 
 
+def _regroup(size: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Index that lays out consecutive blocks of `size` in perm order."""
+    size_sorted = size[perm]
+    old_start = np.cumsum(size) - size
+    new_start = np.cumsum(size_sorted) - size_sorted
+    return (np.repeat(old_start[perm] - new_start, size_sorted)
+            + np.arange(int(size.sum())))
+
+
 def _build_batch(g: Graph, k: int, group: list, nw: int, label_dtype,
                  first_row: int):
     """Emitted entries of one batch of root_batches, in path order.
 
     Returns (sizes, flat vertices, flat labels, ells, edges, rowbase,
     table): labels are the members' root-local indices, table holds the
-    nw-word member rows of each root that emits an ell >= 3 entry, and
-    rowbase[i] is where the rows of entry i's root start, counting from
-    first_row for this batch's first table row (-1 for an ell <= 2 entry).
+    nw-word member rows of each root that emits an ell >= 3 entry, root by
+    root in ascending id, and rowbase[i] is where the rows of entry i's
+    root start, counting from first_row for this batch's first table row
+    (-1 for an ell <= 2 entry).
     """
-    paths, ells, sizes, edges, rowbase = [], [], [], [], []
+    paths, ells, sizes, edges = [], [], [], []
     verts = [np.empty(0, dtype=np.int64)]
     labels = [np.empty(0, dtype=label_dtype)]
-    tables = [np.empty((0, nw), dtype=np.uint64)]
-    table_rows = first_row
+    kept, kept_deg, tables = [], [], []
     for ids, members in group:
         width = members.shape[1]
         sets, rows = _roots(g, ids, members, k)
@@ -386,28 +416,29 @@ def _build_batch(g: Graph, k: int, group: list, nw: int, label_dtype,
         # only ell >= 3 entries are sampled, so only their roots keep rows
         root = np.concatenate(roots)
         class_ells = np.concatenate(class_ells)
-        sampled = class_ells >= 3
-        keep = np.unique(root[sampled])
+        keep = np.flatnonzero(np.bincount(root[class_ells >= 3],
+                                          minlength=ids.size))
         inside = members[keep] >= 0  # a root's members come first
-        deg = np.count_nonzero(inside, axis=1)
-        base = np.full(ids.size, -1, dtype=np.int64)
-        base[keep] = table_rows + np.cumsum(deg) - deg
-        rowbase.append(np.where(sampled, base[root], -1))
+        kept.append(ids[keep])
+        kept_deg.append(np.count_nonzero(inside, axis=1))
         tables.append(_fit_words(rows[keep][inside], nw))
-        table_rows += int(deg.sum())
         ells.append(class_ells)
-    path = np.concatenate(paths)
+    # the kept roots' rows go in ascending root id, so the table does not
+    # depend on how the roots were batched; a path starts with its root id
+    kept, deg = np.concatenate(kept), np.concatenate(kept_deg)
+    by_id = np.argsort(kept)
+    start = first_row + np.cumsum(deg[by_id]) - deg[by_id]
+    path, ell = np.concatenate(paths), np.concatenate(ells)
+    rowbase = np.full(ell.size, -1, dtype=np.int64)
+    sampled = ell >= 3
+    rowbase[sampled] = start[np.searchsorted(kept[by_id], path[sampled, 0])]
     size = np.concatenate(sizes)
     perm = np.lexsort(path.T[::-1])
-    size_sorted = size[perm]
-    old_start = np.cumsum(size) - size
-    new_start = np.cumsum(size_sorted) - size_sorted
-    gather = (np.repeat(old_start[perm] - new_start, size_sorted)
-              + np.arange(int(size.sum())))
-    return (size_sorted, np.concatenate(verts)[gather],
-            np.concatenate(labels)[gather], np.concatenate(ells)[perm],
-            np.concatenate(edges)[perm], np.concatenate(rowbase)[perm],
-            np.concatenate(tables))
+    gather = _regroup(size, perm)
+    return (size[perm], np.concatenate(verts)[gather],
+            np.concatenate(labels)[gather], ell[perm],
+            np.concatenate(edges)[perm], rowbase[perm],
+            np.concatenate(tables)[_regroup(deg, by_id)])
 
 
 def _label_dtype(count: int) -> np.dtype:

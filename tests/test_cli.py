@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import turanshadow
+from turanshadow import cli
 from turanshadow.cli import main
 from turanshadow.estimator import required_samples
 from turanshadow.graph import degeneracy_order, load_edge_list
@@ -220,6 +225,20 @@ def test_negative_seed_exits_before_any_row(capsys, er_file):
         assert "seed must be >= 0" in err
 
 
+def test_convergence_negative_seed_exits_before_shadow(capsys, monkeypatch,
+                                                        er_file):
+    def unreachable(*args):
+        raise AssertionError("shadow built before the seed was checked")
+
+    monkeypatch.setattr(cli, "shadow_finder", unreachable)
+    code, out, err = run_cli(
+        capsys, ["convergence", "--input", er_file, "--k", "4",
+                 "--seed", "-1"])
+    assert code == 1
+    assert out == ""
+    assert "seed must be >= 0" in err
+
+
 def test_convergence_single_run(capsys, er_file):
     code, out, _ = run_cli(
         capsys, ["convergence", "--input", er_file, "--k", "4",
@@ -267,21 +286,34 @@ def test_baseline_sweep_emits_ten_rows(capsys, er_file):
     assert [r["p"] for r in rows] == [round(0.1 * i, 1) for i in range(1, 11)]
 
 
-def test_console_entry_point_subprocess(er_file):
-    import os
-    import subprocess
-    import sys
-
-    import turanshadow
-
-    # the child imports the same package as this process, installed or not
+def run_child(args):
+    """Run python with args in a child that imports this same package."""
     src = os.path.dirname(os.path.dirname(turanshadow.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "turanshadow.cli", "count", "--input", er_file,
-         "--k", "3", "--samples", "1000", "--seed", "1"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path})
+
+
+def test_console_entry_point_subprocess(er_file):
+    proc = run_child(["-m", "turanshadow.cli", "count", "--input", er_file,
+                      "--k", "3", "--samples", "1000", "--seed", "1"])
     assert proc.returncode == 0
     row = json.loads(proc.stdout)
     assert list(row.keys()) == COUNT_KEYS
     assert proc.stderr == ""
+
+
+def test_commands_never_import_numpy_ma(er_file):
+    # a plain np.unique imports numpy.ma, about 0.03 s on every run
+    script = f"""
+import sys
+from turanshadow.cli import main
+for argv in (["count", "--k", "4"], ["convergence", "--k", "4",
+             "--samples", "500", "--repeat", "2"], ["exact", "--k", "4"]):
+    assert main([*argv, "--input", {er_file!r}]) == 0, argv
+assert "numpy.ma" not in sys.modules, "numpy.ma imported"
+"""
+    proc = run_child(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 4

@@ -119,13 +119,10 @@ def test_weight_classes_draw_entries_with_exact_probabilities():
         ends = (st.first + st.count).tolist()
         assert st.first[0] == 0 and ends[-1] == st.entry_count == len(sampled)
         assert st.first[1:].tolist() == ends[:-1] and min(st.count) >= 1
-        keys = [(int(st.ells[a]), int(st.sizes[a])) for a in st.first]
-        assert keys == sorted(set(keys))
-        wc = []
-        for (ell, size), a, n in zip(keys, st.first, st.count):
-            assert set(st.ells[a:a + n].tolist()) == {ell}
-            assert set(st.sizes[a:a + n].tolist()) == {size}
-            wc.append(int(n) * math.comb(size, ell))
+        keys = list(zip(st.ells.tolist(), st.sizes.tolist()))
+        assert len(keys) == len(st.first) and keys == sorted(set(keys))
+        wc = [n * math.comb(size, ell)
+              for (ell, size), n in zip(keys, st.count.tolist())]
         assert sum(wc) == w and st.total_weight == float(w)
         assert st.p.tolist() == [float(Fraction(x, w)) for x in wc]
         tol = len(wc) * 2.0 ** -52
@@ -138,6 +135,7 @@ def test_weight_classes_draw_entries_with_exact_probabilities():
         for c, (a, n) in enumerate(zip(st.first, st.count)):
             for i in range(a, a + n):
                 e = sh.entries[position.pop(int(st.starts[i]))]
+                assert (e.ell, e.size) == keys[c]  # every entry of class c
                 assert Fraction(wc[c], w) / n == \
                     Fraction(math.comb(e.size, e.ell), w)
                 cliques[c] += entry_cliques(g, e)
@@ -188,8 +186,10 @@ def test_total_weight_matches_recomputation_from_dump():
     assert st.starts.tolist() == [sh.offsets[i] for i in sampled]
     assert st.rowbase.tolist() == [sh.rowbase[i] for i in sampled]
     assert st.labels is sh.labels and st.table is sh.table
-    assert [(st.ells[i], sh.vertices[a:a + b].tolist())
-            for i, (a, b) in enumerate(zip(st.starts, st.sizes))] == \
+    # (ell, size) are kept per class, and each entry has its class's
+    ells, sizes = np.repeat(st.ells, st.count), np.repeat(st.sizes, st.count)
+    assert [(ells[i], sh.vertices[a:a + b].tolist())
+            for i, (a, b) in enumerate(zip(st.starts, sizes))] == \
         [(sh.entries[i].ell, sh.entries[i].vertices.tolist())
          for i in sampled]
     # one class per distinct (ell, size), weights the exact binomials

@@ -4,7 +4,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from turanshadow import graph, shadow
+from turanshadow import shadow
 from turanshadow.graph import Graph
 from turanshadow.oracle import (
     CountOverflowError,
@@ -14,6 +14,7 @@ from turanshadow.oracle import (
     naive_kclique_count,
 )
 
+from budgets import check_batches, shrink_budgets
 from genutil import complete_graph, cycle_graph, er_graph, turan_graph
 from oracle_reference import reference_count
 
@@ -126,14 +127,11 @@ def reference_counts():
             for g, ks, _ in reference_cases()]
 
 
-@pytest.mark.parametrize("budget", [None, 1], ids=["default", "unit"])
+@pytest.mark.parametrize("budget", [None, "unit"], ids=["default", "unit"])
 def test_exact_matches_set_reference(monkeypatch, budget):
     # the level engine must count exactly what the set recursion counts,
     # whatever the root batch, chunk and lookup sizes
-    if budget is not None:
-        monkeypatch.setattr(shadow, "_ROOT_BATCH", budget)
-        monkeypatch.setattr(shadow, "_CHUNK_ELEMS", budget)
-        monkeypatch.setattr(graph, "_LOOKUP_CHUNK", budget)
+    batches = shrink_budgets(monkeypatch, budget)
     widths = []
     rows = shadow.member_rows
 
@@ -148,6 +146,7 @@ def test_exact_matches_set_reference(monkeypatch, budget):
         got = [exact_kclique_count(g, k).count for k in ks]
         assert got == expected, (g, list(ks))
     assert max(widths) > 64
+    check_batches(budget, batches)
 
 
 def test_time_budget_refusal():

@@ -1,11 +1,12 @@
 import io
 import math
+from dataclasses import fields
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from turanshadow import graph, shadow
+from turanshadow import shadow
 from turanshadow.graph import (
     degeneracy_order,
     induced_edge_count,
@@ -18,6 +19,7 @@ from turanshadow.shadow import (
     shadow_stats,
 )
 
+from budgets import check_batches, shrink_budgets
 from genutil import (
     complete_graph,
     cycle_graph,
@@ -218,14 +220,11 @@ def reference_entries():
     return [reference_shadow(g, k) for g, k in reference_cases()]
 
 
-@pytest.mark.parametrize("budget", [None, 1], ids=["default", "unit"])
+@pytest.mark.parametrize("budget", [None, "unit"], ids=["default", "unit"])
 def test_builder_matches_recursive_reference(monkeypatch, budget):
     # the level engine must emit exactly the depth-first builder's ordered
     # entries, whatever the root batch and chunk sizes
-    if budget is not None:
-        monkeypatch.setattr(shadow, "_ROOT_BATCH", budget)
-        monkeypatch.setattr(shadow, "_CHUNK_ELEMS", budget)
-        monkeypatch.setattr(graph, "_LOOKUP_CHUNK", budget)
+    batches = shrink_budgets(monkeypatch, budget)
     widths = []
     roots = shadow._roots
 
@@ -239,6 +238,28 @@ def test_builder_matches_recursive_reference(monkeypatch, budget):
                for e in shadow_finder(g, k).entries]
         assert got == expected, (g, k)
     assert max(widths) > 64
+    check_batches(budget, batches)
+
+
+SHADOW_FIELDS = ("k", "offsets", "vertices", "ells", "edges", "alpha",
+                 "labels", "rowbase", "table")
+
+
+def test_shadow_arrays_do_not_depend_on_batches(monkeypatch):
+    # every array, the table's row order and rowbase included, is a function
+    # of (g, k) alone: batches and chunks change how it is built, not what
+    assert set(SHADOW_FIELDS) == {f.name for f in fields(shadow.TuranShadow)}
+    expected = [shadow_finder(g, k) for g, k in reference_cases()]
+    for budget in ("unit", "batch3"):
+        with monkeypatch.context() as mp:
+            batches = shrink_budgets(mp, budget)
+            for (g, k), want in zip(reference_cases(), expected):
+                got = shadow_finder(g, k)
+                for f in SHADOW_FIELDS:
+                    a, b = getattr(got, f), getattr(want, f)
+                    assert np.array_equal(a, b), (budget, g, k, f)
+                    assert np.asarray(a).dtype == np.asarray(b).dtype
+            check_batches(budget, batches)
 
 
 def test_flat_shadow_invariants():
@@ -262,14 +283,13 @@ def test_flat_shadow_invariants():
             assert not a.flags.writeable
 
 
-@pytest.mark.parametrize("batch", [None, 3], ids=["default", "batch3"])
-def test_table_bits_match_adjacency(monkeypatch, batch):
+@pytest.mark.parametrize("budget", [None, "batch3"], ids=["default", "batch3"])
+def test_table_bits_match_adjacency(monkeypatch, budget):
     # bit labels[b] of table row rowbase[i] + labels[a] is the edge test of
     # members a and b of entry i; ell <= 2 entries are never sampled. er160
     # has rows of several words: at k = 3 its whole graph saturates. Small
     # root batches put every graph's table rows in several batches
-    if batch is not None:
-        monkeypatch.setattr(shadow, "_ROOT_BATCH", batch)
+    batches = shrink_budgets(monkeypatch, budget)
     wide = er_graph(160, 0.6, seed=2)
     for g, k in [*validity_suite(), (wide, 3), (wide, 4)]:
         sh = shadow_finder(g, k)
@@ -289,6 +309,7 @@ def test_table_bits_match_adjacency(monkeypatch, batch):
                     assert bit == g.has_edge(u, v), (g, k, i)
                     bits += bit
             assert bits == 2 * e.edges
+    check_batches(budget, batches)
 
 
 def test_entries_view_indexing():
