@@ -205,11 +205,11 @@ def load_edge_list(source: Source, comment_prefix: str = "#",
 
 @dataclass(frozen=True)
 class DegeneracyOrder:
-    """Min-degree peeling order with per-vertex deletion degrees.
+    """Min-degree peeling order with per-vertex out-degrees.
 
     order[i] is the i-th deleted vertex; position is the inverse
-    permutation. core_number[v] is v's degree among the not-yet-deleted
-    vertices at its deletion, and alpha is the maximum of those (the
+    permutation. core_number[v] is v's out-degree, the number of its
+    neighbours deleted after it, and alpha is the maximum of those (the
     degeneracy).
     """
 
@@ -269,6 +269,56 @@ def degeneracy_order(g: Graph) -> DegeneracyOrder:
     position[order] = np.arange(n, dtype=np.int64)
     return DegeneracyOrder(order, position,
                            np.array(core, dtype=np.int64), alpha)
+
+
+def round_peel(g: Graph) -> DegeneracyOrder:
+    """A degeneracy order peeled in rounds of numpy work.
+
+    Each round removes, in ascending id, every live vertex whose remaining
+    degree is at most d. d rises, to the least remaining degree, only when
+    no live vertex is left at or below it; every subgraph has a vertex of
+    degree at most alpha, so d never passes alpha, and neither does any
+    out-degree: a vertex's later neighbours are among the at most d live
+    ones it had when removed. Between rises only the live neighbours of the
+    last round's removals can have fallen to d, so a round looks at those
+    alone. The order is not degeneracy_order's lowest-id order. The number
+    of rounds is the depth of the peel, at worst about n / 2 (a path loses
+    its two ends per round).
+    """
+    n = g.vertex_count
+    indptr, indices = g.indptr, g.indices
+    deg = np.diff(indptr)
+    live = np.ones(n, dtype=bool)
+    rest = frontier = np.arange(n, dtype=np.int64)
+    rounds = []
+    d = 0
+    while True:
+        peel = frontier[deg[frontier] <= d]
+        if not peel.size:
+            rest = rest[live[rest]]
+            if not rest.size:
+                break
+            d = int(deg[rest].min())
+            frontier = rest
+            continue
+        live[peel] = False
+        rounds.append(peel)
+        start = indptr[peel]
+        count = indptr[peel + 1] - start
+        end = count.cumsum()
+        # the CSR rows of the removed vertices, gathered by one index
+        nbrs = indices[(start + count - end).repeat(count)
+                       + np.arange(end[-1])]
+        nbrs = nbrs[live[nbrs]]
+        np.subtract.at(deg, nbrs, 1)
+        nbrs.sort()
+        frontier = np.concatenate((nbrs[:1], nbrs[1:][nbrs[1:] != nbrs[:-1]]))
+    order = np.concatenate(rounds) if rounds else np.empty(0, dtype=np.int64)
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n, dtype=np.int64)
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    core = np.bincount(src[position[indices] > position[src]], minlength=n)
+    return DegeneracyOrder(order, position, core, int(core.max(initial=0)))
 
 
 def out_neighbors(g: Graph, order: DegeneracyOrder, v: int) -> np.ndarray:

@@ -1,15 +1,24 @@
 """Exact k-clique counting.
 
-Every k-clique has one member that comes first in the degeneracy order, so
-the count is the sum, over the roots the shadow builder uses (vertices with
-at least k - 1 out-neighbours), of the (k-1)-cliques inside each root's
-out-neighbourhood. The counter takes the builder's root batches, width
-classes and uint64 member rows. A batch is id-ordered and cut by member
-pairs: the sum of W * W over its roots, W being a root's width class,
-stays within 2 * _CHUNK_ELEMS unless it holds one root, so its member rows
-take at most 2 * _CHUNK_ELEMS / 8 words. The counter keeps in each row
-only the higher-indexed members, so a clique is found once, from its
-lowest member.
+The count needs only an orientation: an order in which each vertex has at
+most alpha later neighbours (its out-degree). Every k-clique has one member
+that comes first, so the count is the sum, over the roots (the vertices
+with at least k - 1 out-neighbours), of the (k-1)-cliques inside each
+root's out-neighbourhood, and each clique is found once. The order comes
+from graph.round_peel: each round removes every live vertex of remaining
+degree at most d, d rises only when none is left, and a round is a few
+numpy calls over the neighbours of the last round's removals. So it costs
+O(n + m) plus a fixed cost per round, and the number of rounds is the
+depth of the peel, at worst about n / 2: a 100,000-vertex path takes 50,000
+rounds, about ten times as long as degeneracy_order's heap peel, which the
+shadow builder keeps because its estimates are pinned to that order.
+
+The counter takes the builder's root batches, width classes and uint64
+member rows. A batch is id-ordered and cut by member pairs: the sum of
+W * W over its roots, W being a root's width class, stays within
+2 * _CHUNK_ELEMS unless it holds one root, so its member rows take at most
+2 * _CHUNK_ELEMS / 8 words. The counter keeps in each row only the
+higher-indexed members, so a clique is found once, from its lowest member.
 It then runs level by level over (root, member mask) sets: a set that needs
 `need` more vertices is replaced by one child per member u, the mask
 restricted to u's row, and children too small to hold need - 1 are
@@ -17,22 +26,34 @@ dropped. A set that induces a clique adds C(size, need) at once, in Python
 ints; at need = 2 the edges inside each mask are counted with
 np.bitwise_count and no pair is enumerated. Sets wait on a stack of
 chunks of about _CHUNK_ELEMS elements and the deepest level is expanded
-first, so memory stays O(k * chunk) on any graph. A brute-force enumerator
-over all k-subsets is kept as an independent second oracle for testing the
-tester.
+first, so a batch needs O(k * chunk) memory on any graph.
+
+Batches are independent, so they are counted on a thread pool with one
+thread per CPU the process may run on; numpy releases the interpreter lock
+in the gathers, popcounts and searchsorted lookups where a batch spends its
+time, and the sum of the batches' Python-int counts is the same at any
+number of threads. A batch is submitted only when a thread is free, so
+each thread holds one batch: its member rows, the (R, W, W) boolean block
+they are mirrored through (2 * _CHUNK_ELEMS bytes, or one root's W * W),
+and its O(k * chunk) stack. The first error a batch raises, such as
+TimeBudgetExceeded, is re-raised, and no batch is submitted after it.
+
+A brute-force enumerator over all k-subsets is kept as an independent
+second oracle for testing the tester.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import shadow
-from .graph import Graph, degeneracy_order, induced_adjacency_matrix
+from .graph import Graph, edge_keys, induced_adjacency_matrix, round_peel
 from .shadow import _pack, _unpack
 
 UINT64_MAX = 2**64 - 1
@@ -103,15 +124,35 @@ def _count_class(rows: np.ndarray, masks: np.ndarray, k: int,
     return total
 
 
+def _workers() -> int:
+    """Threads for the root batches: the CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _count_batch(g: Graph, group: list, k: int, check_time) -> int:
+    """(k-1)-cliques below the roots of one batch of root_batches."""
+    check_time()
+    count = 0
+    for _, members in group:
+        rows = shadow.member_rows(g, members)
+        masks = _pack(members >= 0, rows.shape[2])
+        count += _count_class(rows, masks, k, check_time)
+    return count
+
+
 def exact_kclique_count(g: Graph, k: int,
                         time_budget: float | None = None) -> ExactCount:
     """Exact number of k-cliques of g.
 
     k=1 and k=2 are the vertex and edge counts. For k >= 3 the count is the
-    sum, over the roots of the degeneracy DAG, of the (k-1)-cliques inside
-    each root's out-neighbourhood. Raises CountOverflowError if the result
-    does not fit in 64 bits, and TimeBudgetExceeded if a soft `time_budget`
-    (seconds) runs out mid-count.
+    sum, over the roots of round_peel's order, of the (k-1)-cliques inside
+    each root's out-neighbourhood, counted batch by batch on a thread pool.
+    Raises CountOverflowError if the result does not fit in 64 bits, and
+    TimeBudgetExceeded if a soft `time_budget` (seconds) runs out
+    mid-count.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -128,12 +169,26 @@ def exact_kclique_count(g: Graph, k: int,
     elif k == 2:
         count = g.edge_count
     else:
-        count = 0
-        for group in shadow.root_batches(g, degeneracy_order(g), k):
-            for _, members in group:
-                rows = shadow.member_rows(g, members)
-                masks = _pack(members >= 0, rows.shape[2])
-                count += _count_class(rows, masks, k, check_time)
+        # imported here, so that the estimator commands do not pay for it
+        from concurrent.futures import (
+            FIRST_COMPLETED,
+            ThreadPoolExecutor,
+            as_completed,
+            wait,
+        )
+        batches = shadow.root_batches(g, round_peel(g), k)
+        edge_keys(g)  # a lazy cache: filled here, not raced for by workers
+        workers = _workers()
+        count, running = 0, set()
+        with ThreadPoolExecutor(workers) as pool:
+            for group in batches:
+                running.add(pool.submit(_count_batch, g, group, k,
+                                        check_time))
+                if len(running) == workers:
+                    done, running = wait(running,
+                                         return_when=FIRST_COMPLETED)
+                    count += sum(f.result() for f in done)
+            count += sum(f.result() for f in as_completed(running))
     _check_uint64(count)
     return ExactCount(k, count, time.perf_counter() - start)
 

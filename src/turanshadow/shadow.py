@@ -243,7 +243,9 @@ def _children(rows: np.ndarray, sets: _Sets, ell: int, depth: int) -> _Sets:
     Peels every set of a chunk together: each step removes, in each set,
     the alive member of least degree (lowest index among ties), records its
     out-neighborhood rows[best] & alive, and lowers its neighbors' degrees.
-    Out-neighborhoods with fewer than ell - 1 members are dropped.
+    Out-neighborhoods with fewer than ell - 1 members are dropped. The
+    member removed at step s keeps at most size - s - 1 members, so a set
+    stops after size - ell + 1 steps.
     """
     _, width, nw = rows.shape
     big = width + 1
@@ -256,8 +258,9 @@ def _children(rows: np.ndarray, sets: _Sets, ell: int, depth: int) -> _Sets:
         deg[~_unpack(mask, width)] = big
         alive = mask.copy()
         nplus = np.zeros((size.size, width, nw), dtype=np.uint64)
-        for step in range(int(size[0])):
-            na = int(np.count_nonzero(size > step))  # sizes are descending
+        for step in range(int(size[0]) - ell + 1):
+            # sizes are descending
+            na = int(np.count_nonzero(size - ell >= step))
             it = np.arange(na)
             best = deg[:na].argmin(axis=1)
             alive[it, best >> 6] ^= np.left_shift(
@@ -286,7 +289,7 @@ def root_batches(g: Graph, order: DegeneracyOrder, k: int):
     """Roots of g for budget k and their members, batch by batch.
 
     The roots are the vertices with at least k - 1 out-neighbours in
-    `order`, in ascending id. Each root has a power-of-two width class W
+    `order` (its core_number), in ascending id. Each root has a power-of-two width class W
     (at least 8), and W * W is the size of its member-pair block. A batch
     takes roots in id order until the next one would carry the sum of their
     W * W past 2 * _CHUNK_ELEMS, and holds at least one root. Yields one
@@ -296,10 +299,9 @@ def root_batches(g: Graph, order: DegeneracyOrder, k: int):
     """
     n = g.vertex_count
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
-    later = order.position[g.indices] > order.position[src]
-    out_ids = g.indices[later]
-    out_deg = np.bincount(src[later], minlength=n)
-    del src, later
+    out_ids = g.indices[order.position[g.indices] > order.position[src]]
+    del src
+    out_deg = order.core_number
     out_start = np.cumsum(out_deg) - out_deg
     roots = np.flatnonzero(out_deg >= k - 1)
     widths = np.maximum(

@@ -35,6 +35,15 @@ def star_graph(n: int) -> Graph:
     return Graph.from_edges(edges, num_vertices=n)
 
 
+def grid_graph(rows: int, cols: int) -> Graph:
+    """rows x cols grid; vertex r * cols + c."""
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    edges = np.concatenate([
+        np.stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()], axis=1),
+        np.stack([ids[:-1].ravel(), ids[1:].ravel()], axis=1)])
+    return Graph.from_edges(edges, num_vertices=rows * cols)
+
+
 def turan_graph(n: int, r: int) -> Graph:
     """Complete r-partite graph with balanced parts (sizes differ by <= 1)."""
     part = [i % r for i in range(n)]

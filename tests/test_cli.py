@@ -305,13 +305,16 @@ def test_console_entry_point_subprocess(er_file):
 
 
 def test_commands_never_import_numpy_ma(er_file):
-    # a plain np.unique imports numpy.ma, about 0.03 s on every run
+    # a plain np.unique imports numpy.ma, about 0.03 s on every run; the
+    # exact counter's thread pool costs the estimator commands 4-5 ms
     script = f"""
 import sys
 from turanshadow.cli import main
 for argv in (["count", "--k", "4"], ["convergence", "--k", "4",
-             "--samples", "500", "--repeat", "2"], ["exact", "--k", "4"]):
+             "--samples", "500", "--repeat", "2"]):
     assert main([*argv, "--input", {er_file!r}]) == 0, argv
+assert "concurrent.futures" not in sys.modules, "concurrent.futures imported"
+assert main(["exact", "--k", "4", "--input", {er_file!r}]) == 0
 assert "numpy.ma" not in sys.modules, "numpy.ma imported"
 """
     proc = run_child(["-c", script])

@@ -4,8 +4,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from turanshadow import shadow
-from turanshadow.graph import Graph
+from turanshadow import oracle, shadow
+from turanshadow.graph import Graph, degeneracy_order, round_peel
 from turanshadow.oracle import (
     CountOverflowError,
     TimeBudgetExceeded,
@@ -15,7 +15,14 @@ from turanshadow.oracle import (
 )
 
 from budgets import check_batches, shrink_budgets
-from genutil import complete_graph, cycle_graph, er_graph, turan_graph
+from genutil import (
+    complete_graph,
+    cycle_graph,
+    er_graph,
+    grid_graph,
+    path_graph,
+    turan_graph,
+)
 from oracle_reference import reference_count
 
 
@@ -121,16 +128,43 @@ def reference_cases():
     yield complete_graph(4), range(3, 8), True  # n < k from k = 5
 
 
+def peel_cases():
+    for g, _, _ in reference_cases():
+        yield g
+    yield Graph.from_edges([], num_vertices=0)
+    yield Graph.from_edges([(2, 5)], num_vertices=9)  # isolated vertices
+    yield complete_graph(12)
+    yield turan_graph(20, 4)  # the boundary graph of k = 5
+    yield path_graph(3001)
+    yield grid_graph(30, 40)
+
+
+def test_round_peel_is_a_degeneracy_order():
+    for g in peel_cases():
+        got = round_peel(g)
+        n = g.vertex_count
+        assert sorted(got.order.tolist()) == list(range(n))
+        assert got.position[got.order].tolist() == list(range(n))
+        src = np.repeat(np.arange(n), np.diff(g.indptr))
+        later = got.position[g.indices] > got.position[src]
+        out = np.bincount(src[later], minlength=n)
+        alpha = degeneracy_order(g).alpha
+        assert int(out.max(initial=0)) <= alpha, g
+        assert got.alpha == alpha
+        assert got.core_number.tolist() == out.tolist()
+
+
 @lru_cache(maxsize=None)
 def reference_counts():
     return [[reference_count(g, k) for k in ks]
             for g, ks, _ in reference_cases()]
 
 
-@pytest.mark.parametrize("budget", [None, "unit"], ids=["default", "unit"])
+@pytest.mark.parametrize("budget", [None, "unit", "batch3"],
+                         ids=["default", "unit", "batch3"])
 def test_exact_matches_set_reference(monkeypatch, budget):
     # the level engine must count exactly what the set recursion counts,
-    # whatever the root batch, chunk and lookup sizes
+    # whatever the root batch, chunk and lookup sizes and worker count
     batches = shrink_budgets(monkeypatch, budget)
     widths = []
     rows = shadow.member_rows
@@ -140,13 +174,35 @@ def test_exact_matches_set_reference(monkeypatch, budget):
         return rows(g, members)
 
     monkeypatch.setattr(shadow, "member_rows", spy)
-    for (g, ks, unit), expected in zip(reference_cases(), reference_counts()):
-        if budget is not None and not unit:
-            continue
-        got = [exact_kclique_count(g, k).count for k in ks]
-        assert got == expected, (g, list(ks))
+    for workers in (1, 3):
+        monkeypatch.setattr(oracle, "_workers", lambda: workers)
+        for (g, ks, unit), expected in zip(reference_cases(),
+                                           reference_counts()):
+            if budget is not None and not unit:
+                continue
+            got = [exact_kclique_count(g, k).count for k in ks]
+            assert got == expected, (g, list(ks), workers)
     assert max(widths) > 64
     check_batches(budget, batches)
+
+
+def test_time_budget_stops_batches_mid_count(monkeypatch):
+    # one root per batch, a count of tens of seconds and a budget of 0.2 s:
+    # batches are submitted one per free worker, so most never start
+    shrink_budgets(monkeypatch, "unit")
+    g, k = er_graph(160, 0.6, seed=2), 6
+    roots = int(np.count_nonzero(round_peel(g).core_number >= k - 1))
+    started = []
+    count_batch = oracle._count_batch
+
+    def spy(*args):
+        started.append(None)
+        return count_batch(*args)
+
+    monkeypatch.setattr(oracle, "_count_batch", spy)
+    with pytest.raises(TimeBudgetExceeded):
+        exact_kclique_count(g, k, time_budget=0.2)
+    assert 0 < len(started) < roots
 
 
 def test_time_budget_refusal():
