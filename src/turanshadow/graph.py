@@ -7,7 +7,6 @@ ids and keep the original-id map around for reporting.
 
 from __future__ import annotations
 
-import heapq
 import io
 from dataclasses import dataclass
 from pathlib import Path
@@ -205,12 +204,13 @@ def load_edge_list(source: Source, comment_prefix: str = "#",
 
 @dataclass(frozen=True)
 class DegeneracyOrder:
-    """Min-degree peeling order with per-vertex out-degrees.
+    """A round peeling order with per-vertex out-degrees.
 
-    order[i] is the i-th deleted vertex; position is the inverse
+    order[i] is the i-th deleted vertex: rounds in the order they ran, each
+    in ascending id (see degeneracy_order). position is the inverse
     permutation. core_number[v] is v's out-degree, the number of its
-    neighbours deleted after it, and alpha is the maximum of those (the
-    degeneracy).
+    neighbours deleted after it, and alpha is the maximum of those, which
+    is the degeneracy.
     """
 
     order: np.ndarray
@@ -220,58 +220,6 @@ class DegeneracyOrder:
 
 
 def degeneracy_order(g: Graph) -> DegeneracyOrder:
-    """Peel minimum-degree vertices, ties broken by smallest vertex id.
-
-    A bucket queue: bucket d is a small heap of the ids whose remaining
-    degree is d. A vertex whose degree drops is pushed into its new bucket
-    and leaves a stale copy behind, skipped when it surfaces (a removed
-    vertex keeps the degree it was removed at, so all its copies are
-    stale). The minimum pointer moves up while it scans for a live bucket
-    and drops, by at most one per step, when a neighbour's degree falls
-    below it. Plain list buckets (Batagelj-Zaversnik) would cost O(1) per
-    touched vertex but cannot keep the lowest-id rule; each heap push costs
-    O(log) of its bucket.
-    """
-    n = g.vertex_count
-    indptr, indices = g.indptr.tolist(), g.indices.tolist()
-    deg = np.diff(g.indptr).tolist()
-    buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
-    for v, d in enumerate(deg):
-        buckets[d].append(v)  # ascending ids: already a heap
-    removed = bytearray(n)
-    order = [0] * n
-    core = [0] * n
-    alpha = d = 0
-    push, pop = heapq.heappush, heapq.heappop
-    for idx in range(n):
-        while True:
-            bucket = buckets[d]
-            while bucket and deg[bucket[0]] != d:
-                pop(bucket)
-            if bucket:
-                break
-            d += 1
-        v = pop(bucket)
-        removed[v] = 1
-        order[idx] = v
-        core[v] = d
-        if d > alpha:
-            alpha = d
-        for u in indices[indptr[v]:indptr[v + 1]]:
-            if not removed[u]:
-                du = deg[u] - 1
-                deg[u] = du
-                push(buckets[du], u)
-                if du < d:
-                    d = du
-    order = np.array(order, dtype=np.int64)
-    position = np.empty(n, dtype=np.int64)
-    position[order] = np.arange(n, dtype=np.int64)
-    return DegeneracyOrder(order, position,
-                           np.array(core, dtype=np.int64), alpha)
-
-
-def round_peel(g: Graph) -> DegeneracyOrder:
     """A degeneracy order peeled in rounds of numpy work.
 
     Each round removes, in ascending id, every live vertex whose remaining
@@ -281,9 +229,8 @@ def round_peel(g: Graph) -> DegeneracyOrder:
     out-degree: a vertex's later neighbours are among the at most d live
     ones it had when removed. Between rises only the live neighbours of the
     last round's removals can have fallen to d, so a round looks at those
-    alone. The order is not degeneracy_order's lowest-id order. The number
-    of rounds is the depth of the peel, at worst about n / 2 (a path loses
-    its two ends per round).
+    alone. The number of rounds is the depth of the peel, at worst about
+    n / 2 (a path loses its two ends per round).
     """
     n = g.vertex_count
     indptr, indices = g.indptr, g.indices

@@ -4,14 +4,13 @@ The count needs only an orientation: an order in which each vertex has at
 most alpha later neighbours (its out-degree). Every k-clique has one member
 that comes first, so the count is the sum, over the roots (the vertices
 with at least k - 1 out-neighbours), of the (k-1)-cliques inside each
-root's out-neighbourhood, and each clique is found once. The order comes
-from graph.round_peel: each round removes every live vertex of remaining
-degree at most d, d rises only when none is left, and a round is a few
-numpy calls over the neighbours of the last round's removals. So it costs
-O(n + m) plus a fixed cost per round, and the number of rounds is the
-depth of the peel, at worst about n / 2: a 100,000-vertex path takes 50,000
-rounds, about ten times as long as degeneracy_order's heap peel, which the
-shadow builder keeps because its estimates are pinned to that order.
+root's out-neighbourhood, and each clique is found once. The order is
+graph.degeneracy_order, the one the shadow builder uses: each round removes
+every live vertex of remaining degree at most d, d rises only when none is
+left, and a round is a few numpy calls over the neighbours of the last
+round's removals. So it costs O(n + m) plus a fixed cost per round, and the
+number of rounds is the depth of the peel, at worst about n / 2 (a
+100,000-vertex path takes 50,000 rounds).
 
 The counter takes the builder's root batches, width classes and uint64
 member rows. A batch is id-ordered and cut by member pairs: the sum of
@@ -53,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import shadow
-from .graph import Graph, edge_keys, induced_adjacency_matrix, round_peel
+from .graph import Graph, degeneracy_order, edge_keys, induced_adjacency_matrix
 from .shadow import _pack, _unpack
 
 UINT64_MAX = 2**64 - 1
@@ -148,7 +147,7 @@ def exact_kclique_count(g: Graph, k: int,
     """Exact number of k-cliques of g.
 
     k=1 and k=2 are the vertex and edge counts. For k >= 3 the count is the
-    sum, over the roots of round_peel's order, of the (k-1)-cliques inside
+    sum, over the roots of degeneracy_order, of the (k-1)-cliques inside
     each root's out-neighbourhood, counted batch by batch on a thread pool.
     Raises CountOverflowError if the result does not fit in 64 bits, and
     TimeBudgetExceeded if a soft `time_budget` (seconds) runs out
@@ -176,7 +175,7 @@ def exact_kclique_count(g: Graph, k: int,
             as_completed,
             wait,
         )
-        batches = shadow.root_batches(g, round_peel(g), k)
+        batches = shadow.root_batches(g, degeneracy_order(g), k)
         edge_keys(g)  # a lazy cache: filled here, not raced for by workers
         workers = _workers()
         count, running = 0, set()

@@ -1,9 +1,10 @@
-"""Lazy-heap reference for the degeneracy order.
+"""Lazy-heap reference for the degeneracy.
 
-The peeler the library used before its bucket queue: one binary heap of
-(remaining degree, id) pairs, stale pairs skipped when popped, so each step
-removes the smallest id among the vertices of minimum remaining degree.
-It returns the library's DegeneracyOrder, so tests compare them directly.
+An independent one-at-a-time peel: one binary heap of (remaining degree,
+id) pairs, stale pairs skipped when popped, so each step removes a vertex
+of minimum remaining degree. Its alpha is the degeneracy that the library's
+round peel must reach; its order is one valid order among many, so tests
+compare alphas, not orders. It returns the library's DegeneracyOrder.
 """
 
 import heapq

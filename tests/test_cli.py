@@ -101,13 +101,32 @@ def test_count_csv_header_and_row(capsys, er_file):
     assert len(lines[1].split(",")) == len(COUNT_KEYS)
 
 
-def test_count_eps_delta_mode(capsys, er_file):
+def test_count_eps_delta_mode(capsys, tmp_path):
+    # m > n * n / 3: the whole graph saturates at k = 4, so its one entry
+    # is sampled whatever the vertex order
+    g = er_graph(30, 0.9, seed=1)
+    assert 3 * g.edge_count > g.vertex_count ** 2
+    path = write_graph(tmp_path / "dense.txt", g)
     code, out, _ = run_cli(
-        capsys, ["count", "--input", er_file, "--k", "4",
+        capsys, ["count", "--input", path, "--k", "4",
                  "--eps", "0.5", "--delta", "0.1"])
     assert code == 0
     row = json_rows(out)[0]
+    assert row["total_weight"] > 0
     assert row["t"] == required_samples(row["gamma"], 0.5, 0.1)
+
+
+def test_count_eps_delta_mode_without_sampled_entries(capsys, er_file):
+    # at k = 3 every root's out-neighbourhood is emitted at ell = 2 and
+    # counted exactly, whatever the vertex order, so no trial runs
+    code, out, _ = run_cli(
+        capsys, ["count", "--input", er_file, "--k", "3",
+                 "--eps", "0.5", "--delta", "0.1"])
+    assert code == 0
+    row = json_rows(out)[0]
+    assert (row["t"], row["total_weight"]) == (0, 0)
+    exact = exact_kclique_count(load_edge_list(er_file), 3).count
+    assert row["estimate"] == exact > 0
 
 
 def test_count_rejects_both_sampling_modes(capsys, er_file):

@@ -20,8 +20,10 @@ from genutil import (
     complete_graph,
     cycle_graph,
     er_graph,
+    grid_graph,
     path_graph,
     star_graph,
+    turan_graph,
 )
 
 
@@ -159,29 +161,23 @@ def test_order_and_position_are_inverse():
 
 
 def _peel_bruteforce(g):
-    """Reference peeling on sets: returns (order, deletion degrees)."""
+    """Degeneracy by peeling on sets: the largest deletion degree."""
     remaining = set(range(g.vertex_count))
     adj = [set(g.neighbors(v).tolist()) for v in range(g.vertex_count)]
-    order, degs = [], []
+    alpha = 0
     while remaining:
-        v = min(remaining, key=lambda u: (len(adj[u] & remaining), u))
-        order.append(v)
-        degs.append(len(adj[v] & remaining))
+        v = min(remaining, key=lambda u: len(adj[u] & remaining))
+        alpha = max(alpha, len(adj[v] & remaining))
         remaining.discard(v)
-    return order, degs
+    return alpha
 
 
-def test_peeling_matches_bruteforce_recomputation():
+def _bruteforce_er_graphs():
     rng = np.random.default_rng(11)
     for _ in range(20):
         n = int(rng.integers(10, 61))
         p = float(rng.choice([0.1, 0.3, 0.5]))
-        g = er_graph(n, p, seed=int(rng.integers(2**31)))
-        d = degeneracy_order(g)
-        ref_order, ref_degs = _peel_bruteforce(g)
-        assert d.order.tolist() == ref_order
-        assert [int(d.core_number[v]) for v in ref_order] == ref_degs
-        assert d.alpha == max(ref_degs, default=0)
+        yield er_graph(n, p, seed=int(rng.integers(2**31)))
 
 
 def _sparse_random_graph(n, m, seed):
@@ -190,23 +186,45 @@ def _sparse_random_graph(n, m, seed):
     return Graph.from_edges(rng.integers(0, n, size=(m, 2)), num_vertices=n)
 
 
-@pytest.mark.parametrize("g", [
-    _sparse_random_graph(3000, 9000, seed=1),
-    star_graph(500),
-    path_graph(500),
-    complete_graph(60),
-    Graph.from_edges([], num_vertices=0),
-    Graph.from_edges([(0, 1), (1, 2), (2, 0), (5, 6)], num_vertices=10),
-], ids=["sparse3000", "star", "path", "complete", "empty", "isolated"])
-def test_degeneracy_matches_lazy_heap_reference(g):
-    # far past the brute-force sizes: many ties on equal degrees, and
-    # degrees that fall below the current minimum
-    d, ref = degeneracy_order(g), reference_degeneracy_order(g)
-    assert np.array_equal(d.order, ref.order)
-    assert np.array_equal(d.position, ref.position)
-    assert np.array_equal(d.core_number, ref.core_number)
-    assert d.alpha == ref.alpha
-    assert d.order.dtype == d.core_number.dtype == np.int64
+PEEL_CASES = {
+    # many ties on equal degrees, and degrees that fall below the current
+    # minimum
+    "sparse3000": [_sparse_random_graph(3000, 9000, seed=1)],
+    "star": [star_graph(500)],
+    "path": [path_graph(500)],
+    "complete": [complete_graph(60)],
+    "empty": [Graph.from_edges([], num_vertices=0)],
+    "isolated": [Graph.from_edges([(0, 1), (1, 2), (2, 0), (5, 6)],
+                                  num_vertices=10)],
+    # the exact counter's graphs: alpha = 81 (two-word rows), Turan
+    # boundaries, cliques, isolated vertices, and deep peels
+    "counter": [er_graph(160, 0.6, seed=2), turan_graph(24, 5),
+                complete_graph(30), complete_graph(4),
+                Graph.from_edges([(2, 5)], num_vertices=9),
+                complete_graph(12), turan_graph(20, 4), path_graph(3001),
+                grid_graph(30, 40)],
+    "bruteforce": list(_bruteforce_er_graphs()),
+}
+
+
+@pytest.mark.parametrize("case", PEEL_CASES)
+def test_peel_is_a_degeneracy_order(case):
+    # any order whose out-degrees stay within the degeneracy will do: the
+    # reference's alpha is the oracle, not its lowest-id order
+    for g in PEEL_CASES[case]:
+        d = degeneracy_order(g)
+        n = g.vertex_count
+        assert sorted(d.order.tolist()) == list(range(n))
+        assert np.array_equal(d.position[d.order], np.arange(n))
+        src = np.repeat(np.arange(n), np.diff(g.indptr))
+        later = np.bincount(src[d.position[g.indices] > d.position[src]],
+                            minlength=n)
+        assert d.core_number.tolist() == later.tolist()
+        alpha = reference_degeneracy_order(g).alpha
+        assert int(later.max(initial=0)) == d.alpha == alpha, g
+        assert d.order.dtype == d.core_number.dtype == np.int64
+        if case == "bruteforce":
+            assert alpha == _peel_bruteforce(g)
 
 
 def test_alpha_never_grows_in_induced_subgraphs():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from turanshadow import oracle, shadow
-from turanshadow.graph import Graph, degeneracy_order, round_peel
+from turanshadow.graph import Graph, degeneracy_order
 from turanshadow.oracle import (
     CountOverflowError,
     TimeBudgetExceeded,
@@ -19,8 +19,6 @@ from genutil import (
     complete_graph,
     cycle_graph,
     er_graph,
-    grid_graph,
-    path_graph,
     turan_graph,
 )
 from oracle_reference import reference_count
@@ -128,32 +126,6 @@ def reference_cases():
     yield complete_graph(4), range(3, 8), True  # n < k from k = 5
 
 
-def peel_cases():
-    for g, _, _ in reference_cases():
-        yield g
-    yield Graph.from_edges([], num_vertices=0)
-    yield Graph.from_edges([(2, 5)], num_vertices=9)  # isolated vertices
-    yield complete_graph(12)
-    yield turan_graph(20, 4)  # the boundary graph of k = 5
-    yield path_graph(3001)
-    yield grid_graph(30, 40)
-
-
-def test_round_peel_is_a_degeneracy_order():
-    for g in peel_cases():
-        got = round_peel(g)
-        n = g.vertex_count
-        assert sorted(got.order.tolist()) == list(range(n))
-        assert got.position[got.order].tolist() == list(range(n))
-        src = np.repeat(np.arange(n), np.diff(g.indptr))
-        later = got.position[g.indices] > got.position[src]
-        out = np.bincount(src[later], minlength=n)
-        alpha = degeneracy_order(g).alpha
-        assert int(out.max(initial=0)) <= alpha, g
-        assert got.alpha == alpha
-        assert got.core_number.tolist() == out.tolist()
-
-
 @lru_cache(maxsize=None)
 def reference_counts():
     return [[reference_count(g, k) for k in ks]
@@ -191,7 +163,7 @@ def test_time_budget_stops_batches_mid_count(monkeypatch):
     # batches are submitted one per free worker, so most never start
     shrink_budgets(monkeypatch, "unit")
     g, k = er_graph(160, 0.6, seed=2), 6
-    roots = int(np.count_nonzero(round_peel(g).core_number >= k - 1))
+    roots = int(np.count_nonzero(degeneracy_order(g).core_number >= k - 1))
     started = []
     count_batch = oracle._count_batch
 
