@@ -270,6 +270,8 @@ def turan_shadow_count(g: Graph, k: int, *, samples: int | None = None,
         raise ValueError("eps and delta must be given together")
     if eps is not None and samples is not None:
         raise ValueError("choose either a fixed sample count or (eps, delta)")
+    if eps is not None:
+        required_samples(1.0, eps, delta)  # checks eps and delta at any k
     if samples is not None and samples < 1:
         raise ValueError("samples must be >= 1")
     if seed < 0:

@@ -210,13 +210,18 @@ class DegeneracyOrder:
     in ascending id (see degeneracy_order). position is the inverse
     permutation. core_number[v] is v's out-degree, the number of its
     neighbours deleted after it, and alpha is the maximum of those, which
-    is the degeneracy.
+    is the degeneracy. The orientation itself is a CSR of m entries: v's
+    later neighbours, in ascending id, are
+    out_ids[out_start[v]:out_start[v] + core_number[v]], and out_start is
+    the exclusive cumulative sum of core_number.
     """
 
     order: np.ndarray
     position: np.ndarray
     core_number: np.ndarray
     alpha: int
+    out_start: np.ndarray
+    out_ids: np.ndarray
 
 
 def degeneracy_order(g: Graph) -> DegeneracyOrder:
@@ -264,20 +269,23 @@ def degeneracy_order(g: Graph) -> DegeneracyOrder:
     position = np.empty(n, dtype=np.int64)
     position[order] = np.arange(n, dtype=np.int64)
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    core = np.bincount(src[position[indices] > position[src]], minlength=n)
-    return DegeneracyOrder(order, position, core, int(core.max(initial=0)))
+    later = position[indices] > position[src]
+    core = np.bincount(src[later], minlength=n)
+    out_ids = indices[later]
+    out_ids.flags.writeable = False  # out_neighbors hands out views of it
+    return DegeneracyOrder(order, position, core, int(core.max(initial=0)),
+                           np.cumsum(core) - core, out_ids)
 
 
 def out_neighbors(g: Graph, order: DegeneracyOrder, v: int) -> np.ndarray:
     """Neighbors of v that come strictly later in the peeling order.
 
     The result is sorted ascending by vertex id and has exactly
-    core_number[v] elements.
+    core_number[v] elements: a read-only view of v's slice of
+    order.out_ids.
     """
-    nbrs = g.neighbors(v)
-    if nbrs.size == 0:
-        return nbrs.copy()
-    return nbrs[order.position[nbrs] > order.position[v]]
+    start = int(order.out_start[v])
+    return order.out_ids[start:start + int(order.core_number[v])]
 
 
 def edge_keys(g: Graph) -> np.ndarray:

@@ -175,7 +175,7 @@ def exact_kclique_count(g: Graph, k: int,
             as_completed,
             wait,
         )
-        batches = shadow.root_batches(g, degeneracy_order(g), k)
+        batches = shadow.root_batches(degeneracy_order(g), k)
         edge_keys(g)  # a lazy cache: filled here, not raced for by workers
         workers = _workers()
         count, running = 0, set()

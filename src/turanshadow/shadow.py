@@ -42,9 +42,10 @@ whole chunks at every peel step. Each temporary of a step (gathered rows,
 degrees, children) is cut into chunks of about _CHUNK_ELEMS elements, so
 memory is bounded by one batch's rows and frontier plus the chunk budget,
 whatever the size of the graph. Batches are id-contiguous, so sorting each
-batch by path gives the global depth-first order, and the table holds the
-rows of its roots in ascending id: every shadow array is a function of the
-graph and k alone, whatever the batch and chunk sizes.
+batch's emitted sets by path once gives the global depth-first order, and a
+root's table rows sit where its out-neighbours sit in the orientation:
+every shadow array is a function of the graph and k alone, whatever the
+batch and chunk sizes.
 
 The shadow itself is flat: entry i is the sorted ids
 vertices[offsets[i]:offsets[i + 1]] with budget ells[i] and induced edge
@@ -54,13 +55,15 @@ only when they are read.
 The shadow also keeps what the sampler needs to test a pair without the
 graph. Each member's root-local index is kept in `labels`, parallel to
 `vertices`, in the narrowest unsigned dtype that holds an index below
-alpha. The member rows of every root that emits an ell >= 3 entry go into
-one (rows, nw) uint64 `table`, one row per member, with nw = ceil(alpha /
-64) words (a root has at most alpha members); `rowbase[i]` is the row
-where the rows of entry i's root start. That costs one word per member of
-those roots, at most m * nw words, plus one label per shadow member. The
-saturated whole graph instead stores its packed adjacency matrix,
-n * ceil(n / 64) words, under m / 16 + n because the graph is dense.
+alpha. The `table` is indexed by the oriented edge list of the degeneracy
+order (DegeneracyOrder.out_start and out_ids): it is one (m, nw) uint64
+array, nw = ceil(alpha / 64) words per row (a root has at most alpha
+members), and row out_start[r] + a holds the row of member a inside root
+r, that is of vertex out_ids[out_start[r] + a]. `rowbase[i]` is
+out_start of entry i's root. That costs exactly m * nw words plus one
+label per shadow member. The saturated whole graph instead stores its
+packed adjacency matrix, n * ceil(n / 64) words, under m / 16 + n because
+the graph is dense.
 """
 
 from __future__ import annotations
@@ -152,10 +155,12 @@ class TuranShadow:
     member has a root-local index labels[j] (parallel to vertices, in the
     narrowest unsigned dtype), and members a and b of entry i are adjacent
     exactly when bit labels[b] of row rowbase[i] + labels[a] of the uint64
-    table is set. The table holds, for each root with an ell >= 3 entry,
-    one row of ceil(alpha / 64) words per member (at most m such rows), or
-    the whole graph's packed adjacency when that is the only entry;
-    rowbase[i] is -1 for an ell <= 2 entry.
+    table is set. The table has one row of ceil(alpha / 64) words per
+    oriented edge of degeneracy_order(g), m rows in all, and rowbase[i] is
+    out_start of entry i's root, so entry i's member with label a is
+    vertex out_ids[rowbase[i] + a]; or the table is the whole graph's
+    packed adjacency when that is the only entry. rowbase[i] is -1 for an
+    ell <= 2 entry.
     """
 
     k: int
@@ -285,24 +290,19 @@ def _children(rows: np.ndarray, sets: _Sets, ell: int, depth: int) -> _Sets:
     return _Sets.concat(out)
 
 
-def root_batches(g: Graph, order: DegeneracyOrder, k: int):
-    """Roots of g for budget k and their members, batch by batch.
+def root_batches(order: DegeneracyOrder, k: int):
+    """Roots for budget k and their members, batch by batch.
 
     The roots are the vertices with at least k - 1 out-neighbours in
-    `order` (its core_number), in ascending id. Each root has a power-of-two width class W
-    (at least 8), and W * W is the size of its member-pair block. A batch
-    takes roots in id order until the next one would carry the sum of their
-    W * W past 2 * _CHUNK_ELEMS, and holds at least one root. Yields one
-    list per batch holding an (ids, members) pair per width class, in
-    ascending width: row i of the (R, W) `members` is the out-neighbourhood
-    of root ids[i] in ascending id, padded with -1.
+    `order` (its core_number), in ascending id. Each root has a power-of-two
+    width class W (at least 8), and W * W is the size of its member-pair
+    block. A batch takes roots in id order until the next one would carry
+    the sum of their W * W past 2 * _CHUNK_ELEMS, and holds at least one
+    root. Yields one list per batch holding an (ids, members) pair per width
+    class, in ascending width: row i of the (R, W) `members` is the
+    out-neighbourhood of root ids[i] in `order.out_ids`, padded with -1.
     """
-    n = g.vertex_count
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
-    out_ids = g.indices[order.position[g.indices] > order.position[src]]
-    del src
-    out_deg = order.core_number
-    out_start = np.cumsum(out_deg) - out_deg
+    out_deg, out_start = order.core_number, order.out_start
     roots = np.flatnonzero(out_deg >= k - 1)
     widths = np.maximum(
         8, 1 << np.ceil(np.log2(out_deg[roots])).astype(np.int64))
@@ -319,7 +319,7 @@ def root_batches(g: Graph, order: DegeneracyOrder, k: int):
             col = np.arange(width)
             inside = col < deg[sel, None]
             members = np.full((sel.size, width), -1, dtype=np.int64)
-            members[inside] = out_ids[(start[sel, None] + col)[inside]]
+            members[inside] = order.out_ids[(start[sel, None] + col)[inside]]
             group.append((batch[sel], members))
         yield group
         lo = hi
@@ -368,79 +368,48 @@ def _fit_words(rows: np.ndarray, nw: int) -> np.ndarray:
     return out
 
 
-def _regroup(size: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Index that lays out consecutive blocks of `size` in perm order."""
-    size_sorted = size[perm]
-    old_start = np.cumsum(size) - size
-    new_start = np.cumsum(size_sorted) - size_sorted
-    return (np.repeat(old_start[perm] - new_start, size_sorted)
-            + np.arange(int(size.sum())))
-
-
-def _build_batch(g: Graph, k: int, group: list, nw: int, label_dtype,
-                 first_row: int):
+def _build_batch(g: Graph, k: int, group: list, order: DegeneracyOrder,
+                 table: np.ndarray, label_dtype):
     """Emitted entries of one batch of root_batches, in path order.
 
-    Returns (sizes, flat vertices, flat labels, ells, edges, rowbase,
-    table): labels are the members' root-local indices, table holds the
-    nw-word member rows of each root that emits an ell >= 3 entry, root by
-    root in ascending id, and rowbase[i] is where the rows of entry i's
-    root start, counting from first_row for this batch's first table row
-    (-1 for an ell <= 2 entry).
+    Writes the member rows of each root r of the batch into table rows
+    out_start[r] onwards. Returns (sizes, flat vertices, flat labels, ells,
+    edges, rowbase): labels are the members' root-local indices, and
+    rowbase[i] is out_start of entry i's root (-1 for an ell <= 2 entry).
     """
-    paths, ells, sizes, edges = [], [], [], []
-    verts = [np.empty(0, dtype=np.int64)]
-    labels = [np.empty(0, dtype=label_dtype)]
-    kept, kept_deg, tables = [], [], []
+    nw = table.shape[1]
+    emitted, ells = [], []
     for ids, members in group:
         width = members.shape[1]
         sets, rows = _roots(g, ids, members, k)
+        inside = members >= 0  # a root's members come first
+        table[(order.out_start[ids, None] + np.arange(width))[inside]] = (
+            _fit_words(rows[inside], nw))
         ell, depth = k - 1, 1
-        roots, class_ells = [], []
         while sets.size.size:
             done = (_saturated(sets.edges, sets.size, ell) if ell > 2
                     else np.ones(sets.size.size, dtype=bool))
-            emitted = sets.take(done)
-            paths.append(emitted.path)
-            class_ells.append(np.full(emitted.size.size, ell, dtype=np.int64))
-            sizes.append(emitted.size)
-            edges.append(emitted.edges)
-            roots.append(emitted.root)
-            for c in _chunks(emitted.size.size, width):
-                e, j = np.nonzero(_unpack(emitted.mask[c], width))
-                verts.append(members[emitted.root[c][e], j])
-                labels.append(j.astype(label_dtype))
+            out = sets.take(done)
+            out.mask = _fit_words(out.mask, nw)
+            emitted.append(out)
+            ells.append(np.full(out.size.size, ell, dtype=np.int64))
             sets = sets.take(~done)
             if not sets.size.size:
                 break
             sets = _children(rows, sets, ell, depth)
             ell, depth = ell - 1, depth + 1
-        # only ell >= 3 entries are sampled, so only their roots keep rows
-        root = np.concatenate(roots)
-        class_ells = np.concatenate(class_ells)
-        keep = np.flatnonzero(np.bincount(root[class_ells >= 3],
-                                          minlength=ids.size))
-        inside = members[keep] >= 0  # a root's members come first
-        kept.append(ids[keep])
-        kept_deg.append(np.count_nonzero(inside, axis=1))
-        tables.append(_fit_words(rows[keep][inside], nw))
-        ells.append(class_ells)
-    # the kept roots' rows go in ascending root id, so the table does not
-    # depend on how the roots were batched; a path starts with its root id
-    kept, deg = np.concatenate(kept), np.concatenate(kept_deg)
-    by_id = np.argsort(kept)
-    start = first_row + np.cumsum(deg[by_id]) - deg[by_id]
-    path, ell = np.concatenate(paths), np.concatenate(ells)
-    rowbase = np.full(ell.size, -1, dtype=np.int64)
-    sampled = ell >= 3
-    rowbase[sampled] = start[np.searchsorted(kept[by_id], path[sampled, 0])]
-    size = np.concatenate(sizes)
-    perm = np.lexsort(path.T[::-1])
-    gather = _regroup(size, perm)
-    return (size[perm], np.concatenate(verts)[gather],
-            np.concatenate(labels)[gather], ell[perm],
-            np.concatenate(edges)[perm], rowbase[perm],
-            np.concatenate(tables)[_regroup(deg, by_id)])
+    sets, ell = _Sets.concat(emitted), np.concatenate(ells)
+    perm = np.lexsort(sets.path.T[::-1])
+    sets, ell = sets.take(perm), ell[perm]
+    start = order.out_start[sets.path[:, 0]]
+    verts = [np.empty(0, dtype=np.int64)]
+    labels = [np.empty(0, dtype=label_dtype)]
+    for c in _chunks(ell.size, nw * 64):
+        e, j = np.nonzero(_unpack(sets.mask[c], nw * 64))
+        verts.append(order.out_ids[start[c][e] + j])
+        labels.append(j.astype(label_dtype))
+    return (sets.size, np.concatenate(verts), np.concatenate(labels), ell,
+            sets.edges, np.where(ell >= 3, start, -1))
 
 
 def _label_dtype(count: int) -> np.dtype:
@@ -469,19 +438,17 @@ def shadow_finder(g: Graph, k: int) -> TuranShadow:
         table = member_rows(g, np.arange(n, dtype=np.int64)[None, :])[0]
         parts = [(np.array([n]), np.arange(n, dtype=np.int64),
                   np.arange(n, dtype=dtype), np.array([k]), np.array([m]),
-                  np.array([0]), table)]
+                  np.array([0]))]
     else:
-        # a root has at most alpha members, all below alpha
+        # one row per oriented edge: a root has at most alpha members
         nw, dtype = max(1, -(-order.alpha // 64)), _label_dtype(order.alpha)
+        table = np.zeros((m, nw), dtype=np.uint64)
         none = np.empty(0, dtype=np.int64)
-        parts = [(none, none, none.astype(dtype), none, none, none,
-                  np.empty((0, nw), dtype=np.uint64))]
-        first_row = 0
-        for group in root_batches(g, order, k) if n >= k else ():
-            parts.append(_build_batch(g, k, group, nw, dtype, first_row))
-            first_row += len(parts[-1][6])
-    sizes, vertices, labels, ells, edges, rowbase, table = (
-        np.concatenate([p[i] for p in parts]) for i in range(7))
+        parts = [(none, none, none.astype(dtype), none, none, none)]
+        for group in root_batches(order, k):
+            parts.append(_build_batch(g, k, group, order, table, dtype))
+    sizes, vertices, labels, ells, edges, rowbase = (
+        np.concatenate([p[i] for p in parts]) for i in range(6))
     offsets = np.zeros(sizes.size + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
     for a in (offsets, vertices, labels, ells, edges, rowbase, table):

@@ -235,6 +235,16 @@ def test_sweep_rejects_bad_ranges(capsys, er_file):
         assert "error" in err
 
 
+def test_bad_eps_delta_exits_before_any_row(capsys, er_file):
+    # k = 1 and 2 are counted exactly, so they must check eps and delta too
+    for args in (["count", "--k", "2"], ["sweep", "--k-range", "1:4"]):
+        code, out, err = run_cli(
+            capsys, [*args, "--input", er_file, "--eps", "-1", "--delta", "2"])
+        assert code == 1
+        assert out == ""
+        assert "eps must be positive" in err
+
+
 def test_negative_seed_exits_before_any_row(capsys, er_file):
     for args in (["count", "--k", "2"], ["sweep", "--k-range", "2:3"]):
         code, out, err = run_cli(

@@ -384,6 +384,9 @@ def test_sampling_mode_exclusivity():
         turan_shadow_count(g, 4, samples=100, eps=0.5, delta=0.1)
     with pytest.raises(ValueError):
         turan_shadow_count(g, 4, eps=0.5)
+    # k <= 2 is counted exactly, but bad eps and delta are still refused
+    with pytest.raises(ValueError, match="eps must be positive"):
+        turan_shadow_count(g, 2, eps=-1.0, delta=2.0)
 
 
 def test_eps_delta_mode_sets_t_from_gamma():

@@ -15,7 +15,7 @@ from turanshadow.graph import (
     out_neighbors,
 )
 
-from degeneracy_reference import reference_degeneracy_order
+from degeneracy_reference import reference_degeneracy
 from genutil import (
     complete_graph,
     cycle_graph,
@@ -220,7 +220,17 @@ def test_peel_is_a_degeneracy_order(case):
         later = np.bincount(src[d.position[g.indices] > d.position[src]],
                             minlength=n)
         assert d.core_number.tolist() == later.tolist()
-        alpha = reference_degeneracy_order(g).alpha
+        # the orientation is a CSR: each slice of out_ids holds v's later
+        # neighbours in ascending id, and out_start is the exclusive cumsum
+        assert d.out_start.tolist() == (np.cumsum(later) - later).tolist()
+        for v in range(n):
+            nbrs = g.neighbors(v)
+            got = d.out_ids[d.out_start[v]:d.out_start[v] + later[v]]
+            assert got.tolist() == nbrs[d.position[nbrs]
+                                        > d.position[v]].tolist()
+        assert d.out_ids.size == g.edge_count
+        assert not d.out_ids.flags.writeable
+        alpha = reference_degeneracy(g)
         assert int(later.max(initial=0)) == d.alpha == alpha, g
         assert d.order.dtype == d.core_number.dtype == np.int64
         if case == "bruteforce":

@@ -288,11 +288,18 @@ def test_table_bits_match_adjacency(monkeypatch, budget):
     # bit labels[b] of table row rowbase[i] + labels[a] is the edge test of
     # members a and b of entry i; ell <= 2 entries are never sampled. er160
     # has rows of several words: at k = 3 its whole graph saturates. Small
-    # root batches put every graph's table rows in several batches
+    # root batches put every graph's table rows in several batches. Unless
+    # the whole graph saturates, the table has a row per oriented edge and
+    # an entry's members are its root's out_ids at rowbase + labels
     batches = shrink_budgets(monkeypatch, budget)
     wide = er_graph(160, 0.6, seed=2)
     for g, k in [*validity_suite(), (wide, 3), (wide, 4)]:
         sh = shadow_finder(g, k)
+        n, m = g.vertex_count, g.edge_count
+        whole = n >= k and shadow._saturated(m, n, k)
+        order = degeneracy_order(g)
+        if not whole:
+            assert sh.table.shape == (m, max(1, -(-sh.alpha // 64)))
         assert sh.labels.dtype == np.uint8
         for i, e in enumerate(sh.entries):
             base = int(sh.rowbase[i])
@@ -301,6 +308,9 @@ def test_table_bits_match_adjacency(monkeypatch, budget):
                 continue
             labels = sh.labels[sh.offsets[i]:sh.offsets[i + 1]].tolist()
             verts = e.vertices.tolist()
+            if not whole:
+                assert order.out_ids[base + np.array(labels)].tolist() \
+                    == verts, (g, k, i)
             bits = 0
             for la, u in zip(labels, verts):
                 row = sh.table[base + la]
