@@ -70,8 +70,8 @@ def required_samples(gamma: float, eps: float, delta: float) -> int:
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must be in (0, 1]")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
     return math.ceil(20.0 / (gamma * eps * eps) * math.log(1.0 / delta))
@@ -88,10 +88,11 @@ class SamplerState:
     probability p[c] = W_c / W, where W_c = count[c] * C(sizes[c], ells[c])
     and W, the total_weight, is the sum over classes; p[c] is the correctly
     rounded double of that ratio. Only two arrays are kept per entry: the
-    members of sampled entry i have labels[starts[i]:starts[i] + size] and
-    adjacency rows from row rowbase[i] of table; labels and table are the
-    shadow's own arrays, not copies. exact_offset is the exact clique count
-    contributed by ell <= 2 entries.
+    members of sampled entry i have labels[starts[i]:starts[i] + size], and
+    the member with label a has table row rowbase[i] + a, as in the shadow
+    (its vertex id, ids[rowbase[i] + a], is never needed); labels and table
+    are the shadow's own arrays, not copies. exact_offset is the exact
+    clique count contributed by ell <= 2 entries.
     """
 
     starts: np.ndarray

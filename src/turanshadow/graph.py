@@ -51,6 +51,7 @@ class Graph:
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
                  original_ids: np.ndarray | None = None):
+        indptr.flags.writeable = indices.flags.writeable = False
         self.indptr = indptr
         self.indices = indices
         self.vertex_count = int(len(indptr) - 1)

@@ -150,11 +150,13 @@ def exact_kclique_count(g: Graph, k: int,
     sum, over the roots of degeneracy_order, of the (k-1)-cliques inside
     each root's out-neighbourhood, counted batch by batch on a thread pool.
     Raises CountOverflowError if the result does not fit in 64 bits, and
-    TimeBudgetExceeded if a soft `time_budget` (seconds) runs out
-    mid-count.
+    TimeBudgetExceeded if a soft `time_budget` (seconds, at least 0) runs
+    out mid-count.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if time_budget is not None and not time_budget >= 0.0:
+        raise ValueError("time_budget must be >= 0 seconds")
     start = time.perf_counter()
 
     def check_time():

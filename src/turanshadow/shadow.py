@@ -47,23 +47,20 @@ root's table rows sit where its out-neighbours sit in the orientation:
 every shadow array is a function of the graph and k alone, whatever the
 batch and chunk sizes.
 
-The shadow itself is flat: entry i is the sorted ids
-vertices[offsets[i]:offsets[i + 1]] with budget ells[i] and induced edge
-count edges[i]. `entries` is a lazy view that makes ShadowEntry objects
-only when they are read.
-
-The shadow also keeps what the sampler needs to test a pair without the
-graph. Each member's root-local index is kept in `labels`, parallel to
-`vertices`, in the narrowest unsigned dtype that holds an index below
-alpha. The `table` is indexed by the oriented edge list of the degeneracy
-order (DegeneracyOrder.out_start and out_ids): it is one (m, nw) uint64
-array, nw = ceil(alpha / 64) words per row (a root has at most alpha
-members), and row out_start[r] + a holds the row of member a inside root
-r, that is of vertex out_ids[out_start[r] + a]. `rowbase[i]` is
-out_start of entry i's root. That costs exactly m * nw words plus one
-label per shadow member. The saturated whole graph instead stores its
-packed adjacency matrix, n * ceil(n / 64) words, under m / 16 + n because
-the graph is dense.
+The shadow itself is flat: entry i has clique budget ells[i], induced edge
+count edges[i] and the members labels[offsets[i]:offsets[i + 1]], each a
+root-local index in the narrowest unsigned dtype that holds an index below
+alpha; a label is all the shadow stores per member. One rule gives each
+member's vertex id and adjacency row: row j of the uint64 `table` is the
+adjacency row, inside its root, of vertex `ids[j]`, and entry i's member
+with label a is row rowbase[i] + a. Normally `ids` is the order's out_ids
+(DegeneracyOrder), referenced and not copied, rowbase[i] is out_start of
+entry i's root, and the table has m rows of nw = ceil(alpha / 64) words (a
+root has at most alpha members). The saturated whole graph is one entry
+with rowbase 0, ids = arange(n) and its packed adjacency matrix as the
+table, n * ceil(n / 64) words, under m / 16 + n because the graph is
+dense. `vertices` (derived once, on first read) and the lazy `entries`
+view give the ids.
 """
 
 from __future__ import annotations
@@ -71,6 +68,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO
 
 import numpy as np
@@ -133,8 +131,10 @@ class ShadowEntries(Sequence):
         if not 0 <= i < len(self):
             raise IndexError("shadow entry index out of range")
         sh = self._sh
-        return ShadowEntry(sh.vertices[sh.offsets[i]:sh.offsets[i + 1]],
-                           int(sh.ells[i]), int(sh.edges[i]))
+        labels = sh.labels[sh.offsets[i]:sh.offsets[i + 1]]
+        ids = sh.ids[sh.rowbase[i] + labels]
+        ids.flags.writeable = False
+        return ShadowEntry(ids, int(sh.ells[i]), int(sh.edges[i]))
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
@@ -148,30 +148,43 @@ class ShadowEntries(Sequence):
 class TuranShadow:
     """A k-clique shadow as flat read-only arrays.
 
-    Entry i holds the sorted global ids vertices[offsets[i]:offsets[i+1]],
-    the clique budget ells[i] and the induced edge count edges[i].
+    Entry i has the clique budget ells[i], the induced edge count edges[i]
+    and the members labels[offsets[i]:offsets[i + 1]], each a root-local
+    index in the narrowest unsigned dtype. Row j of the uint64 table is the
+    adjacency row of vertex ids[j] inside its root, and entry i's member
+    with label a is row rowbase[i] + a: it is vertex ids[rowbase[i] + a],
+    and members a and b are adjacent exactly when bit b of that row is set.
+    Unless the whole graph saturates, ids is out_ids of
+    degeneracy_order(g), shared and not copied, the table has one row of
+    ceil(alpha / 64) words per oriented edge, and rowbase[i] is out_start
+    of entry i's root. The saturated whole graph is the only entry, with
+    rowbase 0, ids = arange(n) and its packed adjacency as the table.
 
-    The adjacency inside every sampled (ell >= 3) entry is kept too. Each
-    member has a root-local index labels[j] (parallel to vertices, in the
-    narrowest unsigned dtype), and members a and b of entry i are adjacent
-    exactly when bit labels[b] of row rowbase[i] + labels[a] of the uint64
-    table is set. The table has one row of ceil(alpha / 64) words per
-    oriented edge of degeneracy_order(g), m rows in all, and rowbase[i] is
-    out_start of entry i's root, so entry i's member with label a is
-    vertex out_ids[rowbase[i] + a]; or the table is the whole graph's
-    packed adjacency when that is the only entry. rowbase[i] is -1 for an
-    ell <= 2 entry.
+    Memory, for E entries and m edges: one label per member
+    (itemsize 1 B while alpha <= 256, or n <= 256 for the whole graph),
+    8(E + 1) + 24E bytes for offsets, ells, edges and rowbase, m *
+    ceil(alpha / 64) table words and m ids words shared with the order;
+    for the whole graph, n * ceil(n / 64) table words and n ids words.
     """
 
     k: int
     offsets: np.ndarray
-    vertices: np.ndarray
     ells: np.ndarray
     edges: np.ndarray
     alpha: int  # degeneracy of the graph the shadow covers
     labels: np.ndarray
     rowbase: np.ndarray
     table: np.ndarray  # (rows, words per row) uint64
+    ids: np.ndarray  # vertex id of each table row
+
+    @cached_property
+    def vertices(self) -> np.ndarray:
+        """Every entry's sorted ids, flat and read-only, made on first read."""
+        rows = np.repeat(self.rowbase, self.sizes)
+        rows += self.labels
+        vertices = self.ids[rows]
+        vertices.flags.writeable = False
+        return vertices
 
     @property
     def entries(self) -> ShadowEntries:
@@ -373,9 +386,9 @@ def _build_batch(g: Graph, k: int, group: list, order: DegeneracyOrder,
     """Emitted entries of one batch of root_batches, in path order.
 
     Writes the member rows of each root r of the batch into table rows
-    out_start[r] onwards. Returns (sizes, flat vertices, flat labels, ells,
-    edges, rowbase): labels are the members' root-local indices, and
-    rowbase[i] is out_start of entry i's root (-1 for an ell <= 2 entry).
+    out_start[r] onwards. Returns (sizes, flat labels, ells, edges,
+    rowbase): labels are the members' root-local indices, and rowbase[i]
+    is out_start of entry i's root.
     """
     nw = table.shape[1]
     emitted, ells = [], []
@@ -401,15 +414,12 @@ def _build_batch(g: Graph, k: int, group: list, order: DegeneracyOrder,
     sets, ell = _Sets.concat(emitted), np.concatenate(ells)
     perm = np.lexsort(sets.path.T[::-1])
     sets, ell = sets.take(perm), ell[perm]
-    start = order.out_start[sets.path[:, 0]]
-    verts = [np.empty(0, dtype=np.int64)]
     labels = [np.empty(0, dtype=label_dtype)]
     for c in _chunks(ell.size, nw * 64):
-        e, j = np.nonzero(_unpack(sets.mask[c], nw * 64))
-        verts.append(order.out_ids[start[c][e] + j])
-        labels.append(j.astype(label_dtype))
-    return (sets.size, np.concatenate(verts), np.concatenate(labels), ell,
-            sets.edges, np.where(ell >= 3, start, -1))
+        labels.append(np.nonzero(_unpack(sets.mask[c], nw * 64))[1].astype(
+            label_dtype))
+    return (sets.size, np.concatenate(labels), ell, sets.edges,
+            order.out_start[sets.path[:, 0]])
 
 
 def _label_dtype(count: int) -> np.dtype:
@@ -434,28 +444,27 @@ def shadow_finder(g: Graph, k: int) -> TuranShadow:
     if n >= k and _saturated(m, n, k):
         # one entry, the whole graph: its rows are the packed adjacency
         # matrix, about n * n / 64 < m / 16 words because the graph is dense
-        dtype = _label_dtype(n)
-        table = member_rows(g, np.arange(n, dtype=np.int64)[None, :])[0]
-        parts = [(np.array([n]), np.arange(n, dtype=np.int64),
-                  np.arange(n, dtype=dtype), np.array([k]), np.array([m]),
-                  np.array([0]))]
+        ids = np.arange(n, dtype=np.int64)
+        table = member_rows(g, ids[None, :])[0]
+        parts = [(np.array([n]), ids.astype(_label_dtype(n)), np.array([k]),
+                  np.array([m]), np.array([0]))]
     else:
         # one row per oriented edge: a root has at most alpha members
         nw, dtype = max(1, -(-order.alpha // 64)), _label_dtype(order.alpha)
-        table = np.zeros((m, nw), dtype=np.uint64)
+        ids, table = order.out_ids, np.zeros((m, nw), dtype=np.uint64)
         none = np.empty(0, dtype=np.int64)
-        parts = [(none, none, none.astype(dtype), none, none, none)]
+        parts = [(none, none.astype(dtype), none, none, none)]
         for group in root_batches(order, k):
             parts.append(_build_batch(g, k, group, order, table, dtype))
-    sizes, vertices, labels, ells, edges, rowbase = (
-        np.concatenate([p[i] for p in parts]) for i in range(6))
+    sizes, labels, ells, edges, rowbase = (
+        np.concatenate([p[i] for p in parts]) for i in range(5))
     offsets = np.zeros(sizes.size + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
-    for a in (offsets, vertices, labels, ells, edges, rowbase, table):
+    for a in (offsets, labels, ells, edges, rowbase, table, ids):
         a.flags.writeable = False
-    return TuranShadow(k=k, offsets=offsets, vertices=vertices, ells=ells,
-                       edges=edges, alpha=order.alpha, labels=labels,
-                       rowbase=rowbase, table=table)
+    return TuranShadow(k=k, offsets=offsets, ells=ells, edges=edges,
+                       alpha=order.alpha, labels=labels, rowbase=rowbase,
+                       table=table, ids=ids)
 
 
 def shadow_stats(sh: TuranShadow) -> dict:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import turanshadow
-from turanshadow import cli
+from turanshadow import cli, estimator
 from turanshadow.cli import main
 from turanshadow.estimator import required_samples
 from turanshadow.graph import degeneracy_order, load_edge_list
@@ -200,6 +200,16 @@ def test_exact_time_budget_refusal(capsys, er_file):
     assert "budget" in err
 
 
+def test_exact_bad_time_budget_prints_no_row(capsys, er_file):
+    for budget in ("nan", "-1"):
+        code, out, err = run_cli(
+            capsys, ["exact", "--input", er_file, "--k", "5",
+                     "--time-budget-secs", budget])
+        assert code == 1
+        assert out == ""
+        assert "time_budget must be >= 0" in err
+
+
 def test_stats_cycle5(capsys, tmp_path):
     path = write_graph(tmp_path / "c5.txt", cycle_graph(5))
     code, out, _ = run_cli(capsys, ["stats", "--input", path, "--k", "3"])
@@ -235,14 +245,26 @@ def test_sweep_rejects_bad_ranges(capsys, er_file):
         assert "error" in err
 
 
-def test_bad_eps_delta_exits_before_any_row(capsys, er_file):
-    # k = 1 and 2 are counted exactly, so they must check eps and delta too
+def test_bad_eps_delta_exits_before_any_row(capsys, monkeypatch, er_file):
+    # k = 1 and 2 are counted exactly, so they must check eps and delta too;
+    # a non-finite eps is refused before the shadow is built
     for args in (["count", "--k", "2"], ["sweep", "--k-range", "1:4"]):
         code, out, err = run_cli(
             capsys, [*args, "--input", er_file, "--eps", "-1", "--delta", "2"])
         assert code == 1
         assert out == ""
         assert "eps must be positive" in err
+    def unreachable(*args):
+        raise AssertionError("shadow built before eps was checked")
+
+    monkeypatch.setattr(estimator, "shadow_finder", unreachable)
+    for eps in ("inf", "nan"):
+        code, out, err = run_cli(
+            capsys, ["count", "--k", "7", "--input", er_file, "--eps", eps,
+                     "--delta", "0.5"])
+        assert code == 1
+        assert out == ""
+        assert "eps must be positive and finite" in err
 
 
 def test_negative_seed_exits_before_any_row(capsys, er_file):

@@ -387,6 +387,11 @@ def test_sampling_mode_exclusivity():
     # k <= 2 is counted exactly, but bad eps and delta are still refused
     with pytest.raises(ValueError, match="eps must be positive"):
         turan_shadow_count(g, 2, eps=-1.0, delta=2.0)
+    # a non-finite eps would give t = 0, or no t at all
+    for eps in (math.inf, math.nan):
+        for k in (2, 4):
+            with pytest.raises(ValueError, match="eps must be positive"):
+                turan_shadow_count(g, k, eps=eps, delta=0.5)
 
 
 def test_eps_delta_mode_sets_t_from_gamma():

@@ -276,6 +276,20 @@ def test_out_neighbors_sum_to_edge_count():
         assert sum(out_neighbors(g, d, v).size for v in range(45)) == g.edge_count
 
 
+def test_graph_arrays_are_read_only(tmp_path):
+    # neighbors() hands out views, so writing through one must fail rather
+    # than change the graph under its cached edge keys
+    path = tmp_path / "triangle.txt"
+    path.write_text("0 1\n1 2\n0 2\n")
+    triangle = Graph.from_edges([(0, 1), (1, 2), (0, 2)])
+    for g in (triangle, load_edge_list(path),
+              induced_subgraph(triangle, [0, 1])[0]):
+        assert not g.indptr.flags.writeable
+        assert not g.indices.flags.writeable
+        with pytest.raises(ValueError):
+            g.neighbors(0)[0] = 2
+
+
 def test_induced_subgraph_cycle_segment_is_path():
     sub, l2g = induced_subgraph(cycle_graph(5), np.array([0, 1, 2]))
     assert sub.vertex_count == 3

@@ -183,6 +183,18 @@ def test_time_budget_refusal():
         exact_kclique_count(g, 8, time_budget=0.0)
 
 
+@pytest.mark.parametrize("budget", [math.nan, -1.0, -math.inf])
+def test_time_budget_must_be_a_nonnegative_number(monkeypatch, budget):
+    # refused before the graph is ordered, at every k, k <= 2 included
+    def unreachable(*args):
+        raise AssertionError("counted before the budget was checked")
+
+    monkeypatch.setattr(oracle, "degeneracy_order", unreachable)
+    for k in (1, 2, 3, 5):
+        with pytest.raises(ValueError, match="time_budget"):
+            exact_kclique_count(complete_graph(8), k, time_budget=budget)
+
+
 def test_elapsed_recorded():
     res = exact_kclique_count(complete_graph(8), 3)
     assert res.elapsed >= 0.0

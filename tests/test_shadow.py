@@ -241,13 +241,14 @@ def test_builder_matches_recursive_reference(monkeypatch, budget):
     check_batches(budget, batches)
 
 
-SHADOW_FIELDS = ("k", "offsets", "vertices", "ells", "edges", "alpha",
-                 "labels", "rowbase", "table")
+SHADOW_FIELDS = ("k", "offsets", "ells", "edges", "alpha", "labels",
+                 "rowbase", "table", "ids")
 
 
 def test_shadow_arrays_do_not_depend_on_batches(monkeypatch):
-    # every array, the table's row order and rowbase included, is a function
-    # of (g, k) alone: batches and chunks change how it is built, not what
+    # every array, the table's row order and rowbase included, and the
+    # derived vertices, is a function of (g, k) alone: batches and chunks
+    # change how it is built, not what
     assert set(SHADOW_FIELDS) == {f.name for f in fields(shadow.TuranShadow)}
     expected = [shadow_finder(g, k) for g, k in reference_cases()]
     for budget in ("unit", "batch3"):
@@ -255,7 +256,7 @@ def test_shadow_arrays_do_not_depend_on_batches(monkeypatch):
             batches = shrink_budgets(mp, budget)
             for (g, k), want in zip(reference_cases(), expected):
                 got = shadow_finder(g, k)
-                for f in SHADOW_FIELDS:
+                for f in (*SHADOW_FIELDS, "vertices"):
                     a, b = getattr(got, f), getattr(want, f)
                     assert np.array_equal(a, b), (budget, g, k, f)
                     assert np.asarray(a).dtype == np.asarray(b).dtype
@@ -279,18 +280,37 @@ def test_flat_shadow_invariants():
         assert sh.rowbase.size == sh.ells.size
         assert sh.labels.dtype.kind == "u"
         for a in (sh.offsets, sh.vertices, sh.ells, sh.edges, sh.labels,
-                  sh.rowbase, sh.table):
+                  sh.rowbase, sh.table, sh.ids):
             assert not a.flags.writeable
+
+
+def test_shadow_bytes_match_the_documented_bound():
+    # one 1-byte label per member (alpha <= 256 and n <= 256 here), four
+    # words per entry (one more for offsets), and a table row of
+    # ceil(alpha / 64) words plus an id word per oriented edge, or
+    # ceil(n / 64) words plus an id word per vertex for the whole graph
+    for g, k in reference_cases():
+        sh = shadow_finder(g, k)
+        n, m, e = g.vertex_count, g.edge_count, len(sh.ells)
+        if n >= k and shadow._saturated(m, n, k):
+            rows, words = n, -(-n // 64)
+        else:
+            rows, words = m, -(-sh.alpha // 64)
+        arrays = [getattr(sh, f.name) for f in fields(sh)]
+        total = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+        assert sh.labels.itemsize == 1
+        assert total == (sh.representation_size + 8 * (e + 1) + 24 * e
+                         + 8 * rows * words + 8 * rows), (g, k)
 
 
 @pytest.mark.parametrize("budget", [None, "batch3"], ids=["default", "batch3"])
 def test_table_bits_match_adjacency(monkeypatch, budget):
     # bit labels[b] of table row rowbase[i] + labels[a] is the edge test of
-    # members a and b of entry i; ell <= 2 entries are never sampled. er160
-    # has rows of several words: at k = 3 its whole graph saturates. Small
-    # root batches put every graph's table rows in several batches. Unless
-    # the whole graph saturates, the table has a row per oriented edge and
-    # an entry's members are its root's out_ids at rowbase + labels
+    # members a and b of entry i, and ids[rowbase[i] + labels] are its
+    # members, for every entry, ell <= 2 included. er160 has rows of several
+    # words: at k = 3 its whole graph saturates. Small root batches put
+    # every graph's table rows in several batches. Unless the whole graph
+    # saturates, the table has a row per oriented edge and ids is out_ids
     batches = shrink_budgets(monkeypatch, budget)
     wide = er_graph(160, 0.6, seed=2)
     for g, k in [*validity_suite(), (wide, 3), (wide, 4)]:
@@ -298,19 +318,24 @@ def test_table_bits_match_adjacency(monkeypatch, budget):
         n, m = g.vertex_count, g.edge_count
         whole = n >= k and shadow._saturated(m, n, k)
         order = degeneracy_order(g)
-        if not whole:
+        ids = np.arange(n) if whole else order.out_ids
+        assert np.array_equal(sh.ids, ids)
+        if whole:
+            assert sh.rowbase.tolist() == [0]
+        else:
             assert sh.table.shape == (m, max(1, -(-sh.alpha // 64)))
         assert sh.labels.dtype == np.uint8
         for i, e in enumerate(sh.entries):
             base = int(sh.rowbase[i])
-            if e.ell <= 2:
-                assert base == -1
-                continue
             labels = sh.labels[sh.offsets[i]:sh.offsets[i + 1]].tolist()
             verts = e.vertices.tolist()
+            assert ids[base + np.array(labels, dtype=int)].tolist() \
+                == verts, (g, k, i)
             if not whole:
-                assert order.out_ids[base + np.array(labels)].tolist() \
-                    == verts, (g, k, i)
+                # rowbase is out_start of a root that holds every label
+                root = np.searchsorted(order.out_start, base, "right") - 1
+                assert order.out_start[root] == base
+                assert max(labels) < order.core_number[root], (g, k, i)
             bits = 0
             for la, u in zip(labels, verts):
                 row = sh.table[base + la]
