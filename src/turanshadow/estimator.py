@@ -66,7 +66,8 @@ def gamma_of(sh: TuranShadow) -> float:
 def required_samples(gamma: float, eps: float, delta: float) -> int:
     """Trial count sufficient for (1 + eps)-accuracy with confidence 1 - delta.
 
-    ceil((20 / (gamma * eps^2)) * ln(1/delta)).
+    ceil((20 / (gamma * eps^2)) * ln(1/delta)), and at least 1: for a huge
+    eps the bound falls below 1, or to 0 when eps * eps overflows.
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must be in (0, 1]")
@@ -74,7 +75,8 @@ def required_samples(gamma: float, eps: float, delta: float) -> int:
         raise ValueError("eps must be positive and finite")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    return math.ceil(20.0 / (gamma * eps * eps) * math.log(1.0 / delta))
+    return max(1, math.ceil(20.0 / (gamma * eps * eps)
+                            * math.log(1.0 / delta)))
 
 
 @dataclass(eq=False)

@@ -27,15 +27,16 @@ np.bitwise_count and no pair is enumerated. Sets wait on a stack of
 chunks of about _CHUNK_ELEMS elements and the deepest level is expanded
 first, so a batch needs O(k * chunk) memory on any graph.
 
-Batches are independent, so they are counted on a thread pool with one
-thread per CPU the process may run on; numpy releases the interpreter lock
-in the gathers, popcounts and searchsorted lookups where a batch spends its
-time, and the sum of the batches' Python-int counts is the same at any
-number of threads. A batch is submitted only when a thread is free, so
-each thread holds one batch: its member rows, the (R, W, W) boolean block
-they are mirrored through (2 * _CHUNK_ELEMS bytes, or one root's W * W),
-and its O(k * chunk) stack. The first error a batch raises, such as
-TimeBudgetExceeded, is re-raised, and no batch is submitted after it.
+Batches are independent, so they are counted by shadow.map_batches, the
+builder's batch runner, on one thread per CPU the process may run on;
+numpy releases the interpreter lock in the gathers, popcounts and
+searchsorted lookups where a batch spends its time, and the sum of the
+batches' Python-int counts is the same at any number of threads. A thread
+takes a batch only when it is free, so each holds one batch: its member
+rows, the (R, W, W) boolean block they are mirrored through
+(2 * _CHUNK_ELEMS bytes, or one root's W * W), and its O(k * chunk) stack.
+The first error a batch raises, such as TimeBudgetExceeded, is re-raised,
+and no batch starts after it.
 
 A brute-force enumerator over all k-subsets is kept as an independent
 second oracle for testing the tester.
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import time
 from dataclasses import dataclass
 
@@ -123,14 +123,6 @@ def _count_class(rows: np.ndarray, masks: np.ndarray, k: int,
     return total
 
 
-def _workers() -> int:
-    """Threads for the root batches: the CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
 def _count_batch(g: Graph, group: list, k: int, check_time) -> int:
     """(k-1)-cliques below the roots of one batch of root_batches."""
     check_time()
@@ -148,7 +140,8 @@ def exact_kclique_count(g: Graph, k: int,
 
     k=1 and k=2 are the vertex and edge counts. For k >= 3 the count is the
     sum, over the roots of degeneracy_order, of the (k-1)-cliques inside
-    each root's out-neighbourhood, counted batch by batch on a thread pool.
+    each root's out-neighbourhood, counted batch by batch on the threads of
+    shadow.map_batches.
     Raises CountOverflowError if the result does not fit in 64 bits, and
     TimeBudgetExceeded if a soft `time_budget` (seconds, at least 0) runs
     out mid-count.
@@ -170,26 +163,10 @@ def exact_kclique_count(g: Graph, k: int,
     elif k == 2:
         count = g.edge_count
     else:
-        # imported here, so that the estimator commands do not pay for it
-        from concurrent.futures import (
-            FIRST_COMPLETED,
-            ThreadPoolExecutor,
-            as_completed,
-            wait,
-        )
         batches = shadow.root_batches(degeneracy_order(g), k)
         edge_keys(g)  # a lazy cache: filled here, not raced for by workers
-        workers = _workers()
-        count, running = 0, set()
-        with ThreadPoolExecutor(workers) as pool:
-            for group in batches:
-                running.add(pool.submit(_count_batch, g, group, k,
-                                        check_time))
-                if len(running) == workers:
-                    done, running = wait(running,
-                                         return_when=FIRST_COMPLETED)
-                    count += sum(f.result() for f in done)
-            count += sum(f.result() for f in as_completed(running))
+        count = sum(shadow.map_batches(
+            lambda group: _count_batch(g, group, k, check_time), batches))
     _check_uint64(count)
     return ExactCount(k, count, time.perf_counter() - start)
 

@@ -39,13 +39,18 @@ class, would pass 2 * _CHUNK_ELEMS, unless it holds only one root. So a
 batch's member rows take at most 2 * _CHUNK_ELEMS / 8 words (W * ceil(W /
 64) <= W * W / 8), or one root's W * ceil(W / 64), and narrow classes fill
 whole chunks at every peel step. Each temporary of a step (gathered rows,
-degrees, children) is cut into chunks of about _CHUNK_ELEMS elements, so
-memory is bounded by one batch's rows and frontier plus the chunk budget,
-whatever the size of the graph. Batches are id-contiguous, so sorting each
-batch's emitted sets by path once gives the global depth-first order, and a
-root's table rows sit where its out-neighbours sit in the orientation:
-every shadow array is a function of the graph and k alone, whatever the
-batch and chunk sizes.
+degrees, children) is cut into chunks of about _CHUNK_ELEMS elements.
+Batches are built by map_batches, the batch runner the exact counter
+shares, on one thread per CPU the process may run on, each thread holding
+one batch; so transient build memory is bounded by the number of workers
+times one batch's rows and frontier plus the chunk budget, whatever the
+size of the graph. Roots of different batches write disjoint table rows,
+so the threads share the table without a lock. Batches are id-contiguous,
+so sorting each batch's emitted sets by path once and joining the batches
+in order gives the global depth-first order, and a root's table rows sit
+where its out-neighbours sit in the orientation: every shadow array is a
+function of the graph and k alone, whatever the batch and chunk sizes and
+the number of threads.
 
 The shadow itself is flat: entry i has clique budget ells[i], induced edge
 count edges[i] and the members labels[offsets[i]:offsets[i + 1]], each a
@@ -66,7 +71,9 @@ view give the ids.
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
+import os
+import threading
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO
@@ -77,6 +84,7 @@ from .graph import (
     DegeneracyOrder,
     Graph,
     degeneracy_order,
+    edge_keys,
     induced_adjacency_rows,
 )
 
@@ -165,6 +173,8 @@ class TuranShadow:
     8(E + 1) + 24E bytes for offsets, ells, edges and rowbase, m *
     ceil(alpha / 64) table words and m ids words shared with the order;
     for the whole graph, n * ceil(n / 64) table words and n ids words.
+    While it is built, each worker thread of map_batches also holds one root
+    batch's rows, frontier and chunk budget.
     """
 
     k: int
@@ -314,6 +324,8 @@ def root_batches(order: DegeneracyOrder, k: int):
     root. Yields one list per batch holding an (ids, members) pair per width
     class, in ascending width: row i of the (R, W) `members` is the
     out-neighbourhood of root ids[i] in `order.out_ids`, padded with -1.
+    Batches are made only when asked for, so under map_batches at most one
+    per worker thread is alive, with its rows, frontier and chunk budget.
     """
     out_deg, out_start = order.core_number, order.out_start
     roots = np.flatnonzero(out_deg >= k - 1)
@@ -336,6 +348,59 @@ def root_batches(order: DegeneracyOrder, k: int):
             group.append((batch[sel], members))
         yield group
         lo = hi
+
+
+def _workers() -> int:
+    """Threads for the root batches: the CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def map_batches(fn: Callable, batches: Iterable) -> list:
+    """[fn(batch) for batch in batches], on _workers() plain threads.
+
+    The calling thread is one of the workers, so one worker starts no
+    thread. A worker takes the next batch from the iterator, under a lock,
+    only when it is free, so at most one batch per worker is in flight and
+    batches are made no sooner than they are needed. After the first error
+    that fn or the iterator raises, no batch is taken; the workers finish
+    what they hold and the error is re-raised. Results are in batch order.
+    """
+    lock = threading.Lock()
+    source = enumerate(batches)
+    results, errors = {}, []
+
+    def work():
+        try:
+            while True:
+                with lock:
+                    if errors:
+                        return
+                    item = next(source, None)
+                if item is None:
+                    return
+                result = fn(item[1])
+                with lock:
+                    results[item[0]] = result
+        except BaseException as error:  # re-raised by the calling thread
+            with lock:
+                errors.append(error)
+
+    threads = [threading.Thread(target=work) for _ in range(_workers() - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        work()
+        for thread in threads:
+            thread.join()
+    except BaseException as error:  # interrupted while joining
+        errors.append(error)  # the workers take no more batches
+        raise
+    if errors:
+        raise errors[0]
+    return [results[i] for i in range(len(results))]
 
 
 def member_rows(g: Graph, members: np.ndarray) -> np.ndarray:
@@ -453,9 +518,11 @@ def shadow_finder(g: Graph, k: int) -> TuranShadow:
         nw, dtype = max(1, -(-order.alpha // 64)), _label_dtype(order.alpha)
         ids, table = order.out_ids, np.zeros((m, nw), dtype=np.uint64)
         none = np.empty(0, dtype=np.int64)
-        parts = [(none, none.astype(dtype), none, none, none)]
-        for group in root_batches(order, k):
-            parts.append(_build_batch(g, k, group, order, table, dtype))
+        edge_keys(g)  # a lazy cache: filled here, not raced for by workers
+        # roots of different batches write disjoint table rows
+        parts = [(none, none.astype(dtype), none, none, none), *map_batches(
+            lambda group: _build_batch(g, k, group, order, table, dtype),
+            root_batches(order, k))]
     sizes, labels, ells, edges, rowbase = (
         np.concatenate([p[i] for p in parts]) for i in range(5))
     offsets = np.zeros(sizes.size + 1, dtype=np.int64)

@@ -116,6 +116,19 @@ def test_count_eps_delta_mode(capsys, tmp_path):
     assert row["t"] == required_samples(row["gamma"], 0.5, 0.1)
 
 
+def test_count_huge_eps_runs_one_trial(capsys, tmp_path):
+    # eps * eps overflows for eps = 1e200; the bound is still one trial
+    g = er_graph(30, 0.9, seed=1)
+    path = write_graph(tmp_path / "dense.txt", g)
+    code, out, err = run_cli(
+        capsys, ["count", "--input", path, "--k", "5",
+                 "--eps", "1e200", "--delta", "0.5"])
+    assert code == 0, err
+    row = json_rows(out)[0]
+    assert row["total_weight"] > 0
+    assert row["t"] == 1
+
+
 def test_count_eps_delta_mode_without_sampled_entries(capsys, er_file):
     # at k = 3 every root's out-neighbourhood is emitted at ell = 2 and
     # counted exactly, whatever the vertex order, so no trial runs
@@ -356,16 +369,16 @@ def test_console_entry_point_subprocess(er_file):
 
 
 def test_commands_never_import_numpy_ma(er_file):
-    # a plain np.unique imports numpy.ma, about 0.03 s on every run; the
-    # exact counter's thread pool costs the estimator commands 4-5 ms
+    # a plain np.unique imports numpy.ma, about 0.03 s on every run, and
+    # concurrent.futures costs 4-5 ms: the batch runner uses plain threads
     script = f"""
 import sys
 from turanshadow.cli import main
 for argv in (["count", "--k", "4"], ["convergence", "--k", "4",
              "--samples", "500", "--repeat", "2"]):
     assert main([*argv, "--input", {er_file!r}]) == 0, argv
-assert "concurrent.futures" not in sys.modules, "concurrent.futures imported"
 assert main(["exact", "--k", "4", "--input", {er_file!r}]) == 0
+assert "concurrent.futures" not in sys.modules, "concurrent.futures imported"
 assert "numpy.ma" not in sys.modules, "numpy.ma imported"
 """
     proc = run_child(["-c", script])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -78,6 +79,13 @@ def test_gamma_lower_bound_from_edge_count():
 def test_required_samples_values():
     assert required_samples(1.0, 1.0, 1.0 / math.e) == 20
     assert required_samples(0.5, 0.1, 0.01) == 18421
+
+
+def test_required_samples_is_at_least_one():
+    # eps * eps overflows to inf past about 1.3e154, which made the bound 0
+    for eps in (1e3, 1e154, 1e200, sys.float_info.max):
+        assert required_samples(1.0, eps, 0.5) == 1, eps
+    assert required_samples(1e-3, 1e200, 1e-300) == 1
 
 
 def test_required_samples_domain_errors():

@@ -147,7 +147,7 @@ def test_exact_matches_set_reference(monkeypatch, budget):
 
     monkeypatch.setattr(shadow, "member_rows", spy)
     for workers in (1, 3):
-        monkeypatch.setattr(oracle, "_workers", lambda: workers)
+        monkeypatch.setattr(shadow, "_workers", lambda: workers)
         for (g, ks, unit), expected in zip(reference_cases(),
                                            reference_counts()):
             if budget is not None and not unit:

@@ -1,5 +1,8 @@
 import io
 import math
+import sys
+import threading
+import time
 from dataclasses import fields
 from functools import lru_cache
 
@@ -220,10 +223,11 @@ def reference_entries():
     return [reference_shadow(g, k) for g, k in reference_cases()]
 
 
-@pytest.mark.parametrize("budget", [None, "unit"], ids=["default", "unit"])
+@pytest.mark.parametrize("budget", [None, "unit", "batch3"],
+                         ids=["default", "unit", "batch3"])
 def test_builder_matches_recursive_reference(monkeypatch, budget):
     # the level engine must emit exactly the depth-first builder's ordered
-    # entries, whatever the root batch and chunk sizes
+    # entries, whatever the root batch and chunk sizes and worker count
     batches = shrink_budgets(monkeypatch, budget)
     widths = []
     roots = shadow._roots
@@ -233,10 +237,12 @@ def test_builder_matches_recursive_reference(monkeypatch, budget):
         return roots(g, ids, members, k)
 
     monkeypatch.setattr(shadow, "_roots", spy)
-    for (g, k), expected in zip(reference_cases(), reference_entries()):
-        got = [(e.ell, tuple(e.vertices.tolist()), e.edges)
-               for e in shadow_finder(g, k).entries]
-        assert got == expected, (g, k)
+    for workers in (1, 3):
+        monkeypatch.setattr(shadow, "_workers", lambda: workers)
+        for (g, k), expected in zip(reference_cases(), reference_entries()):
+            got = [(e.ell, tuple(e.vertices.tolist()), e.edges)
+                   for e in shadow_finder(g, k).entries]
+            assert got == expected, (g, k, workers)
     assert max(widths) > 64
     check_batches(budget, batches)
 
@@ -246,20 +252,27 @@ SHADOW_FIELDS = ("k", "offsets", "ells", "edges", "alpha", "labels",
 
 
 def test_shadow_arrays_do_not_depend_on_batches(monkeypatch):
-    # every array, the table's row order and rowbase included, and the
-    # derived vertices, is a function of (g, k) alone: batches and chunks
-    # change how it is built, not what
+    # every array, the table's row order and rowbase included, the derived
+    # vertices and the dump, is a function of (g, k) alone: batches, chunks
+    # and worker threads change how it is built, not what. The expected
+    # shadows are built on one thread; the others on two and three
     assert set(SHADOW_FIELDS) == {f.name for f in fields(shadow.TuranShadow)}
-    expected = [shadow_finder(g, k) for g, k in reference_cases()]
-    for budget in ("unit", "batch3"):
+    with monkeypatch.context() as mp:
+        mp.setattr(shadow, "_workers", lambda: 1)
+        expected = [shadow_finder(g, k) for g, k in reference_cases()]
+    for budget in (None, "unit", "batch3"):
         with monkeypatch.context() as mp:
             batches = shrink_budgets(mp, budget)
-            for (g, k), want in zip(reference_cases(), expected):
-                got = shadow_finder(g, k)
-                for f in (*SHADOW_FIELDS, "vertices"):
-                    a, b = getattr(got, f), getattr(want, f)
-                    assert np.array_equal(a, b), (budget, g, k, f)
-                    assert np.asarray(a).dtype == np.asarray(b).dtype
+            for workers in (2, 3):
+                mp.setattr(shadow, "_workers", lambda: workers)
+                for (g, k), want in zip(reference_cases(), expected):
+                    got = shadow_finder(g, k)
+                    where = (budget, workers, g, k)
+                    for f in (*SHADOW_FIELDS, "vertices"):
+                        a, b = getattr(got, f), getattr(want, f)
+                        assert np.array_equal(a, b), (*where, f)
+                        assert np.asarray(a).dtype == np.asarray(b).dtype
+                    assert dump_shadow(got) == dump_shadow(want), where
             check_batches(budget, batches)
 
 
@@ -361,3 +374,131 @@ def test_entries_view_indexing():
     assert isinstance(sh.entries[1:3], list)
     assert sh.entries[::-1] == list(sh.entries)[::-1]
     assert sh.entries[n:] == []
+
+
+def run_bounded(fn, seconds=60.0):
+    """fn() on a daemon thread; fails, rather than hangs, on a deadlock."""
+    box = []
+
+    def target():
+        try:
+            box.append(("ok", fn()))
+        except BaseException as error:  # handed back to the test thread
+            box.append(("error", error))
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), "map_batches did not finish"
+    kind, value = box[0]
+    if kind == "error":
+        raise value
+    return value
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_batches_returns_results_in_batch_order(monkeypatch, workers):
+    # later batches finish first, yet results keep the batches' order
+    monkeypatch.setattr(shadow, "_workers", lambda: workers)
+
+    def fn(batch):
+        time.sleep(0.002 * (10 - batch))
+        return batch * batch
+
+    got = run_bounded(lambda: shadow.map_batches(fn, iter(range(10))))
+    assert got == [b * b for b in range(10)]
+    assert run_bounded(lambda: shadow.map_batches(fn, iter([]))) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_batches_stops_at_the_first_error(monkeypatch, workers):
+    # batches take 50 ms, so the workers take them in rounds of `workers`;
+    # batch i, the first of the third round, fails after 25 ms, while the
+    # other workers still hold the rest of its round: they finish those and
+    # no batch starts afterwards
+    monkeypatch.setattr(shadow, "_workers", lambda: workers)
+    i = 2 * workers
+    started, lock = [], threading.Lock()
+
+    def fn(batch):
+        with lock:
+            started.append(batch)
+        time.sleep(0.025 if batch == i else 0.05)
+        if batch == i:
+            raise ValueError(f"batch {batch}")
+        return batch
+
+    with pytest.raises(ValueError, match=f"batch {i}$"):
+        run_bounded(lambda: shadow.map_batches(fn, iter(range(20))))
+    assert sorted(started) == list(range(i + workers))
+
+
+def test_map_batches_reraises_the_earliest_error(monkeypatch):
+    # three batches fail, at 10, 50 and 30 ms: the first to fail wins
+    monkeypatch.setattr(shadow, "_workers", lambda: 3)
+
+    def fn(batch):
+        time.sleep((0.01, 0.05, 0.03)[batch])
+        raise ValueError(f"batch {batch}")
+
+    with pytest.raises(ValueError, match="batch 0"):
+        run_bounded(lambda: shadow.map_batches(fn, iter(range(3))))
+
+
+def test_map_batches_reraises_an_error_of_the_iterator(monkeypatch):
+    monkeypatch.setattr(shadow, "_workers", lambda: 3)
+
+    def batches():
+        yield from range(5)
+        raise KeyError("made no batch")
+
+    with pytest.raises(KeyError, match="made no batch"):
+        run_bounded(lambda: shadow.map_batches(lambda b: b, batches()))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_batches_pulls_batches_lazily(monkeypatch, workers):
+    # a batch is taken only when a worker is free: at every pull, at most
+    # `workers` batches are out and unfinished, this one included
+    monkeypatch.setattr(shadow, "_workers", lambda: workers)
+    finished, ahead, lock = [], [], threading.Lock()
+
+    def batches():
+        for batch in range(30):
+            with lock:
+                ahead.append(batch + 1 - len(finished))
+            yield batch
+
+    def fn(batch):
+        time.sleep(0.001 * (batch % 4))
+        with lock:
+            finished.append(batch)
+        return batch
+
+    assert run_bounded(lambda: shadow.map_batches(fn, batches())) \
+        == list(range(30))
+    assert max(ahead) <= workers
+    if workers > 1:
+        assert max(ahead) > 1  # the workers did overlap
+
+
+def test_map_batches_under_fast_thread_switching(monkeypatch):
+    # more workers than CPUs and a switch every microsecond, also while a
+    # batch is being made: every batch is made once, by one thread at a
+    # time, and its result lands in its own slot
+    monkeypatch.setattr(shadow, "_workers", lambda: 8)
+    pulled = []
+
+    def batches():
+        for batch in range(5000):
+            pulled.append(batch)
+            yield [batch for _ in range(batch % 9)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run_bounded(lambda: shadow.map_batches(len, batches()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert pulled == list(range(5000))
+    assert got == [b % 9 for b in range(5000)]
