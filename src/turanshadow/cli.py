@@ -19,6 +19,7 @@ import time
 from .baseline import edge_sampling_estimate
 from .estimator import (
     DEFAULT_SAMPLES,
+    MAX_SAMPLES,
     build_sampler,
     estimate_from_trials,
     gamma_of,
@@ -77,6 +78,8 @@ def _parse_samples_list(text: str) -> list[int]:
         raise ValueError(f"bad sample count list {text!r}") from None
     if any(v < 1 for v in values):
         raise ValueError("sample counts must be >= 1")
+    if any(v > MAX_SAMPLES for v in values):
+        raise ValueError("--samples must be at most 2**63 - 1")
     return values
 
 

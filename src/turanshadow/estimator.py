@@ -33,6 +33,9 @@ from .shadow import MAX_K, TuranShadow, shadow_finder
 
 DEFAULT_SAMPLES = 50_000
 
+# the most trials one run takes: the multinomial split counts in int64
+MAX_SAMPLES = 2**63 - 1
+
 _TRIAL_BLOCK = 8192
 
 
@@ -67,7 +70,9 @@ def required_samples(gamma: float, eps: float, delta: float) -> int:
     """Trial count sufficient for (1 + eps)-accuracy with confidence 1 - delta.
 
     ceil((20 / (gamma * eps^2)) * ln(1/delta)), and at least 1: for a huge
-    eps the bound falls below 1, or to 0 when eps * eps overflows.
+    eps the bound falls below 1, or to 0 when eps * eps overflows. Refuses
+    an eps so small that the bound passes MAX_SAMPLES, or is no finite
+    number because gamma * eps * eps underflows to 0.
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must be in (0, 1]")
@@ -75,8 +80,12 @@ def required_samples(gamma: float, eps: float, delta: float) -> int:
         raise ValueError("eps must be positive and finite")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    return max(1, math.ceil(20.0 / (gamma * eps * eps)
-                            * math.log(1.0 / delta)))
+    scale = gamma * eps * eps
+    bound = 20.0 / scale * math.log(1.0 / delta) if scale else math.inf
+    if not (math.isfinite(bound) and math.ceil(bound) <= MAX_SAMPLES):
+        raise ValueError(f"eps = {eps} needs more than 2**63 - 1 samples "
+                         f"at gamma = {gamma} and delta = {delta}")
+    return max(1, math.ceil(bound))
 
 
 @dataclass(eq=False)
@@ -204,6 +213,8 @@ def run_trials(st: SamplerState, g: Graph, t: int,
     """
     if t < 1:
         raise ValueError("t must be >= 1")
+    if t > MAX_SAMPLES:
+        raise ValueError(f"t = {t} samples exceed 2**63 - 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
     if st.entry_count == 0:
@@ -277,6 +288,8 @@ def turan_shadow_count(g: Graph, k: int, *, samples: int | None = None,
         required_samples(1.0, eps, delta)  # checks eps and delta at any k
     if samples is not None and samples < 1:
         raise ValueError("samples must be >= 1")
+    if samples is not None and samples > MAX_SAMPLES:
+        raise ValueError(f"samples = {samples} exceed 2**63 - 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
     if k <= 2:

@@ -12,31 +12,35 @@ round's removals. So it costs O(n + m) plus a fixed cost per round, and the
 number of rounds is the depth of the peel, at worst about n / 2 (a
 100,000-vertex path takes 50,000 rounds).
 
-The counter takes the builder's root batches, width classes and uint64
-member rows. A batch is id-ordered and cut by member pairs: the sum of
-W * W over its roots, W being a root's width class, stays within
-2 * _CHUNK_ELEMS unless it holds one root, so its member rows take at most
-2 * _CHUNK_ELEMS / 8 words. The counter keeps in each row only the
-higher-indexed members, so a clique is found once, from its lowest member.
-It then runs level by level over (root, member mask) sets: a set that needs
-`need` more vertices is replaced by one child per member u, the mask
-restricted to u's row, and children too small to hold need - 1 are
-dropped. A set that induces a clique adds C(size, need) at once, in Python
-ints; at need = 2 the edges inside each mask are counted with
-np.bitwise_count and no pair is enumerated. Sets wait on a stack of
-chunks of about _CHUNK_ELEMS elements and the deepest level is expanded
-first, so a batch needs O(k * chunk) memory on any graph.
+The counter reads the builder's table and root batches. Before any batch
+it builds shadow.oriented_table, whose row out_start[v] + a holds the
+adjacency of out-neighbour a of v among v's out-neighbours, for every
+vertex; it holds those m * ceil(alpha / 64) words for the whole count, and
+each batch gathers its roots' uint64 member rows from them by width class.
+A batch is id-ordered and cut by member pairs: the sum of W * W over its
+roots, W being a root's width class, stays within 2 * _CHUNK_ELEMS unless
+it holds one root, so its member rows take at most 2 * _CHUNK_ELEMS / 8
+words. The counter keeps in each row only the higher-indexed members, so a
+clique is found once, from its lowest member. It then runs level by level
+over (root, member mask) sets: a set that needs `need` more vertices is
+replaced by one child per member u, the mask restricted to u's row, and
+children too small to hold need - 1 are dropped. A set that induces a
+clique adds C(size, need) at once, in Python ints; at need = 2 the edges
+inside each mask are counted with np.bitwise_count and no pair is
+enumerated. Sets wait on a stack of chunks of about _CHUNK_ELEMS elements
+and the deepest level is expanded first, so a batch needs O(k * chunk)
+memory on any graph.
 
-Batches are independent, so they are counted by shadow.map_batches, the
-builder's batch runner, on one thread per CPU the process may run on;
-numpy releases the interpreter lock in the gathers, popcounts and
-searchsorted lookups where a batch spends its time, and the sum of the
-batches' Python-int counts is the same at any number of threads. A thread
-takes a batch only when it is free, so each holds one batch: its member
-rows, the (R, W, W) boolean block they are mirrored through
-(2 * _CHUNK_ELEMS bytes, or one root's W * W), and its O(k * chunk) stack.
-The first error a batch raises, such as TimeBudgetExceeded, is re-raised,
-and no batch starts after it.
+The table's chunks and then the batches are run by shadow.map_batches,
+the builder's batch runner, on one thread per CPU the process may run on;
+numpy releases the interpreter lock in the searchsorted lookups, gathers
+and popcounts where they spend their time, and the sum of the batches'
+Python-int counts is the same at any number of threads. A thread takes a
+chunk or batch only when it is free, so each holds one: a table chunk, or
+a batch's member rows and its O(k * chunk) stack. The soft time budget is
+checked before every table chunk and every stack chunk; the first error
+raised, such as TimeBudgetExceeded, is re-raised, and nothing starts after
+it.
 
 A brute-force enumerator over all k-subsets is kept as an independent
 second oracle for testing the tester.
@@ -52,7 +56,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import shadow
-from .graph import Graph, degeneracy_order, edge_keys, induced_adjacency_matrix
+from .graph import (
+    DegeneracyOrder,
+    Graph,
+    degeneracy_order,
+    induced_adjacency_matrix,
+)
 from .shadow import _pack, _unpack
 
 UINT64_MAX = 2**64 - 1
@@ -85,7 +94,7 @@ def _count_class(rows: np.ndarray, masks: np.ndarray, k: int,
                  check_time) -> int:
     """(k-1)-cliques inside the member masks of one width class of roots.
 
-    rows are the (R, W, nw) member_rows of the roots and masks their (R, nw)
+    rows are the (R, W, nw) class_rows of the roots and masks their (R, nw)
     member masks. Frontier items are (root, mask, need) sets, kept as a
     stack of chunks and expanded deepest level first; check_time() runs
     before every chunk.
@@ -123,13 +132,13 @@ def _count_class(rows: np.ndarray, masks: np.ndarray, k: int,
     return total
 
 
-def _count_batch(g: Graph, group: list, k: int, check_time) -> int:
+def _count_batch(order: DegeneracyOrder, table: np.ndarray, group: list,
+                 k: int, check_time) -> int:
     """(k-1)-cliques below the roots of one batch of root_batches."""
     check_time()
     count = 0
-    for _, members in group:
-        rows = shadow.member_rows(g, members)
-        masks = _pack(members >= 0, rows.shape[2])
+    for ids, width in group:
+        rows, masks = shadow.class_rows(order, table, ids, width)
         count += _count_class(rows, masks, k, check_time)
     return count
 
@@ -141,7 +150,7 @@ def exact_kclique_count(g: Graph, k: int,
     k=1 and k=2 are the vertex and edge counts. For k >= 3 the count is the
     sum, over the roots of degeneracy_order, of the (k-1)-cliques inside
     each root's out-neighbourhood, counted batch by batch on the threads of
-    shadow.map_batches.
+    shadow.map_batches from the graph's shadow.oriented_table.
     Raises CountOverflowError if the result does not fit in 64 bits, and
     TimeBudgetExceeded if a soft `time_budget` (seconds, at least 0) runs
     out mid-count.
@@ -163,10 +172,13 @@ def exact_kclique_count(g: Graph, k: int,
     elif k == 2:
         count = g.edge_count
     else:
-        batches = shadow.root_batches(degeneracy_order(g), k)
-        edge_keys(g)  # a lazy cache: filled here, not raced for by workers
-        count = sum(shadow.map_batches(
-            lambda group: _count_batch(g, group, k, check_time), batches))
+        order, count = degeneracy_order(g), 0
+        if order.alpha >= k - 1:  # else no vertex is a root
+            table = shadow.oriented_table(g, order, check_time)
+            count = sum(shadow.map_batches(
+                lambda group: _count_batch(order, table, group, k,
+                                           check_time),
+                shadow.root_batches(order, k)))
     _check_uint64(count)
     return ExactCount(k, count, time.perf_counter() - start)
 

@@ -19,13 +19,17 @@ The builder is level-synchronous. Unless the whole graph saturates, every
 vertex whose out-neighborhood in the global degeneracy order holds at least
 k - 1 vertices is a root. A root's members are numbered 0..s-1 in ascending
 id, and each member's adjacency inside the root is a row of uint64 words,
-so every set refined below the root is a member bitmask. Roots are grouped
-by power-of-two width class. At budget ell, all frontier sets of a class
-are tested together; the saturated ones (and all at ell <= 2) are emitted,
-the rest are peeled together, one minimum-degree member per step (argmin
-picks the lowest index among ties, which is the lowest id), and each
-member's out-neighborhood with at least ell - 1 members joins the frontier
-at budget ell - 1.
+so every set refined below the root is a member bitmask. Those rows come
+from one table per graph, oriented_table, built before any root: row
+out_start[v] + a holds, for out-neighbour a of every vertex v, its
+adjacency among v's out-neighbours, so it depends on the order and not on
+k, and the exact counter reads the same table. Roots are grouped by
+power-of-two width class and gather their rows from it. At budget ell, all
+frontier sets of a class are tested together; the saturated ones (and all
+at ell <= 2) are emitted, the rest are peeled together, one minimum-degree
+member per step (argmin picks the lowest index among ties, which is the
+lowest id), and each member's out-neighborhood with at least ell - 1
+members joins the frontier at budget ell - 1.
 
 A set is named by its path: the root id, then the member index taken at
 each level. A recursive builder visits children in ascending member order,
@@ -40,17 +44,17 @@ batch's member rows take at most 2 * _CHUNK_ELEMS / 8 words (W * ceil(W /
 64) <= W * W / 8), or one root's W * ceil(W / 64), and narrow classes fill
 whole chunks at every peel step. Each temporary of a step (gathered rows,
 degrees, children) is cut into chunks of about _CHUNK_ELEMS elements.
-Batches are built by map_batches, the batch runner the exact counter
-shares, on one thread per CPU the process may run on, each thread holding
-one batch; so transient build memory is bounded by the number of workers
-times one batch's rows and frontier plus the chunk budget, whatever the
-size of the graph. Roots of different batches write disjoint table rows,
-so the threads share the table without a lock. Batches are id-contiguous,
-so sorting each batch's emitted sets by path once and joining the batches
-in order gives the global depth-first order, and a root's table rows sit
-where its out-neighbours sit in the orientation: every shadow array is a
-function of the graph and k alone, whatever the batch and chunk sizes and
-the number of threads.
+The table's chunks and then the batches are run by map_batches, the batch
+runner the exact counter shares, on one thread per CPU the process may run
+on, each thread holding one chunk or batch; so transient build memory is
+bounded by the number of workers times one batch's rows and frontier plus
+the chunk budget, whatever the size of the graph. Table chunks fill
+disjoint rows, so the threads share the table without a lock, and the
+batches only read it. Batches are id-contiguous, so sorting each batch's
+emitted sets by path once and joining the batches in order gives the
+global depth-first order: every shadow array is a function of the graph
+and k alone, and the table of the graph alone, whatever the batch and
+chunk sizes and the number of threads.
 
 The shadow itself is flat: entry i has clique budget ells[i], induced edge
 count edges[i] and the members labels[offsets[i]:offsets[i + 1]], each a
@@ -60,8 +64,10 @@ member's vertex id and adjacency row: row j of the uint64 `table` is the
 adjacency row, inside its root, of vertex `ids[j]`, and entry i's member
 with label a is row rowbase[i] + a. Normally `ids` is the order's out_ids
 (DegeneracyOrder), referenced and not copied, rowbase[i] is out_start of
-entry i's root, and the table has m rows of nw = ceil(alpha / 64) words (a
-root has at most alpha members). The saturated whole graph is one entry
+entry i's root, and the table is the oriented_table the shadow was built
+from, referenced as built: m rows of nw = ceil(alpha / 64) words (a vertex
+has at most alpha out-neighbours), one for every oriented edge, those of
+vertices that are no root included. The saturated whole graph is one entry
 with rowbase 0, ids = arange(n) and its packed adjacency matrix as the
 table, n * ceil(n / 64) words, under m / 16 + n because the graph is
 dense. `vertices` (derived once, on first read) and the lazy `entries`
@@ -85,7 +91,8 @@ from .graph import (
     Graph,
     degeneracy_order,
     edge_keys,
-    induced_adjacency_rows,
+    has_edge_keys,
+    induced_adjacency_matrix,
 )
 
 MAX_K = 64
@@ -163,18 +170,22 @@ class TuranShadow:
     with label a is row rowbase[i] + a: it is vertex ids[rowbase[i] + a],
     and members a and b are adjacent exactly when bit b of that row is set.
     Unless the whole graph saturates, ids is out_ids of
-    degeneracy_order(g), shared and not copied, the table has one row of
-    ceil(alpha / 64) words per oriented edge, and rowbase[i] is out_start
-    of entry i's root. The saturated whole graph is the only entry, with
-    rowbase 0, ids = arange(n) and its packed adjacency as the table.
+    degeneracy_order(g), shared and not copied, the table is the graph's
+    oriented_table, with one row of ceil(alpha / 64) words per oriented
+    edge and the rule above for every row, those of vertices that are no
+    root included, and rowbase[i] is out_start of entry i's root. The
+    saturated whole graph is the only entry, with rowbase 0, ids =
+    arange(n) and its packed adjacency as the table.
 
     Memory, for E entries and m edges: one label per member
     (itemsize 1 B while alpha <= 256, or n <= 256 for the whole graph),
     8(E + 1) + 24E bytes for offsets, ells, edges and rowbase, m *
     ceil(alpha / 64) table words and m ids words shared with the order;
     for the whole graph, n * ceil(n / 64) table words and n ids words.
-    While it is built, each worker thread of map_batches also holds one root
-    batch's rows, frontier and chunk budget.
+    The table's words are the same at every k: each vertex's rows are
+    filled, roots or not. While it is built, each worker thread of
+    map_batches also holds one table chunk, or one root batch's rows,
+    frontier and chunk budget.
     """
 
     k: int
@@ -313,41 +324,42 @@ def _children(rows: np.ndarray, sets: _Sets, ell: int, depth: int) -> _Sets:
     return _Sets.concat(out)
 
 
+def _spans(cost: np.ndarray, budget: int):
+    """(lo, hi) spans that cut `cost` greedily at `budget`.
+
+    A span takes items in order until the next one would carry the sum of
+    their costs past budget, and holds at least one item.
+    """
+    spent = np.cumsum(cost)
+    lo = 0
+    while lo < cost.size:
+        limit = budget + (int(spent[lo - 1]) if lo else 0)
+        hi = max(lo + 1, int(np.searchsorted(spent, limit, side="right")))
+        yield lo, hi
+        lo = hi
+
+
 def root_batches(order: DegeneracyOrder, k: int):
-    """Roots for budget k and their members, batch by batch.
+    """Roots for budget k, batch by batch.
 
     The roots are the vertices with at least k - 1 out-neighbours in
     `order` (its core_number), in ascending id. Each root has a power-of-two
     width class W (at least 8), and W * W is the size of its member-pair
     block. A batch takes roots in id order until the next one would carry
     the sum of their W * W past 2 * _CHUNK_ELEMS, and holds at least one
-    root. Yields one list per batch holding an (ids, members) pair per width
-    class, in ascending width: row i of the (R, W) `members` is the
-    out-neighbourhood of root ids[i] in `order.out_ids`, padded with -1.
+    root. Yields one list per batch holding an (ids, W) pair per width
+    class, in ascending width, ids the class's roots in ascending id.
     Batches are made only when asked for, so under map_batches at most one
     per worker thread is alive, with its rows, frontier and chunk budget.
     """
-    out_deg, out_start = order.core_number, order.out_start
+    out_deg = order.core_number
     roots = np.flatnonzero(out_deg >= k - 1)
     widths = np.maximum(
         8, 1 << np.ceil(np.log2(out_deg[roots])).astype(np.int64))
-    spent = np.cumsum(widths * widths)
-    lo = 0
-    while lo < roots.size:
-        budget = 2 * _CHUNK_ELEMS + (int(spent[lo - 1]) if lo else 0)
-        hi = max(lo + 1, int(np.searchsorted(spent, budget, side="right")))
+    for lo, hi in _spans(widths * widths, 2 * _CHUNK_ELEMS):
         batch, classes = roots[lo:hi], widths[lo:hi]
-        deg, start = out_deg[batch], out_start[batch]
-        group = []
-        for width in sorted(set(classes.tolist())):
-            sel = np.flatnonzero(classes == width)
-            col = np.arange(width)
-            inside = col < deg[sel, None]
-            members = np.full((sel.size, width), -1, dtype=np.int64)
-            members[inside] = order.out_ids[(start[sel, None] + col)[inside]]
-            group.append((batch[sel], members))
-        yield group
-        lo = hi
+        yield [(batch[classes == width], width)
+               for width in sorted(set(classes.tolist()))]
 
 
 def _workers() -> int:
@@ -403,39 +415,84 @@ def map_batches(fn: Callable, batches: Iterable) -> list:
     return [results[i] for i in range(len(results))]
 
 
-def member_rows(g: Graph, members: np.ndarray) -> np.ndarray:
-    """(R, W, nw) uint64 adjacency rows of the members of each root.
+def oriented_table(g: Graph, order: DegeneracyOrder,
+                   check_time: Callable[[], None] = lambda: None
+                   ) -> np.ndarray:
+    """Member-pair table of every vertex's out-neighbourhood in `order`.
 
-    Bit b of row [i, a] tells whether members a and b of root i are
-    adjacent; padding is adjacent to nothing. Each unordered pair is looked
-    up once and mirrored, through one (R, W, W) boolean block: at most
-    2 * _CHUNK_ELEMS bytes for the members of a root batch, or W * W for
-    its one root.
+    Returns the (m, max(1, ceil(alpha / 64))) uint64 table whose row
+    out_start[v] + a stands for out-neighbour a of v (out_ids order): bit b
+    is set exactly when out-neighbours a and b of v are adjacent in g, so
+    rows of vertices with out-degree <= 1 are zero. It depends on the order
+    alone, not on any k. Members ascend in id, so the pair a < b is the one
+    edge key u * n + w, looked up once in edge_keys(g) and set in both
+    rows. Vertices are cut, in id order, into chunks, as root_batches cuts
+    roots: a chunk closes before its member pairs plus the bits of its rows
+    would pass 2 * _CHUNK_ELEMS (a vertex with more is a chunk alone), so
+    a vertex of out-degree 1, which has no pair, still counts. Chunks fill
+    disjoint rows on the threads of map_batches; check_time() runs before
+    each chunk.
     """
-    count, width = members.shape
-    adj = np.zeros((count * width, width), dtype=bool)
-    for r0, block in induced_adjacency_rows(g, members):
-        adj[r0:r0 + len(block)] = block
-    adj = adj.reshape(count, width, width)
-    adj |= adj.transpose(0, 2, 1)
+    n, out_deg, out_start = g.vertex_count, order.core_number, order.out_start
+    nw = max(1, -(-order.alpha // 64))
+    row_bits = 64 * nw
+    table = np.zeros((g.edge_count, nw), dtype=np.uint64)
+    keys = edge_keys(g)  # a lazy cache: filled here, not raced for by workers
+
+    def fill(span):
+        check_time()
+        deg, start = out_deg[span[0]:span[1]], out_start[span[0]:span[1]]
+        rows = np.arange(start[0], start[-1] + deg[-1])
+        member = rows - np.repeat(start, deg)
+        later = np.repeat(deg, deg) - 1 - member  # pairs (a, b > a) of row a
+        a = np.repeat(rows, later)
+        # b runs from a + 1 to the last row of a's vertex
+        b = np.arange(a.size) + np.repeat(rows + 1 - np.cumsum(later) + later,
+                                          later)
+        hit = has_edge_keys(keys, order.out_ids[a] * n + order.out_ids[b])
+        a, b = a[hit] - start[0], b[hit] - start[0]
+        bits = np.zeros(rows.size * row_bits, dtype=bool)
+        bits[a * row_bits + member[b]] = True
+        bits[b * row_bits + member[a]] = True
+        table[rows] = np.packbits(bits, bitorder="little").view(
+            "<u8").reshape(-1, nw)
+
+    cost = out_deg * (out_deg - 1) // 2 + out_deg * row_bits
+    map_batches(fill, _spans(cost, 2 * _CHUNK_ELEMS))
+    return table
+
+
+def class_rows(order: DegeneracyOrder, table: np.ndarray, ids: np.ndarray,
+               width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Member rows and member masks of the roots of one width class.
+
+    Gathers, from the oriented_table `table`, the (R, W, ceil(W / 64))
+    uint64 rows of the members of roots `ids`, and returns them with the
+    roots' (R, ceil(W / 64)) member masks. Padding is adjacent to nothing.
+    """
+    deg = order.core_number[ids]
+    col = np.arange(width)
+    inside = col < deg[:, None]
     nw = (width + 63) // 64
-    return _pack(adj.reshape(-1, width), nw).reshape(count, width, nw)
+    rows = np.zeros((ids.size, width, nw), dtype=np.uint64)
+    rows[inside] = _fit_words(
+        table[(order.out_start[ids, None] + col)[inside]], nw)
+    return rows, _pack(inside, nw)
 
 
-def _roots(g: Graph, ids: np.ndarray, members: np.ndarray,
-           k: int) -> tuple[_Sets, np.ndarray]:
-    """Root sets of one width class and their member adjacency rows.
+def _roots(order: DegeneracyOrder, table: np.ndarray, ids: np.ndarray,
+           width: int, k: int) -> tuple[_Sets, np.ndarray]:
+    """Root sets of one width class and their member rows.
 
-    Takes one (ids, members) pair of root_batches. Returns the roots as
-    sets at budget k - 1 and their member_rows.
+    Takes one (ids, width) pair of root_batches. Returns the roots as sets
+    at budget k - 1 and their class_rows.
     """
-    rows = member_rows(g, members)
-    size = np.count_nonzero(members >= 0, axis=1)
+    rows, mask = class_rows(order, table, ids, width)
     path = np.full((ids.size, max(k - 2, 1)), -1, dtype=np.int64)
     path[:, 0] = ids
-    mask = _pack(members >= 0, rows.shape[2])
     edges = np.bitwise_count(rows).sum(axis=(1, 2), dtype=np.int64) // 2
-    return _Sets(np.arange(ids.size), mask, size, edges, path), rows
+    return _Sets(np.arange(ids.size), mask, order.core_number[ids], edges,
+                 path), rows
 
 
 def _fit_words(rows: np.ndarray, nw: int) -> np.ndarray:
@@ -446,23 +503,18 @@ def _fit_words(rows: np.ndarray, nw: int) -> np.ndarray:
     return out
 
 
-def _build_batch(g: Graph, k: int, group: list, order: DegeneracyOrder,
+def _build_batch(k: int, group: list, order: DegeneracyOrder,
                  table: np.ndarray, label_dtype):
     """Emitted entries of one batch of root_batches, in path order.
 
-    Writes the member rows of each root r of the batch into table rows
-    out_start[r] onwards. Returns (sizes, flat labels, ells, edges,
-    rowbase): labels are the members' root-local indices, and rowbase[i]
-    is out_start of entry i's root.
+    Reads each root's member rows from the oriented_table `table`. Returns
+    (sizes, flat labels, ells, edges, rowbase): labels are the members'
+    root-local indices, and rowbase[i] is out_start of entry i's root.
     """
     nw = table.shape[1]
     emitted, ells = [], []
-    for ids, members in group:
-        width = members.shape[1]
-        sets, rows = _roots(g, ids, members, k)
-        inside = members >= 0  # a root's members come first
-        table[(order.out_start[ids, None] + np.arange(width))[inside]] = (
-            _fit_words(rows[inside], nw))
+    for ids, width in group:
+        sets, rows = _roots(order, table, ids, width, k)
         ell, depth = k - 1, 1
         while sets.size.size:
             done = (_saturated(sets.edges, sets.size, ell) if ell > 2
@@ -510,18 +562,16 @@ def shadow_finder(g: Graph, k: int) -> TuranShadow:
         # one entry, the whole graph: its rows are the packed adjacency
         # matrix, about n * n / 64 < m / 16 words because the graph is dense
         ids = np.arange(n, dtype=np.int64)
-        table = member_rows(g, ids[None, :])[0]
+        table = _pack(induced_adjacency_matrix(g, ids), -(-n // 64))
         parts = [(np.array([n]), ids.astype(_label_dtype(n)), np.array([k]),
                   np.array([m]), np.array([0]))]
     else:
         # one row per oriented edge: a root has at most alpha members
-        nw, dtype = max(1, -(-order.alpha // 64)), _label_dtype(order.alpha)
-        ids, table = order.out_ids, np.zeros((m, nw), dtype=np.uint64)
+        ids, table = order.out_ids, oriented_table(g, order)
+        dtype = _label_dtype(order.alpha)
         none = np.empty(0, dtype=np.int64)
-        edge_keys(g)  # a lazy cache: filled here, not raced for by workers
-        # roots of different batches write disjoint table rows
         parts = [(none, none.astype(dtype), none, none, none), *map_batches(
-            lambda group: _build_batch(g, k, group, order, table, dtype),
+            lambda group: _build_batch(k, group, order, table, dtype),
             root_batches(order, k))]
     sizes, labels, ells, edges, rowbase = (
         np.concatenate([p[i] for p in parts]) for i in range(5))

@@ -9,9 +9,10 @@ def shrink_budgets(monkeypatch, budget):
     """Run the builder at small budgets; returns the batches it made.
 
     "unit" sets the chunk and lookup budgets to one element, so every root
-    batch holds one root; "batch3" cuts batches at 2 * 96 member-pair
-    elements, three roots of width 8. Each call of root_batches adds a list
-    with, per batch, (sum of W * W, W * W of its lowest root id, roots).
+    batch holds one root and every oriented_table chunk one vertex with
+    out-neighbours; "batch3" cuts batches at 2 * 96 member-pair elements,
+    three roots of width 8. Each call of root_batches adds a list with, per
+    batch, (sum of W * W, W * W of its lowest root id, roots).
     """
     if budget == "unit":
         monkeypatch.setattr(shadow, "_CHUNK_ELEMS", 1)
@@ -26,8 +27,8 @@ def shrink_budgets(monkeypatch, budget):
         calls.append(batches)
         for group in root_batches(*args):
             ids = np.concatenate([ids for ids, _ in group])
-            pairs = np.concatenate([np.full(ids.size, members.shape[1] ** 2)
-                                    for ids, members in group])
+            pairs = np.concatenate([np.full(ids.size, width ** 2)
+                                    for ids, width in group])
             batches.append((int(pairs.sum()), int(pairs[ids.argmin()]),
                             ids.size))
             yield group

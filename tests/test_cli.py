@@ -280,6 +280,29 @@ def test_bad_eps_delta_exits_before_any_row(capsys, monkeypatch, er_file):
         assert "eps must be positive and finite" in err
 
 
+def test_trial_counts_above_int64_exit_before_the_shadow(capsys, monkeypatch,
+                                                       er_file):
+    # numpy's multinomial takes at most 2**63 - 1 trials; a larger count,
+    # given or derived from eps, is refused before the shadow is built
+    def unreachable(*args):
+        raise AssertionError("shadow built before the trial count was checked")
+
+    monkeypatch.setattr(estimator, "shadow_finder", unreachable)
+    monkeypatch.setattr(cli, "shadow_finder", unreachable)
+    huge = ["--samples", "100000000000000000000"]
+    for args, word in ((["count", "--k", "4", "--eps", "1e-9", "--delta",
+                         "0.5"], "eps"),
+                       (["count", "--k", "4", "--eps", "1e-200", "--delta",
+                         "0.5"], "eps"),
+                       (["count", "--k", "4", *huge], "samples"),
+                       (["sweep", "--k-range", "3:4", *huge], "samples"),
+                       (["convergence", "--k", "4", *huge], "samples")):
+        code, out, err = run_cli(capsys, [*args, "--input", er_file])
+        assert (code, out) == (1, ""), args
+        assert word in err and "2**63 - 1" in err, (args, err)
+        assert "Traceback" not in err
+
+
 def test_negative_seed_exits_before_any_row(capsys, er_file):
     for args in (["count", "--k", "2"], ["sweep", "--k-range", "2:3"]):
         code, out, err = run_cli(

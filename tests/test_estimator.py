@@ -88,6 +88,35 @@ def test_required_samples_is_at_least_one():
     assert required_samples(1e-3, 1e200, 1e-300) == 1
 
 
+def test_required_samples_refuses_more_than_int64_trials():
+    # eps * eps underflows to 0 at 1e-200 and to a subnormal whose bound is
+    # inf at 1e-160; at 1e-9 the bound is a finite 1.4e19, above 2**63 - 1
+    for eps in (1e-200, 1e-160, 1e-9, 5e-324):
+        with pytest.raises(ValueError, match=f"eps = {eps} needs more"):
+            required_samples(1.0, eps, 0.5)
+    with pytest.raises(ValueError, match="eps = 0.001 needs more"):
+        required_samples(1e-300, 1e-3, 0.5)
+    # ten times that eps is taken, with a bound a hundred times smaller
+    t = required_samples(1.0, 1e-8, 0.5)
+    assert 2**56 < t <= estimator.MAX_SAMPLES
+
+
+def test_trial_counts_above_int64_refused_before_any_work(monkeypatch):
+    g = cycle_graph(5)
+    st = build_sampler(shadow_finder(g, 3), g)
+    with pytest.raises(ValueError, match="samples exceed 2"):
+        run_trials(st, g, 2**63, seed=0)
+
+    def no_shadow(*args):
+        raise AssertionError("shadow built before samples were checked")
+
+    monkeypatch.setattr(estimator, "shadow_finder", no_shadow)
+    with pytest.raises(ValueError, match="samples = 10+ exceed 2"):
+        turan_shadow_count(complete_graph(6), 4, samples=10**20)
+    with pytest.raises(ValueError, match="eps = 1e-09 needs more"):
+        turan_shadow_count(complete_graph(6), 4, eps=1e-9, delta=0.5)
+
+
 def test_required_samples_domain_errors():
     with pytest.raises(ValueError):
         required_samples(0.0, 1.0, 0.5)

@@ -1,4 +1,5 @@
 import math
+import time
 from functools import lru_cache
 
 import numpy as np
@@ -139,13 +140,13 @@ def test_exact_matches_set_reference(monkeypatch, budget):
     # whatever the root batch, chunk and lookup sizes and worker count
     batches = shrink_budgets(monkeypatch, budget)
     widths = []
-    rows = shadow.member_rows
+    class_rows = shadow.class_rows
 
-    def spy(g, members):
-        widths.append(members.shape[1])
-        return rows(g, members)
+    def spy(order, table, ids, width):
+        widths.append(width)
+        return class_rows(order, table, ids, width)
 
-    monkeypatch.setattr(shadow, "member_rows", spy)
+    monkeypatch.setattr(shadow, "class_rows", spy)
     for workers in (1, 3):
         monkeypatch.setattr(shadow, "_workers", lambda: workers)
         for (g, ks, unit), expected in zip(reference_cases(),
@@ -175,6 +176,28 @@ def test_time_budget_stops_batches_mid_count(monkeypatch):
     with pytest.raises(TimeBudgetExceeded):
         exact_kclique_count(g, k, time_budget=0.2)
     assert 0 < len(started) < roots
+
+
+def test_time_budget_stops_the_table_build(monkeypatch):
+    # one vertex per chunk of the member-pair table, each 10 ms: a 50 ms
+    # budget runs out after a few of er160's 160 chunks, before any batch
+    shrink_budgets(monkeypatch, "unit")
+    g = er_graph(160, 0.6, seed=2)
+    chunks, batches = [], []
+    lookup = shadow.has_edge_keys
+
+    def slow_lookup(*args):
+        chunks.append(None)
+        time.sleep(0.01)
+        return lookup(*args)
+
+    monkeypatch.setattr(shadow, "has_edge_keys", slow_lookup)
+    monkeypatch.setattr(oracle, "_count_batch",
+                        lambda *args: batches.append(None))
+    with pytest.raises(TimeBudgetExceeded):
+        exact_kclique_count(g, 6, time_budget=0.05)
+    assert 0 < len(chunks) < g.vertex_count // 2
+    assert not batches
 
 
 def test_time_budget_refusal():

@@ -230,13 +230,13 @@ def test_builder_matches_recursive_reference(monkeypatch, budget):
     # entries, whatever the root batch and chunk sizes and worker count
     batches = shrink_budgets(monkeypatch, budget)
     widths = []
-    roots = shadow._roots
+    class_rows = shadow.class_rows
 
-    def spy(g, ids, members, k):
-        widths.append(members.shape[1])
-        return roots(g, ids, members, k)
+    def spy(order, table, ids, width):
+        widths.append(width)
+        return class_rows(order, table, ids, width)
 
-    monkeypatch.setattr(shadow, "_roots", spy)
+    monkeypatch.setattr(shadow, "class_rows", spy)
     for workers in (1, 3):
         monkeypatch.setattr(shadow, "_workers", lambda: workers)
         for (g, k), expected in zip(reference_cases(), reference_entries()):
@@ -358,6 +358,47 @@ def test_table_bits_match_adjacency(monkeypatch, budget):
                     bits += bit
             assert bits == 2 * e.edges
     check_batches(budget, batches)
+
+
+def expected_table(g, order):
+    """Every oriented_table row, bit by bit, from g.has_edge."""
+    table = np.zeros((g.edge_count, max(1, -(-order.alpha // 64))),
+                     dtype=np.uint64)
+    for v in range(g.vertex_count):
+        start = int(order.out_start[v])
+        out = order.out_ids[start:start + int(order.core_number[v])].tolist()
+        for a, u in enumerate(out):
+            for b, w in enumerate(out):
+                if g.has_edge(u, w):
+                    table[start + a, b // 64] |= np.uint64(1 << (b % 64))
+    return table
+
+
+def whole_graph(g, k):
+    n = g.vertex_count
+    return n >= k and shadow._saturated(g.edge_count, n, k)
+
+
+def test_whole_table_matches_adjacency():
+    # every row, those of vertices with out-degree below k - 1 included:
+    # the table depends on the order alone
+    tables = {}  # by graph, which it holds so that no id is reused
+    for g, k in reference_cases():
+        if whole_graph(g, k):
+            continue
+        if id(g) not in tables:
+            tables[id(g)] = g, expected_table(g, degeneracy_order(g))
+        assert np.array_equal(shadow_finder(g, k).table, tables[id(g)][1]), \
+            (g, k)
+
+
+def test_table_does_not_depend_on_k():
+    graphs = {id(g): g for g, _ in reference_cases()}
+    for g in graphs.values():
+        tables = [shadow_finder(g, k).table for k in (4, 7)
+                  if not whole_graph(g, k)]
+        if len(tables) == 2:
+            assert np.array_equal(*tables), g
 
 
 def test_entries_view_indexing():
