@@ -39,8 +39,10 @@ def edge_sampling_estimate(g: Graph, k: int, p: float,
     """Unbiased k-clique estimate from one Bernoulli edge sample.
 
     Each surviving k-clique survives with probability p**C(k,2), hence the
-    scale factor. p = 1 reproduces the exact count. Edge draws are keyed by
-    (seed, edge index) in canonical edge order, so runs are reproducible.
+    scale factor. p = 1 reproduces the exact count. A p for which that
+    factor, 1 / p**C(k, 2), is no finite double is refused before any work.
+    Edge draws are keyed by (seed, edge index) in canonical edge order, so
+    runs are reproducible.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("p must be in (0, 1]")
@@ -48,13 +50,17 @@ def edge_sampling_estimate(g: Graph, k: int, p: float,
         raise ValueError("k must be >= 3")
     if seed < 0:
         raise ValueError("seed must be >= 0")
+    survival = p ** math.comb(k, 2)
+    if not (survival and math.isfinite(1.0 / survival)):
+        raise ValueError(f"p = {p} is too small for k = {k}: 1 / p**C(k, 2) "
+                         "is not a finite double")
     start = time.perf_counter()
     edges = _edge_array(g)
     rng = np.random.default_rng(seed)
     keep = rng.random(len(edges)) < p
     sub = Graph.from_edges(edges[keep], num_vertices=g.vertex_count)
     count = exact_kclique_count(sub, k).count
-    estimate = count / p ** math.comb(k, 2)
+    estimate = count / survival
     return BaselineReport(
         k=k,
         p=p,

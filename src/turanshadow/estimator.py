@@ -12,12 +12,19 @@ multinomial draw splits the t trials over the (ell, size) weight classes,
 and each trial then picks a uniform entry of its class. Per entry that is
 probability exactly C(|S|, ell) / W, with no per-entry table. All trials
 run in one array engine, ell by ell and _TRIAL_BLOCK trials at a time,
-each with ell + 1 uniforms: one for the entry, ell for the subset. Each
-partial Fisher-Yates pick is found by undoing the earlier swaps, with no
-permutation array. Pairs are tested in the shadow's own adjacency table,
-without touching the graph: pick b is adjacent to an earlier pick a when
-bit labels[b] of table row rowbase + labels[a] is set, so each of the
-C(ell, 2) pairs costs one word gather and one AND.
+each with ell + 1 uniforms: one for the entry, ell for the subset. The
+blocks run on map_batches, the shadow builder's batch runner: its iterator
+draws each block's uniforms, under the runner's lock and in block order, so
+the Generator is consumed as a serial loop would consume it, and the
+workers do the rest. Each partial Fisher-Yates pick is found by undoing the
+earlier swaps, with no permutation array. Pairs are tested in the shadow's
+own adjacency table, without touching the graph: pick b is adjacent to an
+earlier pick a when bit labels[b] of table row rowbase + labels[a] is set,
+so each of the C(ell, 2) pairs costs one word gather and one AND. Every
+trial of a block is tested at every pair, with no compaction of the
+survivors: a trial's pair tests are ANDed into one flag, and the block
+counts its set flags. Trial memory is O(classes + workers * block * ell),
+plus one int per block for the runner's results.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, degeneracy_order
-from .shadow import MAX_K, TuranShadow, shadow_finder
+from .shadow import MAX_K, TuranShadow, map_batches, shadow_finder
 
 DEFAULT_SAMPLES = 50_000
 
@@ -164,36 +171,39 @@ def build_sampler(sh: TuranShadow, g: Graph) -> SamplerState:
     )
 
 
-def _count_cliques(steps: np.ndarray, starts: np.ndarray,
+def _count_cliques(keys: np.ndarray, sizes: np.ndarray, starts: np.ndarray,
                    rowbase: np.ndarray, labels: np.ndarray,
                    table: np.ndarray) -> int:
-    """Rows of steps whose partial Fisher-Yates picks form a clique.
+    """Rows of keys whose partial Fisher-Yates picks form a clique.
 
-    Step i swaps slot i with slot steps[:, i] of the set whose labels start
-    at labels[starts]; its adjacency rows start at row rowbase of the
-    (rows, nw) table.
+    Row r picks from the sizes[r] members whose labels start at
+    labels[starts[r]], with adjacency rows from row rowbase[r] of the
+    (rows, nw) table: step b swaps slot b with slot b + floor(keys[r, b] *
+    (sizes[r] - b)). Every row is tested at every pair.
     """
     nw = table.shape[1]
     words = table.reshape(-1)
+    steps: list[np.ndarray] = []
     heads: list[np.ndarray] = []  # word offset of each earlier pick's row
-    for b in range(steps.shape[1]):
-        # later steps leave slot b alone: undo steps b-1..0 on steps[:, b]
-        pos = steps[:, b]
+    ok = np.ones(len(keys), dtype=bool)
+    for b in range(keys.shape[1]):
+        step = b + (keys[:, b] * (sizes - b)).astype(np.int64)
+        # later steps leave slot b alone: undo steps b-1..0 on step b. Step
+        # i swapped slots i and steps[i] >= i, and the slot being traced is
+        # above i when step i is undone, so it moves only if it is steps[i]
+        pos = step.copy()
         for i in range(b - 1, -1, -1):
-            j = steps[:, i]
-            pos = np.where(pos == i, j, np.where(pos == j, i, pos))
+            np.copyto(pos, i, where=pos == steps[i])
+        steps.append(step)
         lb = labels[starts + pos]
         if heads:
             word = lb >> 6
             hit = np.left_shift(np.uint64(1), (lb & 63).astype(np.uint64))
             for head in heads:
                 hit &= words[head + word]
-            live = np.flatnonzero(hit)  # rows missing an edge are done
-            steps, starts, rowbase, lb = (steps[live], starts[live],
-                                          rowbase[live], lb[live])
-            heads = [h[live] for h in heads]
+            ok &= hit != 0
         heads.append((rowbase + lb) * nw)
-    return int(starts.size)
+    return int(np.count_nonzero(ok))
 
 
 def run_trials(st: SamplerState, g: Graph, t: int,
@@ -206,10 +216,13 @@ def run_trials(st: SamplerState, g: Graph, t: int,
     uniforms, whose rows are that ell's n_ell trials in class order. In a
     row, column 0 picks a uniform entry of the row's class and columns
     1..ell are the Fisher-Yates keys of its ell-subset. The matrix is drawn
-    _TRIAL_BLOCK rows at a time, and a Generator fills arrays in row-major
-    order from one stream, so the outcome is a pure function of (seed, t)
-    whatever the block size, and memory is O(classes + block * ell) at any
-    t. The pair tests read only the sampler's table, never g.
+    _TRIAL_BLOCK rows at a time by the iterator that map_batches advances
+    under its lock, in block order, and a Generator fills arrays in
+    row-major order from one stream, so the outcome is a pure function of
+    (seed, t) whatever the block size and the number of threads. The
+    worker threads test the blocks, each with no compaction, so memory is
+    O(classes + workers * block * ell) plus one int per block at any t.
+    The pair tests read only the sampler's table, never g.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -221,23 +234,26 @@ def run_trials(st: SamplerState, g: Graph, t: int,
         return 0, 0
     rng = np.random.default_rng(seed)
     hits = rng.multinomial(t, st.p)
-    successes = 0
-    for ell in sorted(set(st.ells.tolist())):
-        classes = np.flatnonzero(st.ells == ell)
-        ends = np.cumsum(hits[classes])  # this ell's trials, class by class
-        n = int(ends[-1])
-        for lo in range(0, n, _TRIAL_BLOCK):
-            u = rng.random((min(_TRIAL_BLOCK, n - lo), ell + 1))
-            c = classes[np.searchsorted(ends, np.arange(lo, lo + len(u)),
-                                        side="right")]
-            idx = st.first[c] + (u[:, 0] * st.count[c]).astype(np.int64)
-            # step i swaps slot i with a uniform slot in [i, s)
-            i = np.arange(ell)
-            span = st.sizes[c, None] - i
-            steps = i + (u[:, 1:] * span).astype(np.int64)
-            successes += _count_cliques(steps, st.starts[idx],
-                                        st.rowbase[idx], st.labels, st.table)
-    return successes, t
+
+    def blocks():
+        for ell in sorted(set(st.ells.tolist())):
+            classes = np.flatnonzero(st.ells == ell)
+            ends = np.cumsum(hits[classes])  # this ell's trials, by class
+            n = int(ends[-1])
+            for lo in range(0, n, _TRIAL_BLOCK):
+                u = rng.random((min(_TRIAL_BLOCK, n - lo), ell + 1))
+                yield classes, ends, lo, u
+
+    def successes(block) -> int:
+        classes, ends, lo, u = block
+        # the class of each of this ell's trials lo.., in class order
+        c = np.repeat(classes, np.diff(np.clip(ends, lo, lo + len(u)),
+                                       prepend=lo))
+        idx = st.first[c] + (u[:, 0] * st.count[c]).astype(np.int64)
+        return _count_cliques(u[:, 1:], st.sizes[c], st.starts[idx],
+                              st.rowbase[idx], st.labels, st.table)
+
+    return sum(map_batches(successes, blocks())), t
 
 
 def estimate_from_trials(st: SamplerState, successes: int, t: int) -> float:

@@ -1,4 +1,7 @@
-"""Small root-batch, chunk and lookup budgets for the builder and counter."""
+"""Small root-batch, chunk and lookup budgets for the builder and counter,
+and a deadlock guard for runs on the batch runner."""
+
+import threading
 
 import numpy as np
 
@@ -53,3 +56,23 @@ def check_batches(budget, calls):
         assert set(counts) == {1}
     elif budget == "batch3":
         assert max(counts) == 3 and counts.count(3) >= 2
+
+
+def run_bounded(fn, seconds=60.0):
+    """fn() on a daemon thread; fails, rather than hangs, on a deadlock."""
+    box = []
+
+    def target():
+        try:
+            box.append(("ok", fn()))
+        except BaseException as error:  # handed back to the test thread
+            box.append(("error", error))
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), "map_batches did not finish"
+    kind, value = box[0]
+    if kind == "error":
+        raise value
+    return value

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from turanshadow import baseline
 from turanshadow.baseline import edge_sampling_estimate
 from turanshadow.oracle import exact_kclique_count
 
@@ -27,6 +28,26 @@ def test_parameter_validation():
             edge_sampling_estimate(g, 4, p)
     with pytest.raises(ValueError):
         edge_sampling_estimate(g, 2, 0.5)
+
+
+def test_scale_factor_out_of_double_range_refused_before_any_work(
+        monkeypatch):
+    # 0.001**190 and 1e-8**45 underflow to 0; 1e-7**45 is subnormal, so its
+    # reciprocal is inf and any surviving clique would estimate inf
+    g = er_graph(20, 0.3, seed=3)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sample was drawn or counted")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(baseline, "_edge_array", no_work)
+        mp.setattr(baseline, "exact_kclique_count", no_work)
+        for k, p in ((20, 0.001), (10, 1e-8), (10, 1e-7)):
+            with pytest.raises(ValueError, match=f"p = {p} .* k = {k}"):
+                edge_sampling_estimate(g, k, p)
+    # factors that are finite doubles, if barely, still run
+    for k, p in ((10, 1e-6), (3, 1e-100)):
+        assert edge_sampling_estimate(g, k, p).estimate == 0.0
 
 
 def test_deterministic_per_seed():

@@ -373,6 +373,16 @@ def test_baseline_sweep_emits_ten_rows(capsys, er_file):
     assert [r["p"] for r in rows] == [round(0.1 * i, 1) for i in range(1, 11)]
 
 
+def test_baseline_refuses_p_out_of_double_range(capsys, er_file):
+    for p in ("1e-8", "1e-7"):
+        code, out, err = run_cli(
+            capsys, ["baseline", "--input", er_file, "--k", "10", "--p", p])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: p = {float(p)} is too small for k = 10")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def run_child(args):
     """Run python with args in a child that imports this same package."""
     src = os.path.dirname(os.path.dirname(turanshadow.__file__))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from turanshadow import baseline, estimator
+from turanshadow import baseline, estimator, shadow
 from turanshadow.estimator import (
     EstimateReport,
     build_sampler,
@@ -22,6 +22,7 @@ from turanshadow.graph import induced_subgraph
 from turanshadow.oracle import exact_kclique_count
 from turanshadow.shadow import dump_shadow, shadow_finder
 
+from budgets import run_bounded
 from genutil import (
     complete_graph,
     cycle_graph,
@@ -29,6 +30,8 @@ from genutil import (
     turan_graph,
     validity_suite,
 )
+
+TRIAL_BLOCK = estimator._TRIAL_BLOCK
 
 
 def test_f_small_values():
@@ -319,10 +322,13 @@ def reference_successes(sh, g, t, seed):
     return successes
 
 
-@pytest.mark.parametrize("graph", [
+TRIAL_GRAPHS = pytest.mark.parametrize("graph", [
     er_graph(40, 0.6, seed=3), turan_graph(24, 6), complete_graph(9),
     er_graph(160, 0.6, seed=2)],
     ids=["er", "turan", "complete", "er160"])
+
+
+@TRIAL_GRAPHS
 def test_run_trials_matches_per_trial_reference(monkeypatch, graph):
     # er160 reads past the first table word: at k = 3 its whole graph is
     # one saturated entry, at k >= 4 member labels reach 80
@@ -338,6 +344,41 @@ def test_run_trials_matches_per_trial_reference(monkeypatch, graph):
             assert run_trials(st, graph, t, seed) == (expected, t)
 
 
+@TRIAL_GRAPHS
+def test_run_trials_independent_of_threads_and_blocks(monkeypatch, graph):
+    # map_batches draws each block's uniforms under its lock, in block
+    # order, so neither the thread count nor the block size moves the stream
+    t = 1000
+    for k in range(3, 7):
+        sh = shadow_finder(graph, k)
+        st = build_sampler(sh, graph)
+        expected = reference_successes(sh, graph, t, seed=k)
+        for workers, block in itertools.product((1, 2, 3, 8),
+                                                (1, 97, TRIAL_BLOCK)):
+            monkeypatch.setattr(shadow, "_workers", lambda w=workers: w)
+            monkeypatch.setattr(estimator, "_TRIAL_BLOCK", block)
+            assert run_trials(st, graph, t, seed=k) == (expected, t), \
+                (k, workers, block)
+
+
+def test_run_trials_under_fast_thread_switching(monkeypatch):
+    # a thread switch every microsecond interleaves the workers between
+    # almost any two bytecodes, inside the block iterator too
+    g = er_graph(40, 0.6, seed=3)
+    sh = shadow_finder(g, 5)
+    st = build_sampler(sh, g)
+    expected = reference_successes(sh, g, 1000, seed=4)
+    monkeypatch.setattr(shadow, "_workers", lambda: 8)  # more than cores
+    monkeypatch.setattr(estimator, "_TRIAL_BLOCK", 7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run_bounded(lambda: run_trials(st, g, 1000, seed=4))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == (expected, 1000)
+
+
 def test_run_trials_stream_is_pinned():
     # a literal from the class-draw stream: any change to the order or
     # number of draws changes it
@@ -346,18 +387,22 @@ def test_run_trials_stream_is_pinned():
     assert run_trials(st, g, 30_000, seed=6) == (13965, 30_000)
 
 
-def test_trial_memory_bounded_in_t():
-    # O(classes + block * ell) whatever t is: the draws of all t trials
-    # (about 63 MiB at this t) are never held at once
+def test_trial_memory_bounded_in_t(monkeypatch):
+    # O(classes + workers * block * ell) whatever t is: the draws of all t
+    # trials (about 63 MiB at this t) are never held at once. tracemalloc
+    # counts the blocks of every worker thread, so the worker count is
+    # pinned rather than taken from the host's CPUs
     g = er_graph(40, 0.5, seed=3)
     st = build_sampler(shadow_finder(g, 5), g)
-    tracemalloc.start()
-    try:
-        run_trials(st, g, 2_000_000, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    for workers in (1, 4):
+        monkeypatch.setattr(shadow, "_workers", lambda w=workers: w)
+        tracemalloc.start()
+        try:
+            run_trials(st, g, 2_000_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, workers
 
 
 def test_trial_level_unbiasedness():

@@ -22,7 +22,7 @@ from turanshadow.shadow import (
     shadow_stats,
 )
 
-from budgets import check_batches, shrink_budgets
+from budgets import check_batches, run_bounded, shrink_budgets
 from genutil import (
     complete_graph,
     cycle_graph,
@@ -415,26 +415,6 @@ def test_entries_view_indexing():
     assert isinstance(sh.entries[1:3], list)
     assert sh.entries[::-1] == list(sh.entries)[::-1]
     assert sh.entries[n:] == []
-
-
-def run_bounded(fn, seconds=60.0):
-    """fn() on a daemon thread; fails, rather than hangs, on a deadlock."""
-    box = []
-
-    def target():
-        try:
-            box.append(("ok", fn()))
-        except BaseException as error:  # handed back to the test thread
-            box.append(("error", error))
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(seconds)
-    assert not thread.is_alive(), "map_batches did not finish"
-    kind, value = box[0]
-    if kind == "error":
-        raise value
-    return value
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
