@@ -95,9 +95,9 @@ def _sampling_kwargs(args) -> dict:
 
 
 def cmd_count(args, emit: _Emitter) -> int:
+    sampling = _sampling_kwargs(args)
     g = load_edge_list(args.input)
-    report = turan_shadow_count(g, args.k, seed=args.seed,
-                                **_sampling_kwargs(args))
+    report = turan_shadow_count(g, args.k, seed=args.seed, **sampling)
     emit.row({
         "command": "count",
         "input": args.input,
@@ -163,11 +163,11 @@ def cmd_stats(args, emit: _Emitter) -> int:
 
 
 def cmd_sweep(args, emit: _Emitter) -> int:
-    g = load_edge_list(args.input)
     lo, hi = _parse_k_range(args.k_range)
+    sampling = _sampling_kwargs(args)
+    g = load_edge_list(args.input)
     for k in range(lo, hi + 1):
-        report = turan_shadow_count(g, k, seed=args.seed,
-                                    **_sampling_kwargs(args))
+        report = turan_shadow_count(g, k, seed=args.seed, **sampling)
         emit.row({
             "command": "sweep",
             "input": args.input,
@@ -182,12 +182,12 @@ def cmd_sweep(args, emit: _Emitter) -> int:
 
 
 def cmd_convergence(args, emit: _Emitter) -> int:
-    g = load_edge_list(args.input)
     sample_counts = _parse_samples_list(args.samples or str(DEFAULT_SAMPLES))
     if args.repeat < 1:
         raise ValueError("--repeat must be >= 1")
     if args.seed < 0:
         raise ValueError("seed must be >= 0")
+    g = load_edge_list(args.input)
     sh = shadow_finder(g, args.k)  # built once, shared by all runs
     st = build_sampler(sh, g)
     for t in sample_counts:

@@ -12,19 +12,15 @@ multinomial draw splits the t trials over the (ell, size) weight classes,
 and each trial then picks a uniform entry of its class. Per entry that is
 probability exactly C(|S|, ell) / W, with no per-entry table. All trials
 run in one array engine, ell by ell and _TRIAL_BLOCK trials at a time,
-each with ell + 1 uniforms: one for the entry, ell for the subset. The
-blocks run on map_batches, the shadow builder's batch runner: its iterator
-draws each block's uniforms, under the runner's lock and in block order, so
-the Generator is consumed as a serial loop would consume it, and the
-workers do the rest. Each partial Fisher-Yates pick is found by undoing the
-earlier swaps, with no permutation array. Pairs are tested in the shadow's
-own adjacency table, without touching the graph: pick b is adjacent to an
-earlier pick a when bit labels[b] of table row rowbase + labels[a] is set,
-so each of the C(ell, 2) pairs costs one word gather and one AND. Every
-trial of a block is tested at every pair, with no compaction of the
-survivors: a trial's pair tests are ANDed into one flag, and the block
-counts its set flags. Trial memory is O(classes + workers * block * ell),
-plus one int per block for the runner's results.
+each with ell + 1 uniforms: one for the entry, ell for the subset. Each
+partial Fisher-Yates pick is found by undoing the earlier swaps, with no
+permutation array. Pairs are tested in the shadow's own adjacency table,
+without touching the graph: pick b is adjacent to an earlier pick a when
+bit labels[b] of table row rowbase + labels[a] is set, so each of the
+C(ell, 2) pairs costs one word gather and one AND. Every trial of a block
+is tested at every pair, with no compaction of the survivors: a trial's
+pair tests are ANDed into one flag, and the block counts its set flags.
+Trial memory is O(classes + block * ell).
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, degeneracy_order
-from .shadow import MAX_K, TuranShadow, map_batches, shadow_finder
+from .shadow import MAX_K, TuranShadow, shadow_finder
 
 DEFAULT_SAMPLES = 50_000
 
@@ -216,13 +212,11 @@ def run_trials(st: SamplerState, g: Graph, t: int,
     uniforms, whose rows are that ell's n_ell trials in class order. In a
     row, column 0 picks a uniform entry of the row's class and columns
     1..ell are the Fisher-Yates keys of its ell-subset. The matrix is drawn
-    _TRIAL_BLOCK rows at a time by the iterator that map_batches advances
-    under its lock, in block order, and a Generator fills arrays in
-    row-major order from one stream, so the outcome is a pure function of
-    (seed, t) whatever the block size and the number of threads. The
-    worker threads test the blocks, each with no compaction, so memory is
-    O(classes + workers * block * ell) plus one int per block at any t.
-    The pair tests read only the sampler's table, never g.
+    _TRIAL_BLOCK rows at a time, and a Generator fills arrays in row-major
+    order from one stream, so the outcome is a pure function of (seed, t)
+    whatever the block size. Each block is tested with no compaction, so
+    memory is O(classes + block * ell) at any t. The pair tests read only
+    the sampler's table, never g.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -234,26 +228,20 @@ def run_trials(st: SamplerState, g: Graph, t: int,
         return 0, 0
     rng = np.random.default_rng(seed)
     hits = rng.multinomial(t, st.p)
-
-    def blocks():
-        for ell in sorted(set(st.ells.tolist())):
-            classes = np.flatnonzero(st.ells == ell)
-            ends = np.cumsum(hits[classes])  # this ell's trials, by class
-            n = int(ends[-1])
-            for lo in range(0, n, _TRIAL_BLOCK):
-                u = rng.random((min(_TRIAL_BLOCK, n - lo), ell + 1))
-                yield classes, ends, lo, u
-
-    def successes(block) -> int:
-        classes, ends, lo, u = block
-        # the class of each of this ell's trials lo.., in class order
-        c = np.repeat(classes, np.diff(np.clip(ends, lo, lo + len(u)),
-                                       prepend=lo))
-        idx = st.first[c] + (u[:, 0] * st.count[c]).astype(np.int64)
-        return _count_cliques(u[:, 1:], st.sizes[c], st.starts[idx],
-                              st.rowbase[idx], st.labels, st.table)
-
-    return sum(map_batches(successes, blocks())), t
+    successes = 0
+    for ell in sorted(set(st.ells.tolist())):
+        classes = np.flatnonzero(st.ells == ell)
+        ends = np.cumsum(hits[classes])  # this ell's trials, by class
+        n = int(ends[-1])
+        for lo in range(0, n, _TRIAL_BLOCK):
+            u = rng.random((min(_TRIAL_BLOCK, n - lo), ell + 1))
+            # the class of each of this ell's trials lo.., in class order
+            c = np.repeat(classes, np.diff(np.clip(ends, lo, lo + len(u)),
+                                           prepend=lo))
+            idx = st.first[c] + (u[:, 0] * st.count[c]).astype(np.int64)
+            successes += _count_cliques(u[:, 1:], st.sizes[c], st.starts[idx],
+                                        st.rowbase[idx], st.labels, st.table)
+    return successes, t
 
 
 def estimate_from_trials(st: SamplerState, successes: int, t: int) -> float:

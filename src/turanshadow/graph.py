@@ -312,34 +312,27 @@ def has_edge_keys(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
     return keys[at] == q
 
 
-def induced_adjacency_rows(g: Graph, sets: np.ndarray
+def induced_adjacency_rows(g: Graph, verts: np.ndarray
                            ) -> Iterator[tuple[int, np.ndarray]]:
-    """Upper-triangle adjacency rows of the subgraphs induced by vertex sets.
+    """Upper-triangle adjacency rows of the subgraph induced by a vertex set.
 
-    `sets` is an (R, W) int64 array, one vertex set per row, padded at the
-    end with -1. Flat row r = i * W + a stands for member a of set i. Yields
-    (r0, block) in order, where block[r - r0, b] tells, for b > a, whether
-    members a and b of set i are adjacent; it is False for b <= a, so each
+    `verts` is a strictly ascending int64 array of W vertex ids. Yields
+    (a0, block) in order, where block[a - a0, b] tells, for b > a, whether
+    verts[a] and verts[b] are adjacent; it is False for b <= a, so each
     unordered pair is looked up once, and the caller mirrors the block if it
-    needs both halves. Padding is adjacent to nothing. Each block costs
-    about _LOOKUP_CHUNK pair lookups, so no (R * W, W) key array is built at
-    once.
+    needs both halves. Each block costs about _LOOKUP_CHUNK pair lookups, so
+    no (W, W) key array is built at once.
     """
     keys = edge_keys(g)
     n = g.vertex_count
-    width = sets.shape[1]
-    flat = sets.reshape(-1)
+    width = verts.size
     step = max(1, _LOOKUP_CHUNK // max(width, 1))
-    for r0 in range(0, flat.size, step):
-        u = flat[r0:r0 + step]
-        r = np.arange(r0, r0 + u.size)
-        v = sets[r // width]
-        # padding is looked up never, nor any pair below the diagonal
-        real = ((u >= 0)[:, None] & (v >= 0)
-                & (np.arange(width) > (r % width)[:, None]))
-        block = np.zeros(real.shape, dtype=bool)
-        block[real] = has_edge_keys(keys, (u[:, None] * n + v)[real])
-        yield r0, block
+    for a0 in range(0, width, step):
+        u = verts[a0:a0 + step]
+        upper = np.arange(width) > np.arange(a0, a0 + u.size)[:, None]
+        block = np.zeros(upper.shape, dtype=bool)
+        block[upper] = has_edge_keys(keys, (u[:, None] * n + verts)[upper])
+        yield a0, block
 
 
 def induced_adjacency_matrix(g: Graph, vertices) -> np.ndarray:
@@ -350,8 +343,8 @@ def induced_adjacency_matrix(g: Graph, vertices) -> np.ndarray:
     """
     verts = np.asarray(vertices, dtype=np.int64)
     mat = np.zeros((verts.size, verts.size), dtype=bool)
-    for r0, block in induced_adjacency_rows(g, verts[None, :]):
-        mat[r0:r0 + len(block)] = block
+    for a0, block in induced_adjacency_rows(g, verts):
+        mat[a0:a0 + len(block)] = block
     return mat | mat.T
 
 
@@ -359,7 +352,7 @@ def induced_edge_count(g: Graph, vertices) -> int:
     """Number of edges of g with both endpoints in `vertices`."""
     verts = np.asarray(vertices, dtype=np.int64)
     return sum(int(np.count_nonzero(block))
-               for _, block in induced_adjacency_rows(g, verts[None, :]))
+               for _, block in induced_adjacency_rows(g, verts))
 
 
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, np.ndarray]:

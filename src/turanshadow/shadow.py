@@ -45,8 +45,8 @@ batch's member rows take at most 2 * _CHUNK_ELEMS / 8 words (W * ceil(W /
 whole chunks at every peel step. Each temporary of a step (gathered rows,
 degrees, children) is cut into chunks of about _CHUNK_ELEMS elements.
 The table's chunks and then the batches are run by map_batches, the batch
-runner the exact counter and the estimator's trials share, on one thread
-per CPU the process may run on, each thread holding one chunk or batch; so transient build memory is
+runner the exact counter shares, on one thread per CPU the process may run
+on, each thread holding one chunk or batch; so transient build memory is
 bounded by the number of workers times one batch's rows and frontier plus
 the chunk budget, whatever the size of the graph. Table chunks fill
 disjoint rows, so the threads share the table without a lock, and the

@@ -326,6 +326,27 @@ def test_convergence_negative_seed_exits_before_shadow(capsys, monkeypatch,
     assert "seed must be >= 0" in err
 
 
+@pytest.mark.parametrize("args,message", [
+    (["count", "--k", "4", "--eps", "0.1"], "--eps and --delta"),
+    (["sweep", "--k-range", "9:3"], "k range must satisfy"),
+    (["sweep", "--k-range", "3:4", "--delta", "0.1"], "--eps and --delta"),
+    (["convergence", "--k", "4", "--repeat", "0"], "--repeat must be >= 1"),
+    (["convergence", "--k", "4", "--samples", "0"],
+     "sample counts must be >= 1"),
+    (["convergence", "--k", "4", "--seed", "-1"], "seed must be >= 0"),
+], ids=["count-eps", "sweep-range", "sweep-delta", "convergence-repeat",
+        "convergence-samples", "convergence-seed"])
+def test_bad_flags_exit_before_the_input_is_read(capsys, monkeypatch, args,
+                                                 message):
+    def unreachable(*args):
+        raise AssertionError("input read before the flags were checked")
+
+    monkeypatch.setattr(cli, "load_edge_list", unreachable)
+    code, out, err = run_cli(capsys, [*args, "--input", "/no/such"])
+    assert (code, out) == (1, "")
+    assert message in err, err
+
+
 def test_convergence_single_run(capsys, er_file):
     code, out, _ = run_cli(
         capsys, ["convergence", "--input", er_file, "--k", "4",

@@ -22,7 +22,6 @@ from turanshadow.graph import induced_subgraph
 from turanshadow.oracle import exact_kclique_count
 from turanshadow.shadow import dump_shadow, shadow_finder
 
-from budgets import run_bounded
 from genutil import (
     complete_graph,
     cycle_graph,
@@ -346,37 +345,17 @@ def test_run_trials_matches_per_trial_reference(monkeypatch, graph):
 
 @TRIAL_GRAPHS
 def test_run_trials_independent_of_threads_and_blocks(monkeypatch, graph):
-    # map_batches draws each block's uniforms under its lock, in block
-    # order, so neither the thread count nor the block size moves the stream
+    # the trials draw each block's uniforms in stream order on the calling
+    # thread, so neither the block size nor the host's CPUs move the stream
     t = 1000
     for k in range(3, 7):
         sh = shadow_finder(graph, k)
         st = build_sampler(sh, graph)
         expected = reference_successes(sh, graph, t, seed=k)
-        for workers, block in itertools.product((1, 2, 3, 8),
-                                                (1, 97, TRIAL_BLOCK)):
-            monkeypatch.setattr(shadow, "_workers", lambda w=workers: w)
+        for block in (1, 97, TRIAL_BLOCK):
             monkeypatch.setattr(estimator, "_TRIAL_BLOCK", block)
             assert run_trials(st, graph, t, seed=k) == (expected, t), \
-                (k, workers, block)
-
-
-def test_run_trials_under_fast_thread_switching(monkeypatch):
-    # a thread switch every microsecond interleaves the workers between
-    # almost any two bytecodes, inside the block iterator too
-    g = er_graph(40, 0.6, seed=3)
-    sh = shadow_finder(g, 5)
-    st = build_sampler(sh, g)
-    expected = reference_successes(sh, g, 1000, seed=4)
-    monkeypatch.setattr(shadow, "_workers", lambda: 8)  # more than cores
-    monkeypatch.setattr(estimator, "_TRIAL_BLOCK", 7)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = run_bounded(lambda: run_trials(st, g, 1000, seed=4))
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == (expected, 1000)
+                (k, block)
 
 
 def test_run_trials_stream_is_pinned():
@@ -388,21 +367,19 @@ def test_run_trials_stream_is_pinned():
 
 
 def test_trial_memory_bounded_in_t(monkeypatch):
-    # O(classes + workers * block * ell) whatever t is: the draws of all t
-    # trials (about 63 MiB at this t) are never held at once. tracemalloc
-    # counts the blocks of every worker thread, so the worker count is
-    # pinned rather than taken from the host's CPUs
+    # O(classes + block * ell) whatever t is: the draws of all t trials
+    # (about 63 MiB at this t) are never held at once, and the trials hold
+    # no more with more workers on the shadow's batch runner
     g = er_graph(40, 0.5, seed=3)
     st = build_sampler(shadow_finder(g, 5), g)
-    for workers in (1, 4):
-        monkeypatch.setattr(shadow, "_workers", lambda w=workers: w)
-        tracemalloc.start()
-        try:
-            run_trials(st, g, 2_000_000, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20, workers
+    monkeypatch.setattr(shadow, "_workers", lambda: 8)
+    tracemalloc.start()
+    try:
+        run_trials(st, g, 2_000_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_trial_level_unbiasedness():
