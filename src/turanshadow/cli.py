@@ -16,11 +16,12 @@ import json
 import sys
 import time
 
-from .baseline import edge_sampling_estimate
+from .baseline import check_baseline_args, edge_sampling_estimate
 from .estimator import (
     DEFAULT_SAMPLES,
     MAX_SAMPLES,
     build_sampler,
+    check_count_args,
     estimate_from_trials,
     gamma_of,
     required_samples,
@@ -28,8 +29,8 @@ from .estimator import (
     turan_shadow_count,
 )
 from .graph import load_edge_list
-from .oracle import exact_kclique_count
-from .shadow import MAX_K, shadow_finder, shadow_stats
+from .oracle import check_exact_args, exact_kclique_count
+from .shadow import MAX_K, check_shadow_args, shadow_finder, shadow_stats
 
 
 class _Emitter:
@@ -96,6 +97,7 @@ def _sampling_kwargs(args) -> dict:
 
 def cmd_count(args, emit: _Emitter) -> int:
     sampling = _sampling_kwargs(args)
+    check_count_args(args.k, seed=args.seed, **sampling)
     g = load_edge_list(args.input)
     report = turan_shadow_count(g, args.k, seed=args.seed, **sampling)
     emit.row({
@@ -122,6 +124,7 @@ def cmd_count(args, emit: _Emitter) -> int:
 
 
 def cmd_exact(args, emit: _Emitter) -> int:
+    check_exact_args(args.k, args.time_budget_secs)
     g = load_edge_list(args.input)
     res = exact_kclique_count(g, args.k, time_budget=args.time_budget_secs)
     emit.row({
@@ -137,6 +140,7 @@ def cmd_exact(args, emit: _Emitter) -> int:
 
 
 def cmd_stats(args, emit: _Emitter) -> int:
+    check_shadow_args(args.k)
     g = load_edge_list(args.input)
     t0 = time.perf_counter()
     sh = shadow_finder(g, args.k)
@@ -165,6 +169,8 @@ def cmd_stats(args, emit: _Emitter) -> int:
 def cmd_sweep(args, emit: _Emitter) -> int:
     lo, hi = _parse_k_range(args.k_range)
     sampling = _sampling_kwargs(args)
+    for k in range(lo, hi + 1):
+        check_count_args(k, seed=args.seed, **sampling)
     g = load_edge_list(args.input)
     for k in range(lo, hi + 1):
         report = turan_shadow_count(g, k, seed=args.seed, **sampling)
@@ -187,6 +193,7 @@ def cmd_convergence(args, emit: _Emitter) -> int:
         raise ValueError("--repeat must be >= 1")
     if args.seed < 0:
         raise ValueError("seed must be >= 0")
+    check_shadow_args(args.k)
     g = load_edge_list(args.input)
     sh = shadow_finder(g, args.k)  # built once, shared by all runs
     st = build_sampler(sh, g)
@@ -207,11 +214,13 @@ def cmd_convergence(args, emit: _Emitter) -> int:
 
 
 def cmd_baseline(args, emit: _Emitter) -> int:
-    g = load_edge_list(args.input)
     if args.p is not None:
         ps = [args.p]
     else:
         ps = [round(0.1 * i, 1) for i in range(1, 11)]
+    for p in ps:
+        check_baseline_args(args.k, p, args.seed)
+    g = load_edge_list(args.input)
     for p in ps:
         rep = edge_sampling_estimate(g, args.k, p, seed=args.seed)
         emit.row({

@@ -14,7 +14,7 @@ probability exactly C(|S|, ell) / W, with no per-entry table. All trials
 run in one array engine, ell by ell and _TRIAL_BLOCK trials at a time,
 each with ell + 1 uniforms: one for the entry, ell for the subset. Each
 partial Fisher-Yates pick is found by undoing the earlier swaps, with no
-permutation array. Pairs are tested in the shadow's own adjacency table,
+permutation array. Pairs are tested in place in the shadow's arrays,
 without touching the graph: pick b is adjacent to an earlier pick a when
 bit labels[b] of table row rowbase + labels[a] is set, so each of the
 C(ell, 2) pairs costs one word gather and one AND. Every trial of a block
@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, degeneracy_order
-from .shadow import MAX_K, TuranShadow, shadow_finder
+from .shadow import (MAX_K, TuranShadow, _label_dtype, check_shadow_args,
+                     shadow_finder)
 
 DEFAULT_SAMPLES = 50_000
 
@@ -101,18 +102,14 @@ class SamplerState:
     each with clique budget ells[c] and sizes[c] members, and is drawn with
     probability p[c] = W_c / W, where W_c = count[c] * C(sizes[c], ells[c])
     and W, the total_weight, is the sum over classes; p[c] is the correctly
-    rounded double of that ratio. Only two arrays are kept per entry: the
-    members of sampled entry i have labels[starts[i]:starts[i] + size], and
-    the member with label a has table row rowbase[i] + a, as in the shadow
-    (its vertex id, ids[rowbase[i] + a], is never needed); labels and table
-    are the shadow's own arrays, not copies. exact_offset is the exact
-    clique count contributed by ell <= 2 entries.
+    rounded double of that ratio. Per sampled entry i only entry[i], its
+    index in the shadow, is kept, in the shadow's narrowest index dtype;
+    labels and table rows are read from the shadow in place. exact_offset
+    is the exact clique count contributed by ell <= 2 entries.
     """
 
-    starts: np.ndarray
-    rowbase: np.ndarray
-    labels: np.ndarray
-    table: np.ndarray
+    shadow: TuranShadow
+    entry: np.ndarray
     first: np.ndarray
     count: np.ndarray
     sizes: np.ndarray
@@ -123,7 +120,7 @@ class SamplerState:
 
     @property
     def entry_count(self) -> int:
-        return len(self.starts)
+        return len(self.entry)
 
 
 def build_sampler(sh: TuranShadow, g: Graph) -> SamplerState:
@@ -153,10 +150,8 @@ def build_sampler(sh: TuranShadow, g: Graph) -> SamplerState:
           zip(count.tolist(), sizes.tolist(), ells.tolist())]
     w = sum(wc)
     return SamplerState(
-        starts=sh.offsets[sampled],
-        rowbase=sh.rowbase[sampled],
-        labels=sh.labels,
-        table=sh.table,
+        shadow=sh,
+        entry=sampled.astype(_label_dtype(n)),
         first=first,
         count=count,
         sizes=sizes,
@@ -167,18 +162,18 @@ def build_sampler(sh: TuranShadow, g: Graph) -> SamplerState:
     )
 
 
-def _count_cliques(keys: np.ndarray, sizes: np.ndarray, starts: np.ndarray,
-                   rowbase: np.ndarray, labels: np.ndarray,
-                   table: np.ndarray) -> int:
+def _count_cliques(keys: np.ndarray, sizes: np.ndarray, sh: TuranShadow,
+                   entry: np.ndarray) -> int:
     """Rows of keys whose partial Fisher-Yates picks form a clique.
 
-    Row r picks from the sizes[r] members whose labels start at
-    labels[starts[r]], with adjacency rows from row rowbase[r] of the
-    (rows, nw) table: step b swaps slot b with slot b + floor(keys[r, b] *
-    (sizes[r] - b)). Every row is tested at every pair.
+    Row r picks from the sizes[r] members of shadow entry entry[r], reading
+    their labels and table rows from sh: step b swaps slot b with slot
+    b + floor(keys[r, b] * (sizes[r] - b)). Every row is tested at every
+    pair.
     """
-    nw = table.shape[1]
-    words = table.reshape(-1)
+    starts, rowbase = sh.offsets[entry], sh.rowbase[entry]
+    nw = sh.table.shape[1]
+    words = sh.table.reshape(-1)
     steps: list[np.ndarray] = []
     heads: list[np.ndarray] = []  # word offset of each earlier pick's row
     ok = np.ones(len(keys), dtype=bool)
@@ -191,7 +186,7 @@ def _count_cliques(keys: np.ndarray, sizes: np.ndarray, starts: np.ndarray,
         for i in range(b - 1, -1, -1):
             np.copyto(pos, i, where=pos == steps[i])
         steps.append(step)
-        lb = labels[starts + pos]
+        lb = sh.labels[starts + pos]
         if heads:
             word = lb >> 6
             hit = np.left_shift(np.uint64(1), (lb & 63).astype(np.uint64))
@@ -216,7 +211,7 @@ def run_trials(st: SamplerState, g: Graph, t: int,
     order from one stream, so the outcome is a pure function of (seed, t)
     whatever the block size. Each block is tested with no compaction, so
     memory is O(classes + block * ell) at any t. The pair tests read only
-    the sampler's table, never g.
+    the shadow's table, never g.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -239,8 +234,9 @@ def run_trials(st: SamplerState, g: Graph, t: int,
             c = np.repeat(classes, np.diff(np.clip(ends, lo, lo + len(u)),
                                            prepend=lo))
             idx = st.first[c] + (u[:, 0] * st.count[c]).astype(np.int64)
-            successes += _count_cliques(u[:, 1:], st.sizes[c], st.starts[idx],
-                                        st.rowbase[idx], st.labels, st.table)
+            # one cast to intp, not one per gather from the shadow
+            successes += _count_cliques(u[:, 1:], st.sizes[c], st.shadow,
+                                        st.entry[idx].astype(np.intp))
     return successes, t
 
 
@@ -273,15 +269,10 @@ class EstimateReport:
     seed: int
 
 
-def turan_shadow_count(g: Graph, k: int, *, samples: int | None = None,
-                       eps: float | None = None, delta: float | None = None,
-                       seed: int = 0) -> EstimateReport:
-    """End-to-end k-clique estimate: build the shadow, then sample it.
-
-    k = 1 and k = 2 return the exact vertex and edge counts without building
-    a shadow. For k >= 3 the trial count is `samples` (default 50000), or
-    derived from (eps, delta) when both are given.
-    """
+def check_count_args(k: int, *, samples: int | None = None,
+                     eps: float | None = None, delta: float | None = None,
+                     seed: int = 0) -> None:
+    """The checks of turan_shadow_count that need no graph."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if (eps is None) != (delta is None):
@@ -296,6 +287,20 @@ def turan_shadow_count(g: Graph, k: int, *, samples: int | None = None,
         raise ValueError(f"samples = {samples} exceed 2**63 - 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
+    if k >= 3:
+        check_shadow_args(k)
+
+
+def turan_shadow_count(g: Graph, k: int, *, samples: int | None = None,
+                       eps: float | None = None, delta: float | None = None,
+                       seed: int = 0) -> EstimateReport:
+    """End-to-end k-clique estimate: build the shadow, then sample it.
+
+    k = 1 and k = 2 return the exact vertex and edge counts without building
+    a shadow. For k >= 3 the trial count is `samples` (default 50000), or
+    derived from (eps, delta) when both are given.
+    """
+    check_count_args(k, samples=samples, eps=eps, delta=delta, seed=seed)
     if k <= 2:
         exact = g.vertex_count if k == 1 else g.edge_count
         return EstimateReport(

@@ -126,8 +126,7 @@ class Graph:
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
 
 
-def _parse_lines(lines: Iterable, comment_prefix: str,
-                 delimiter: str | None) -> np.ndarray:
+def _parse_lines(lines: Iterable, comment_prefix: str) -> np.ndarray:
     """(E, 2) int64 edges of an edge list, parsed line by line."""
     us: list[int] = []
     vs: list[int] = []
@@ -137,7 +136,7 @@ def _parse_lines(lines: Iterable, comment_prefix: str,
         line = raw.strip()
         if not line or (comment_prefix and line.startswith(comment_prefix)):
             continue
-        parts = line.split(delimiter)
+        parts = line.split()
         if len(parts) != 2:
             raise EdgeListParseError(
                 line_number, f"expected two integer tokens, got {len(parts)}")
@@ -151,32 +150,39 @@ def _parse_lines(lines: Iterable, comment_prefix: str,
                      np.asarray(vs, dtype=np.int64)], axis=1)
 
 
-def _parse_text(text: str, comment_prefix: str,
-                delimiter: str | None) -> np.ndarray:
+def _parse_text(text: str, comment_prefix: str) -> np.ndarray:
     """(E, 2) int64 edges of a whole edge-list text.
 
-    One np.loadtxt call parses ASCII, whitespace-separated text that holds
-    no comment prefix; on such text it accepts exactly the lines the
-    per-line parser accepts and reads the same integers (on non-ASCII text
-    it can misread letters as digits). Any other text, or text it rejects,
-    is parsed line by line, which skips comments and reports the number of
-    a malformed line.
+    The leading block of blank and comment lines (a SNAP header, say) is
+    skipped. One np.loadtxt call parses the rest when it is ASCII,
+    whitespace-separated text that holds no comment prefix; on such text
+    it accepts exactly the lines the per-line parser accepts and reads the
+    same integers (on non-ASCII text it can misread letters as digits).
+    Any other text, or text it rejects, is parsed line by line, which
+    skips comments and reports the number of a malformed line.
     """
-    if (delimiter is None and text.isascii() and text.strip()
-            and not (comment_prefix and comment_prefix in text)):
+    start = 0
+    while comment_prefix and start < len(text):
+        end = text.find("\n", start) + 1 or len(text)  # past the line
+        line = text[start:end].strip()
+        if line and not line.startswith(comment_prefix):
+            break
+        start = end
+    body = text[start:]
+    if (body.isascii() and body.strip()
+            and not (comment_prefix and comment_prefix in body)):
         try:
-            edges = np.loadtxt(io.StringIO(text), dtype=np.int64,
+            edges = np.loadtxt(io.StringIO(body), dtype=np.int64,
                                comments=None, ndmin=2)
         except ValueError:
             pass
         else:
             if edges.shape[1] == 2:
                 return edges
-    return _parse_lines(io.StringIO(text), comment_prefix, delimiter)
+    return _parse_lines(io.StringIO(text), comment_prefix)
 
 
-def load_edge_list(source: Source, comment_prefix: str = "#",
-                   delimiter: str | None = None) -> Graph:
+def load_edge_list(source: Source, comment_prefix: str = "#") -> Graph:
     """Parse a whitespace-separated edge list into a simple undirected graph.
 
     One edge per line as two integer tokens; lines starting with
@@ -189,9 +195,9 @@ def load_edge_list(source: Source, comment_prefix: str = "#",
     """
     if isinstance(source, (str, Path)):
         with open(source, "rt") as fh:
-            raw_edges = _parse_text(fh.read(), comment_prefix, delimiter)
+            raw_edges = _parse_text(fh.read(), comment_prefix)
     else:
-        raw_edges = _parse_lines(source, comment_prefix, delimiter)
+        raw_edges = _parse_lines(source, comment_prefix)
     if not len(raw_edges):
         return Graph.from_edges(np.empty((0, 2), dtype=np.int64), num_vertices=0)
     # one sort gives the ids and every endpoint's rank; the inverse comes

@@ -143,6 +143,14 @@ def _count_batch(order: DegeneracyOrder, table: np.ndarray, group: list,
     return count
 
 
+def check_exact_args(k: int, time_budget: float | None = None) -> None:
+    """The checks of exact_kclique_count that need no graph."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if time_budget is not None and not time_budget >= 0.0:
+        raise ValueError("time_budget must be >= 0 seconds")
+
+
 def exact_kclique_count(g: Graph, k: int,
                         time_budget: float | None = None) -> ExactCount:
     """Exact number of k-cliques of g.
@@ -155,10 +163,7 @@ def exact_kclique_count(g: Graph, k: int,
     TimeBudgetExceeded if a soft `time_budget` (seconds, at least 0) runs
     out mid-count.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if time_budget is not None and not time_budget >= 0.0:
-        raise ValueError("time_budget must be >= 0 seconds")
+    check_exact_args(k, time_budget)
     start = time.perf_counter()
 
     def check_time():

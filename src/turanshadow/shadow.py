@@ -71,7 +71,7 @@ vertices that are no root included. The saturated whole graph is one entry
 with rowbase 0, ids = arange(n) and its packed adjacency matrix as the
 table, n * ceil(n / 64) words, under m / 16 + n because the graph is
 dense. `vertices` (derived once, on first read) and the lazy `entries`
-view give the ids.
+view give the ids; dump_shadow derives them a chunk at a time instead.
 """
 
 from __future__ import annotations
@@ -146,8 +146,7 @@ class ShadowEntries(Sequence):
         if not 0 <= i < len(self):
             raise IndexError("shadow entry index out of range")
         sh = self._sh
-        labels = sh.labels[sh.offsets[i]:sh.offsets[i + 1]]
-        ids = sh.ids[sh.rowbase[i] + labels]
+        ids = sh._member_ids(i, i + 1)
         ids.flags.writeable = False
         return ShadowEntry(ids, int(sh.ells[i]), int(sh.edges[i]))
 
@@ -185,7 +184,10 @@ class TuranShadow:
     The table's words are the same at every k: each vertex's rows are
     filled, roots or not. While it is built, each worker thread of
     map_batches also holds one table chunk, or one root batch's rows,
-    frontier and chunk budget.
+    frontier and chunk budget. A sampler over the shadow adds one index
+    per entry with ell >= 3, in the narrowest unsigned dtype that holds
+    an index below E (at most 4 B below 2^32 entries). `vertices`, once
+    read, adds 8 B per member; dump_shadow does not read it.
     """
 
     k: int
@@ -198,12 +200,17 @@ class TuranShadow:
     table: np.ndarray  # (rows, words per row) uint64
     ids: np.ndarray  # vertex id of each table row
 
+    def _member_ids(self, lo: int, hi: int) -> np.ndarray:
+        """Sorted ids of entries lo..hi - 1, flat: ids[rowbase + labels]."""
+        offsets = self.offsets[lo:hi + 1]
+        rows = np.repeat(self.rowbase[lo:hi], np.diff(offsets))
+        rows += self.labels[offsets[0]:offsets[-1]]
+        return self.ids[rows]
+
     @cached_property
     def vertices(self) -> np.ndarray:
         """Every entry's sorted ids, flat and read-only, made on first read."""
-        rows = np.repeat(self.rowbase, self.sizes)
-        rows += self.labels
-        vertices = self.ids[rows]
+        vertices = self._member_ids(0, len(self.ells))
         vertices.flags.writeable = False
         return vertices
 
@@ -544,6 +551,14 @@ def _label_dtype(count: int) -> np.dtype:
     return np.min_scalar_type(max(count - 1, 0))
 
 
+def check_shadow_args(k: int) -> None:
+    """The checks of shadow_finder that need no graph."""
+    if k < 3:
+        raise ValueError("k must be >= 3; smaller k are counted directly")
+    if k > MAX_K:
+        raise ValueError(f"k must be <= {MAX_K}")
+
+
 def shadow_finder(g: Graph, k: int) -> TuranShadow:
     """Build the k-clique shadow of g by iterative density refinement.
 
@@ -552,10 +567,7 @@ def shadow_finder(g: Graph, k: int) -> TuranShadow:
     ell >= 3 is strictly above its density threshold; sets too small to
     hold their clique budget are dropped at emission.
     """
-    if k < 3:
-        raise ValueError("k must be >= 3; smaller k are counted directly")
-    if k > MAX_K:
-        raise ValueError(f"k must be <= {MAX_K}")
+    check_shadow_args(k)
     n, m = g.vertex_count, g.edge_count
     order = degeneracy_order(g)
     if n >= k and _saturated(m, n, k):
@@ -597,15 +609,29 @@ def shadow_stats(sh: TuranShadow) -> dict:
 
 
 def dump_shadow(sh: TuranShadow, stream: IO | None = None) -> str | None:
-    """Debug dump, one entry per line: ell TAB size TAB sorted global ids."""
-    ids = sh.vertices.tolist()
-    bounds = sh.offsets.tolist()
-    lines = (
-        f"{ell}\t{b - a}\t{' '.join(map(str, ids[a:b]))}"
-        for ell, a, b in zip(sh.ells.tolist(), bounds, bounds[1:])
-    )
+    """Debug dump, one entry per line: ell TAB size TAB sorted global ids.
+
+    Entries go out in chunks of about _CHUNK_ELEMS members, each chunk's
+    ids derived by _member_ids, so `vertices` is never built.
+    """
+    chunks = _dump_chunks(sh)
     if stream is None:
-        return "\n".join(lines)
-    for line in lines:
-        stream.write(line + "\n")
+        return "\n".join(chunks)
+    for chunk in chunks:
+        stream.write(chunk + "\n")
     return None
+
+
+def _dump_chunks(sh: TuranShadow):
+    """The dump's lines, a chunk of entries at a time, joined by newlines."""
+    offsets, lo = sh.offsets, 0
+    while lo < len(sh.ells):
+        # entries lo..hi - 1 end within _CHUNK_ELEMS members, or hi = lo + 1
+        hi = max(lo + 1, int(np.searchsorted(
+            offsets, offsets[lo] + _CHUNK_ELEMS, side="right")) - 1)
+        ids = sh._member_ids(lo, hi).tolist()
+        bounds = (offsets[lo:hi + 1] - offsets[lo]).tolist()
+        yield "\n".join(
+            f"{ell}\t{b - a}\t{' '.join(map(str, ids[a:b]))}"
+            for ell, a, b in zip(sh.ells[lo:hi].tolist(), bounds, bounds[1:]))
+        lo = hi

@@ -334,8 +334,19 @@ def test_convergence_negative_seed_exits_before_shadow(capsys, monkeypatch,
     (["convergence", "--k", "4", "--samples", "0"],
      "sample counts must be >= 1"),
     (["convergence", "--k", "4", "--seed", "-1"], "seed must be >= 0"),
+    (["count", "--k", "0"], "k must be >= 1"),
+    (["count", "--k", "4", "--samples", "0"], "samples must be >= 1"),
+    (["count", "--k", "4", "--seed", "-1"], "seed must be >= 0"),
+    (["count", "--k", "99"], "k must be <= 64"),
+    (["stats", "--k", "0"], "k must be >= 3"),
+    (["convergence", "--k", "99"], "k must be <= 64"),
+    (["exact", "--k", "6", "--time-budget-secs", "-1"],
+     "time_budget must be >= 0 seconds"),
+    (["baseline", "--k", "4", "--p", "2"], "p must be in (0, 1]"),
 ], ids=["count-eps", "sweep-range", "sweep-delta", "convergence-repeat",
-        "convergence-samples", "convergence-seed"])
+        "convergence-samples", "convergence-seed", "count-k", "count-samples",
+        "count-seed", "count-k-max", "stats-k", "convergence-k-max",
+        "exact-budget", "baseline-p"])
 def test_bad_flags_exit_before_the_input_is_read(capsys, monkeypatch, args,
                                                  message):
     def unreachable(*args):

@@ -168,17 +168,17 @@ def test_weight_classes_draw_entries_with_exact_probabilities():
         last = 1 - sum(Fraction(x) for x in st.p.tolist()[:-1])
         assert abs(last - Fraction(wc[-1], w)) <= tol
         # per entry: class probability over class size is C(|S|, ell) / W
-        position = {int(a): i for i, a in
-                    enumerate(sh.offsets[:-1]) if sh.ells[i] >= 3}
+        unseen = set(np.flatnonzero(sh.ells >= 3).tolist())
         cliques = [0] * len(wc)
         for c, (a, n) in enumerate(zip(st.first, st.count)):
             for i in range(a, a + n):
-                e = sh.entries[position.pop(int(st.starts[i]))]
+                unseen.remove(int(st.entry[i]))  # each entry appears once
+                e = sh.entries[int(st.entry[i])]
                 assert (e.ell, e.size) == keys[c]  # every entry of class c
                 assert Fraction(wc[c], w) / n == \
                     Fraction(math.comb(e.size, e.ell), w)
                 cliques[c] += entry_cliques(g, e)
-        assert not position  # every sampled entry drawn exactly once
+        assert not unseen  # every sampled entry drawn exactly once
         # expected success ratio of one trial, from the class table alone
         covered = sum(cliques)
         expected = sum(Fraction(x, w) * Fraction(cl, x)
@@ -218,17 +218,18 @@ def test_total_weight_matches_recomputation_from_dump():
         if int(ell_s) >= 3:
             recomputed += math.comb(int(size_s), int(ell_s))
     assert st.total_weight == float(recomputed)
-    # entries sorted by (ell, size), in shadow order within a class, over
-    # the shadow's own arrays
+    # entries sorted by (ell, size), in shadow order within a class, as
+    # narrow indices into the shadow itself
     sampled = sorted((i for i, e in enumerate(sh.entries) if e.ell >= 3),
                      key=lambda i: (sh.entries[i].ell, sh.entries[i].size))
-    assert st.starts.tolist() == [sh.offsets[i] for i in sampled]
-    assert st.rowbase.tolist() == [sh.rowbase[i] for i in sampled]
-    assert st.labels is sh.labels and st.table is sh.table
+    assert st.entry.tolist() == sampled
+    assert st.entry.dtype == shadow._label_dtype(len(sh.ells))
+    assert st.shadow is sh
     # (ell, size) are kept per class, and each entry has its class's
     ells, sizes = np.repeat(st.ells, st.count), np.repeat(st.sizes, st.count)
+    starts = sh.offsets[st.entry]
     assert [(ells[i], sh.vertices[a:a + b].tolist())
-            for i, (a, b) in enumerate(zip(st.starts, sizes))] == \
+            for i, (a, b) in enumerate(zip(starts, sizes))] == \
         [(sh.entries[i].ell, sh.entries[i].vertices.tolist())
          for i in sampled]
     # one class per distinct (ell, size), weights the exact binomials
@@ -236,6 +237,23 @@ def test_total_weight_matches_recomputation_from_dump():
     assert len(st.first) == len(keys) > 1
     assert [float(Fraction(n * math.comb(s, e), recomputed))
             for (e, s), n in zip(keys, st.count.tolist())] == st.p.tolist()
+
+
+def test_build_sampler_keeps_one_narrow_index_per_entry():
+    # the sampler copies no per-entry shadow array: what it retains is its
+    # entry index plus the class table
+    g = er_graph(120, 0.5, seed=1)
+    sh = shadow_finder(g, 6)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        st = build_sampler(sh, g)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert st.entry_count > 5000 and st.entry.itemsize == 2
+    assert retained <= (st.entry.itemsize * st.entry_count
+                        + 64 * len(st.first) + 4096)
 
 
 def test_run_trials_complete_graph_always_succeeds():

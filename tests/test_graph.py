@@ -84,9 +84,9 @@ def test_load_path_fast_parse_matches_line_parser(tmp_path, monkeypatch):
     line_parses = []
     parse_lines = graph._parse_lines
 
-    def spy(lines, comment_prefix, delimiter):
+    def spy(lines, comment_prefix):
         line_parses.append(1)
-        return parse_lines(lines, comment_prefix, delimiter)
+        return parse_lines(lines, comment_prefix)
 
     monkeypatch.setattr(graph, "_parse_lines", spy)
     fast = load_edge_list(path)
@@ -100,6 +100,43 @@ def test_load_path_fast_parse_matches_line_parser(tmp_path, monkeypatch):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+def test_load_path_snap_header_takes_fast_parse(tmp_path, monkeypatch):
+    # a SNAP-style header of comment and blank lines, then tab-separated
+    # pairs: the header is skipped and the rest takes the one-call parse
+    rng = np.random.default_rng(9)
+    pairs = rng.integers(0, 500, size=(1500, 2)) * 3 + 7
+    text = ("# Directed graph (each unordered pair of nodes is saved once)\n"
+            "\n# Nodes: 1500 Edges: 1500\n  # FromNodeId\tToNodeId\n"
+            + "".join(f"{u}\t{v}\n" for u, v in pairs.tolist()))
+    path = tmp_path / "snap.txt"
+    path.write_text(text)
+    line_parses = []
+    parse_lines = graph._parse_lines
+
+    def spy(lines, comment_prefix):
+        line_parses.append(1)
+        return parse_lines(lines, comment_prefix)
+
+    monkeypatch.setattr(graph, "_parse_lines", spy)
+    fast = load_edge_list(path)
+    assert line_parses == []
+    slow = load_edge_list(io.StringIO(text))
+    assert line_parses == [1]
+    assert fast.vertex_count == slow.vertex_count > 200
+    for a, b in ((fast.indptr, slow.indptr), (fast.indices, slow.indices),
+                 (fast.original_ids, slow.original_ids)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("text", ["# c\n", "# a\n\n  # b\n\n", "\n \n"])
+def test_load_path_without_edges_is_empty(tmp_path, text):
+    # np.loadtxt warns on input with no data, and warnings are errors here
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    g = load_edge_list(path)
+    assert (g.vertex_count, g.edge_count) == (0, 0)
+
+
 @pytest.mark.parametrize("text, line_number", [
     ("0 1\n1 x\n", 2),
     ("0 1\n\n1 2 3\n", 3),
@@ -107,6 +144,7 @@ def test_load_path_fast_parse_matches_line_parser(tmp_path, monkeypatch):
     ("0 1\n1.0 2\n", 2),
     ("0 1\n\u01fe1 2\n", 2),  # np.loadtxt would read 4621
     ("0 1 2\n3 4 5\n", 1),
+    ("# c\n0 1\n1 2 # x\n", 3),
 ])
 def test_load_path_malformed_line_number(tmp_path, text, line_number):
     path = tmp_path / "bad.txt"

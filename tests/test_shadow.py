@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import fields
 from functools import lru_cache
 
@@ -188,6 +189,41 @@ def test_dump_format_round_trips():
     buf = io.StringIO()
     assert dump_shadow(sh, buf) is None
     assert buf.getvalue() == text + "\n" if text else buf.getvalue() == ""
+
+
+def test_dump_streams_in_chunks(monkeypatch):
+    # a streamed dump holds one chunk of ids at a time, not the shadow's
+    # flat ids: those alone would take 8 B per member, several bounds here
+    g = er_graph(120, 0.5, seed=1)
+    sh = shadow_finder(g, 6)
+    chunk = 1024
+    monkeypatch.setattr(shadow, "_CHUNK_ELEMS", chunk)
+    bound = 128 * chunk + 2**14
+    assert 8 * sh.representation_size > 4 * bound
+
+    class Discard:
+        def write(self, text):
+            pass
+
+    tracemalloc.start()
+    try:
+        dump_shadow(sh, Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "vertices" not in sh.__dict__
+    assert peak < bound
+    # every chunking gives the same lines, one per entry, from the ids
+    expected = [f"{ell}\t{b - a}\t"
+                + " ".join(map(str, sh.vertices[a:b].tolist()))
+                for ell, a, b in zip(sh.ells.tolist(), sh.offsets.tolist(),
+                                     sh.offsets[1:].tolist())]
+    for size in (1, 37, chunk):
+        monkeypatch.setattr(shadow, "_CHUNK_ELEMS", size)
+        buf = io.StringIO()
+        dump_shadow(sh, buf)
+        assert buf.getvalue().split("\n") == [*expected, ""]
+        assert dump_shadow(sh) == "\n".join(expected)
 
 
 def test_turan_graph_sits_exactly_on_the_boundary():
