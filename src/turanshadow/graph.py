@@ -43,7 +43,9 @@ class Graph:
 
     Invariants: no self-loops, no parallel edges, neighbor lists sorted
     ascending, and symmetric adjacency (v in adj[u] iff u in adj[v]).
-    Safe for concurrent reads once constructed.
+    Safe for concurrent reads. Its edge keys, degeneracy order and oriented
+    table are built lazily, once per graph, and kept read-only; two threads
+    making the first call at once may both build one, harmlessly.
     """
 
     __slots__ = ("indptr", "indices", "vertex_count", "edge_count",
@@ -57,8 +59,7 @@ class Graph:
         self.vertex_count = int(len(indptr) - 1)
         self.edge_count = int(len(indices)) // 2
         self.original_ids = original_ids
-        self._edge_keys = None  # filled on first use by edge_keys()
-        self._order = self._table = None  # kept by shadow.shadow_finder
+        self._edge_keys = self._order = self._table = None  # see above
 
     @classmethod
     def from_edges(cls, edges, num_vertices: int | None = None,
@@ -134,6 +135,9 @@ def _parse_lines(lines: Iterable, comment_prefix: str) -> np.ndarray:
     for line_number, raw in enumerate(lines, start=1):
         if isinstance(raw, bytes):
             raw = raw.decode()
+        elif not isinstance(raw, str):
+            raise EdgeListParseError(
+                line_number, f"expected a str or bytes line, got {raw!r}")
         line = raw.strip()
         if not line or (comment_prefix and line.startswith(comment_prefix)):
             continue
@@ -147,6 +151,9 @@ def _parse_lines(lines: Iterable, comment_prefix: str) -> np.ndarray:
         except ValueError:
             raise EdgeListParseError(
                 line_number, f"non-integer token in {line!r}") from None
+        if not (-2**63 <= us[-1] < 2**63 and -2**63 <= vs[-1] < 2**63):
+            raise EdgeListParseError(
+                line_number, f"id outside the int64 range in {line!r}")
     return np.stack([np.asarray(us, dtype=np.int64),
                      np.asarray(vs, dtype=np.int64)], axis=1)
 
@@ -246,8 +253,10 @@ def degeneracy_order(g: Graph) -> DegeneracyOrder:
     ones it had when removed. Between rises only the live neighbours of the
     last round's removals can have fallen to d, so a round looks at those
     alone. The number of rounds is the depth of the peel, at worst about
-    n / 2 (a path loses its two ends per round).
+    n / 2 (a path loses its two ends per round). g keeps it, read-only.
     """
+    if g._order is not None:
+        return g._order
     n = g.vertex_count
     indptr, indices = g.indptr, g.indices
     deg = np.diff(indptr)
@@ -282,10 +291,11 @@ def degeneracy_order(g: Graph) -> DegeneracyOrder:
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     later = position[indices] > position[src]
     core = np.bincount(src[later], minlength=n)
-    out_ids = indices[later]
-    out_ids.flags.writeable = False  # out_neighbors hands out views of it
-    return DegeneracyOrder(order, position, core, int(core.max(initial=0)),
-                           np.cumsum(core) - core, out_ids)
+    g._order = DegeneracyOrder(order, position, core, int(core.max(initial=0)),
+                               np.cumsum(core) - core, indices[later])
+    for a in (order, position, core, g._order.out_start, g._order.out_ids):
+        a.flags.writeable = False  # shared by every caller
+    return g._order
 
 
 def out_neighbors(g: Graph, order: DegeneracyOrder, v: int) -> np.ndarray:

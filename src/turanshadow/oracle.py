@@ -5,16 +5,13 @@ most alpha later neighbours (its out-degree). Every k-clique has one member
 that comes first, so the count is the sum, over the roots (the vertices
 with at least k - 1 out-neighbours), of the (k-1)-cliques inside each
 root's out-neighbourhood, and each clique is found once. The order is
-graph.degeneracy_order, the one the shadow builder uses: each round removes
-every live vertex of remaining degree at most d, d rises only when none is
-left, and a round is a few numpy calls over the neighbours of the last
-round's removals. So it costs O(n + m) plus a fixed cost per round, and the
-number of rounds is the depth of the peel, at worst about n / 2 (a
-100,000-vertex path takes 50,000 rounds).
+graph.degeneracy_order, the one the shadow builder uses and g keeps; a
+peel costs O(n + m) plus a fixed cost for each of its rounds, at worst
+about n / 2 of them (a 100,000-vertex path takes 50,000 rounds).
 
 The counter reads the builder's table and root batches. Before any batch
-it builds shadow.oriented_table (m * ceil(alpha / 64) words, held for the
-whole count), and, as the builder does, reads member a of a set under root
+it reads shadow.oriented_table (m * ceil(alpha / 64) words, which g keeps
+once built), and, as the builder does, reads member a of a set under root
 v in place as row out_start[v] + a (shadow.member_rows), a root of
 out-degree d being a mask of nw = ceil(d / 64) words. Rows point downward:
 member u keeps only the members below it, so a clique is found once, from
@@ -173,7 +170,7 @@ def exact_kclique_count(g: Graph, k: int,
     else:
         order, count = degeneracy_order(g), 0
         if order.alpha >= k - 1:  # else no vertex is a root
-            table = shadow.oriented_table(g, order, check_time)
+            table = shadow.oriented_table(g, check_time)
             count = sum(shadow.map_batches(
                 lambda group: _count_batch(order, table, group, k,
                                            check_time),

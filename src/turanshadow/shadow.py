@@ -164,7 +164,7 @@ class TuranShadow:
     8(E + 1) + 24E bytes for offsets, ells, edges and rowbase, m *
     ceil(alpha / 64) table words and m ids words shared with the order;
     for the whole graph, n * ceil(n / 64) table words and n ids words.
-    The table is the same at every k, and g keeps it and its order for
+    The table is the same at every k, and g keeps it for the counter and
     later builds. While it is built, each map_batches worker holds a table
     chunk or a root batch, which holds no rows: with nw = ceil(alpha / 64),
     at most twice its emitted sets plus its largest frontier and the
@@ -455,10 +455,9 @@ def map_batches(fn: Callable, batches: Iterable) -> list:
     return [results[i] for i in range(len(results))]
 
 
-def oriented_table(g: Graph, order: DegeneracyOrder,
-                   check_time: Callable[[], None] = lambda: None
+def oriented_table(g: Graph, check_time: Callable[[], None] = lambda: None
                    ) -> np.ndarray:
-    """Member-pair table of every vertex's out-neighbourhood in `order`.
+    """Member-pair table of every out-neighbourhood in degeneracy_order(g).
 
     Returns the (m, max(1, ceil(alpha / 64))) uint64 table whose row
     out_start[v] + a stands for out-neighbour a of v (out_ids order): bit b
@@ -471,8 +470,11 @@ def oriented_table(g: Graph, order: DegeneracyOrder,
     would pass 2 * _CHUNK_ELEMS (a vertex with more is a chunk alone), so
     a vertex of out-degree 1, which has no pair, still counts. Chunks fill
     disjoint rows on the threads of map_batches; check_time() runs before
-    each chunk.
+    each chunk. g keeps the finished table, read-only, and no stopped one.
     """
+    if g._table is not None:
+        return g._table
+    order = degeneracy_order(g)
     n, out_deg, out_start = g.vertex_count, order.core_number, order.out_start
     nw = max(1, -(-order.alpha // 64))
     row_bits = 64 * nw
@@ -499,6 +501,8 @@ def oriented_table(g: Graph, order: DegeneracyOrder,
 
     cost = out_deg * (out_deg - 1) // 2 + out_deg * row_bits
     map_batches(fill, _spans(cost, 2 * _CHUNK_ELEMS))
+    table.flags.writeable = False
+    g._table = table
     return table
 
 
@@ -564,9 +568,7 @@ def shadow_finder(g: Graph, k: int) -> TuranShadow:
     """
     check_shadow_args(k)
     n, m = g.vertex_count, g.edge_count
-    if g._order is None:
-        g._order = degeneracy_order(g)
-    order = g._order
+    order = degeneracy_order(g)
     if n >= k and _saturated(m, n, k):
         # one entry, the whole graph: its rows are the packed adjacency
         # matrix, about n * n / 64 < m / 16 words because the graph is dense
@@ -579,9 +581,7 @@ def shadow_finder(g: Graph, k: int) -> TuranShadow:
                   np.array([m]), np.array([0]))]
     else:
         # one row per oriented edge: a root has at most alpha members
-        if g._table is None:
-            g._table = oriented_table(g, order)
-        ids, table = order.out_ids, g._table
+        ids, table = order.out_ids, oriented_table(g)
         dtype = _label_dtype(order.alpha)
         none = np.empty(0, dtype=np.int64)
         parts = [(none, none.astype(dtype), none, none, none), *map_batches(

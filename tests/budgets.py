@@ -1,5 +1,6 @@
 """Small root-batch, chunk and lookup budgets for the builder and counter,
-and a deadlock guard for runs on the batch runner."""
+a deadlock guard for runs on the batch runner, and a spy on the builds of
+the degeneracy order and the oriented table."""
 
 import threading
 
@@ -79,3 +80,29 @@ def run_bounded(fn, seconds=60.0):
     if kind == "error":
         raise value
     return value
+
+
+def spy_builds(monkeypatch):
+    """Record every degeneracy order peeled and oriented table filled.
+
+    Returns {"order": [...], "table": [...]}: an order is recorded when a
+    DegeneracyOrder is made, which only a peel does, and a table when
+    oriented_table returns one it has not returned before. A call that
+    returns what the graph keeps records nothing.
+    """
+    built = {"order": [], "table": []}
+    make_order, oriented_table = graph.DegeneracyOrder, shadow.oriented_table
+
+    def order_spy(*args):
+        built["order"].append(make_order(*args))
+        return built["order"][-1]
+
+    def table_spy(*args):
+        table = oriented_table(*args)
+        if not any(table is t for t in built["table"]):
+            built["table"].append(table)
+        return table
+
+    monkeypatch.setattr(graph, "DegeneracyOrder", order_spy)
+    monkeypatch.setattr(shadow, "oriented_table", table_spy)
+    return built

@@ -14,6 +14,7 @@ from turanshadow.estimator import required_samples
 from turanshadow.graph import degeneracy_order, load_edge_list
 from turanshadow.oracle import exact_kclique_count
 
+from budgets import spy_builds
 from genutil import complete_graph, cycle_graph, er_graph
 
 COUNT_KEYS = [
@@ -187,6 +188,17 @@ def test_malformed_input_fails_with_line_number(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_id_outside_int64_fails_with_one_line_error(capsys, tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text("0 1\n1 99999999999999999999\n")
+    code, out, err = run_cli(capsys, ["exact", "--input", str(path),
+                                      "--k", "3"])
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: line 2: id outside the int64 range in "
+        "'1 99999999999999999999'"]
+
+
 def test_exact_command(capsys, tmp_path):
     path = write_graph(tmp_path / "k10.txt", complete_graph(10))
     code, out, _ = run_cli(capsys, ["exact", "--input", path, "--k", "5"])
@@ -262,18 +274,13 @@ def test_sweep_builds_the_order_and_table_once(capsys, monkeypatch,
                                         str(k), "--samples", "3000"])
         assert code == 0
         expected.append({key: json_rows(out)[0][key] for key in keys})
-    built = []
-    for name in ("degeneracy_order", "oriented_table"):
-        def spy(*args, name=name, build=getattr(shadow, name)):
-            built.append(name)
-            return build(*args)
-        monkeypatch.setattr(shadow, name, spy)
+    built = spy_builds(monkeypatch)
     code, out, _ = run_cli(capsys, ["sweep", "--input", path, "--k-range",
                                     "3:6", "--samples", "3000"])
     assert code == 0
     assert [{key: r[key] for key in keys} for r in json_rows(out)] \
         == expected
-    assert built == ["degeneracy_order", "oriented_table"]
+    assert [len(built["order"]), len(built["table"])] == [1, 1]
 
 
 def test_sweep_rejects_bad_ranges(capsys, er_file):

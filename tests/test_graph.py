@@ -199,6 +199,41 @@ def test_load_path_malformed_line_number(tmp_path, text, line_number):
         assert exc.value.line_number == line_number
 
 
+@pytest.mark.parametrize("text", ["0 1\n1 99999999999999999999\n",
+                                  "0 1\n-9223372036854775809 2\n",
+                                  "0 1\n3 9223372036854775808\n"])
+def test_load_id_outside_int64_reports_line_number(tmp_path, text):
+    # a path, a stream and a list of lines alike; the loadtxt fast path
+    # refuses such a line, and the line parser names it
+    path = tmp_path / "big.txt"
+    path.write_text(text)
+    for source in (path, io.StringIO(text), text.splitlines()):
+        with pytest.raises(EdgeListParseError, match="int64") as exc:
+            load_edge_list(source)
+        assert exc.value.line_number == 2, source
+
+
+def test_load_int64_extremes(tmp_path):
+    text = "-9223372036854775808 9223372036854775807\n"
+    path = tmp_path / "edge.txt"
+    path.write_text(text)
+    for source in (path, io.StringIO(text), [text]):
+        g = load_edge_list(source)
+        assert g.original_ids.tolist() == [-2**63, 2**63 - 1], source
+
+
+@pytest.mark.parametrize("source, line_number", [
+    (b"0 1\n", 1),
+    (bytearray(b"0 1\n"), 1),
+    ([0, 1], 1),
+    (["0 1\n", b"1 2\n", 7], 3),
+])
+def test_load_refuses_lines_that_are_not_text(source, line_number):
+    with pytest.raises(EdgeListParseError, match="str or bytes") as exc:
+        load_edge_list(source)
+    assert exc.value.line_number == line_number
+
+
 def test_load_empty_comment_prefix_means_no_comments(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("0 1\n1 2\n")

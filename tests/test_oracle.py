@@ -16,7 +16,7 @@ from turanshadow.oracle import (
     naive_kclique_count,
 )
 
-from budgets import check_batches, shrink_budgets
+from budgets import check_batches, shrink_budgets, spy_builds
 from genutil import (
     complete_graph,
     cycle_graph,
@@ -168,7 +168,7 @@ def test_counter_batch_peaks_within_the_documented_bound(monkeypatch):
     monkeypatch.setattr(shadow, "_CHUNK_ELEMS", chunk)
     g, k = er_graph(160, 0.6, seed=2), 6
     order = degeneracy_order(g)
-    table = shadow.oriented_table(g, order)
+    table = shadow.oriented_table(g)
     batches = list(shadow.root_batches(order, k))
     group = max(batches, key=lambda group: sum(ids.size for ids, _ in group))
     roots = sum(ids.size for ids, _ in group)
@@ -223,6 +223,28 @@ def test_time_budget_stops_the_table_build(monkeypatch):
         exact_kclique_count(g, 6, time_budget=0.05)
     assert 0 < len(chunks) < g.vertex_count // 2
     assert not batches
+
+
+def test_a_stopped_table_build_keeps_no_table(monkeypatch):
+    # the budget stops the table after a few of its one-vertex chunks: g
+    # keeps no table, and a later count with no budget fills one, whole
+    g, k = er_graph(60, 0.5, seed=2), 5
+    lookup = shadow.has_edge_keys
+
+    def slow_lookup(*args):
+        time.sleep(0.01)
+        return lookup(*args)
+
+    with monkeypatch.context() as mp:
+        shrink_budgets(mp, "unit")
+        mp.setattr(shadow, "has_edge_keys", slow_lookup)
+        with pytest.raises(TimeBudgetExceeded):
+            exact_kclique_count(g, k, time_budget=0.05)
+    assert g._table is None
+    built = spy_builds(monkeypatch)
+    assert exact_kclique_count(g, k).count == reference_count(g, k)
+    assert len(built["table"]) == 1 and g._table is built["table"][0]
+    assert built["order"] == []  # the stopped count's order is kept
 
 
 def test_time_budget_refusal():

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import sys
 import threading
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from turanshadow import shadow
+from turanshadow.estimator import turan_shadow_count
 from turanshadow.graph import (
     degeneracy_order,
     induced_edge_count,
@@ -23,7 +25,12 @@ from turanshadow.shadow import (
     shadow_stats,
 )
 
-from budgets import check_batches, run_bounded, shrink_budgets
+from budgets import (
+    check_batches,
+    run_bounded,
+    shrink_budgets,
+    spy_builds,
+)
 from genutil import (
     complete_graph,
     cycle_graph,
@@ -340,7 +347,7 @@ def test_builder_batch_peaks_within_the_documented_bound(monkeypatch):
     for g, k in [(er_graph(120, 0.5, seed=1), 7),
                  (er_graph(160, 0.6, seed=2), 5)]:  # two-word rows
         order = degeneracy_order(g)
-        table = shadow.oriented_table(g, order)
+        table = shadow.oriented_table(g)
         group = max(shadow.root_batches(order, k), key=lambda group: max(
             order.core_number[ids].max() for ids, _ in group))
         frontier[0] = 0
@@ -509,6 +516,36 @@ def test_table_does_not_depend_on_k():
                   if not whole_graph(g, k)]
         if len(tables) == 2:
             assert np.array_equal(*tables), g
+
+
+def test_order_and_table_are_built_once_per_graph(monkeypatch):
+    # whatever calls come first, g is peeled once and its table filled
+    # once, and every result is that of the same call on a fresh graph
+    def graph():
+        return er_graph(60, 0.3, seed=8)
+
+    calls = {
+        "order": lambda g: degeneracy_order(g).alpha,
+        "shadow": lambda g: shadow_finder(g, 5),
+        "exact": lambda g: exact_kclique_count(g, 6).count,
+        "count": lambda g: turan_shadow_count(g, 2).alpha,
+    }
+    expected = {name: call(graph()) for name, call in calls.items()}
+    assert expected["order"] >= 5  # so the exact count reads the table
+    assert not whole_graph(graph(), 5)  # and so does the builder
+    for names in itertools.permutations(calls):
+        built, g = spy_builds(monkeypatch), graph()
+        for name in names:
+            got, want = calls[name](g), expected[name]
+            if name == "shadow":
+                for f in SHADOW_FIELDS:
+                    assert np.array_equal(getattr(got, f), getattr(want, f))
+            else:
+                assert got == want, (names, name)
+        assert [len(built["order"]), len(built["table"])] == [1, 1], names
+        assert g._order is built["order"][0]
+        assert g._table is built["table"][0]
+        monkeypatch.undo()
 
 
 def test_entries_view_indexing():
