@@ -85,14 +85,8 @@ def _parse_samples_list(text: str) -> list[int]:
 
 
 def _sampling_kwargs(args) -> dict:
-    if (args.eps is None) != (args.delta is None):
-        raise ValueError("--eps and --delta must be given together")
-    if args.eps is not None:
-        if args.samples is not None:
-            raise ValueError("use either --samples or --eps/--delta, not both")
-        return {"eps": args.eps, "delta": args.delta}
-    samples = int(args.samples) if args.samples is not None else DEFAULT_SAMPLES
-    return {"samples": samples}
+    """--samples, --eps and --delta as given; check_count_args checks them."""
+    return {"samples": args.samples, "eps": args.eps, "delta": args.delta}
 
 
 def cmd_count(args, emit: _Emitter) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Iterable, Union
 
 import numpy as np
 
@@ -18,9 +18,6 @@ Source = Union[str, Path, IO, Iterable]
 
 # Largest vertex count whose pair keys u * n + v (u, v < n) fit in int64.
 MAX_VERTICES = 3_037_000_499
-
-# Pair lookups per chunk of induced_adjacency_rows.
-_LOOKUP_CHUNK = 1 << 17
 
 
 def _check_vertex_count(n: int) -> None:
@@ -43,13 +40,14 @@ class Graph:
 
     Invariants: no self-loops, no parallel edges, neighbor lists sorted
     ascending, and symmetric adjacency (v in adj[u] iff u in adj[v]).
-    Safe for concurrent reads. Its edge keys, degeneracy order and oriented
-    table are built lazily, once per graph, and kept read-only; two threads
-    making the first call at once may both build one, harmlessly.
+    Safe for concurrent reads. Its degeneracy order and oriented table are
+    built lazily, once per graph, and kept read-only; two threads making the
+    first call at once may both build one, harmlessly. Nothing else is
+    cached: edge_keys makes its keys anew on each call.
     """
 
     __slots__ = ("indptr", "indices", "vertex_count", "edge_count",
-                 "original_ids", "_edge_keys", "_order", "_table")
+                 "original_ids", "_order", "_table")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
                  original_ids: np.ndarray | None = None):
@@ -59,7 +57,7 @@ class Graph:
         self.vertex_count = int(len(indptr) - 1)
         self.edge_count = int(len(indices)) // 2
         self.original_ids = original_ids
-        self._edge_keys = self._order = self._table = None  # see above
+        self._order = self._table = None  # see above
 
     @classmethod
     def from_edges(cls, edges, num_vertices: int | None = None,
@@ -242,6 +240,17 @@ class DegeneracyOrder:
     out_ids: np.ndarray
 
 
+def _gather_rows(g: Graph, vertices: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(neighbours, count): the CSR rows of `vertices`, in their order and
+    joined by one index, and each row's length."""
+    start = g.indptr[vertices]
+    count = g.indptr[vertices + 1] - start
+    # each row's start, less where it begins in the join
+    shift = start + count - count.cumsum()
+    return g.indices[shift.repeat(count) + np.arange(count.sum())], count
+
+
 def degeneracy_order(g: Graph) -> DegeneracyOrder:
     """A degeneracy order peeled in rounds of numpy work.
 
@@ -275,12 +284,7 @@ def degeneracy_order(g: Graph) -> DegeneracyOrder:
             continue
         live[peel] = False
         rounds.append(peel)
-        start = indptr[peel]
-        count = indptr[peel + 1] - start
-        end = count.cumsum()
-        # the CSR rows of the removed vertices, gathered by one index
-        nbrs = indices[(start + count - end).repeat(count)
-                       + np.arange(end[-1])]
+        nbrs = _gather_rows(g, peel)[0]
         nbrs = nbrs[live[nbrs]]
         np.subtract.at(deg, nbrs, 1)
         nbrs.sort()
@@ -313,15 +317,12 @@ def edge_keys(g: Graph) -> np.ndarray:
     """Ascending keys u * n + v of all ordered adjacent pairs (u, v).
 
     The CSR is lexsorted by (row, column), so the keys need no sort. They
-    are computed once per graph and returned read-only.
+    are 2m words, made on each call and kept by nobody: oriented_table
+    makes them for its fill and drops them once the table is built.
     """
-    if g._edge_keys is None:
-        n = g.vertex_count
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
-        keys = rows * n + g.indices
-        keys.flags.writeable = False
-        g._edge_keys = keys
-    return g._edge_keys
+    n = g.vertex_count
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
+    return rows * n + g.indices
 
 
 def has_edge_keys(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -332,47 +333,44 @@ def has_edge_keys(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
     return keys[at] == q
 
 
-def induced_adjacency_rows(g: Graph, verts: np.ndarray
-                           ) -> Iterator[tuple[int, np.ndarray]]:
-    """Upper-triangle adjacency rows of the subgraph induced by a vertex set.
+def _induced_pairs(g: Graph, vertices
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(verts, a, b): the set as int64 and, ascending by a then b, the
+    local index pairs of its induced edges in both directions.
 
-    `verts` is a strictly ascending int64 array of W vertex ids. Yields
-    (a0, block) in order, where block[a - a0, b] tells, for b > a, whether
-    verts[a] and verts[b] are adjacent; it is False for b <= a, so each
-    unordered pair is looked up once, and the caller mirrors the block if it
-    needs both halves. Each block costs about _LOOKUP_CHUNK pair lookups, so
-    no (W, W) key array is built at once.
+    vertices must be strictly ascending ids of g, else ValueError. Each
+    gathered neighbour is placed in the set by one searchsorted, so W
+    members cost O(sum of their degrees * log W) and no W x W array.
     """
-    keys = edge_keys(g)
-    n = g.vertex_count
-    width = verts.size
-    step = max(1, _LOOKUP_CHUNK // max(width, 1))
-    for a0 in range(0, width, step):
-        u = verts[a0:a0 + step]
-        upper = np.arange(width) > np.arange(a0, a0 + u.size)[:, None]
-        block = np.zeros(upper.shape, dtype=bool)
-        block[upper] = has_edge_keys(keys, (u[:, None] * n + verts)[upper])
-        yield a0, block
+    verts = np.asarray(vertices, dtype=np.int64)
+    if verts.size and np.any(np.diff(verts) <= 0):
+        raise ValueError("vertex set must be strictly ascending")
+    if verts.size and (int(verts[0]) < 0 or int(verts[-1]) >= g.vertex_count):
+        raise ValueError("vertex id out of range")
+    nbrs, count = _gather_rows(g, verts)
+    b = np.searchsorted(verts, nbrs).clip(max=verts.size - 1)
+    hit = verts[b] == nbrs
+    return verts, np.arange(verts.size).repeat(count)[hit], b[hit]
 
 
 def induced_adjacency_matrix(g: Graph, vertices) -> np.ndarray:
     """Dense boolean adjacency of the subgraph induced by `vertices`.
 
     Row/column i corresponds to vertices[i]; vertices must be strictly
-    ascending global ids.
+    ascending ids of g, else ValueError. Costs O(sum of their degrees *
+    log W) for W vertices, plus the W x W result.
     """
-    verts = np.asarray(vertices, dtype=np.int64)
+    verts, a, b = _induced_pairs(g, vertices)
     mat = np.zeros((verts.size, verts.size), dtype=bool)
-    for a0, block in induced_adjacency_rows(g, verts):
-        mat[a0:a0 + len(block)] = block
-    return mat | mat.T
+    mat[a, b] = True
+    return mat
 
 
 def induced_edge_count(g: Graph, vertices) -> int:
-    """Number of edges of g with both endpoints in `vertices`."""
-    verts = np.asarray(vertices, dtype=np.int64)
-    return sum(int(np.count_nonzero(block))
-               for _, block in induced_adjacency_rows(g, verts))
+    """Number of edges of g with both endpoints in `vertices`: strictly
+    ascending ids of g, else ValueError. Costs O(sum of their degrees *
+    log W) for W vertices."""
+    return _induced_pairs(g, vertices)[1].size // 2
 
 
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, np.ndarray]:
@@ -380,16 +378,11 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, np.ndarray]:
 
     Returns (subgraph, local_to_global) where local id i names global id
     local_to_global[i]. The global-to-local direction is a searchsorted
-    into that array.
+    into that array. vertices must be strictly ascending ids of g, else
+    ValueError. Costs O(sum of their degrees * log W) for W vertices, and
+    no W x W array.
     """
-    verts = np.asarray(vertices, dtype=np.int64)
-    if verts.size and np.any(np.diff(verts) <= 0):
-        raise ValueError("vertex set must be strictly ascending")
-    if verts.size and (int(verts[0]) < 0 or int(verts[-1]) >= g.vertex_count):
-        raise ValueError("vertex id out of range")
-    mat = induced_adjacency_matrix(g, verts)
-    counts = mat.sum(axis=1)
+    verts, a, b = _induced_pairs(g, vertices)
     indptr = np.zeros(verts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.nonzero(mat)[1].astype(np.int64)
-    return Graph(indptr, indices), verts.copy()
+    np.cumsum(np.bincount(a, minlength=verts.size), out=indptr[1:])
+    return Graph(indptr, b), verts.copy()

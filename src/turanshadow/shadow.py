@@ -165,8 +165,9 @@ class TuranShadow:
     ceil(alpha / 64) table words and m ids words shared with the order;
     for the whole graph, n * ceil(n / 64) table words and n ids words.
     The table is the same at every k, and g keeps it for the counter and
-    later builds. While it is built, each map_batches worker holds a table
-    chunk or a root batch, which holds no rows: with nw = ceil(alpha / 64),
+    later builds; while it is filled, 2m edge-key words are held too. While
+    the shadow is built, each map_batches worker holds a table chunk or a
+    root batch, which holds no rows: with nw = ceil(alpha / 64),
     at most twice its emitted sets plus its largest frontier and the
     children made from it, at nw + k + 2 words a set, two bytes a label,
     and about 16 * _CHUNK_ELEMS words of chunk temporaries. A
@@ -368,15 +369,15 @@ def _peel(table: np.ndarray, sets: _Sets, ell: int, depth: int):
     return base[item], cmask[keep], csize[keep], path
 
 
-def _spans(cost: np.ndarray, budget: int):
-    """(lo, hi) spans that cut `cost` greedily at `budget`.
+def _spans(spent: np.ndarray, budget: int):
+    """(lo, hi) spans that cut items greedily at `budget`, given `spent`,
+    the running sum of their costs.
 
     A span takes items in order until the next one would carry the sum of
     their costs past budget, and holds at least one item.
     """
-    spent = np.cumsum(cost)
     lo = 0
-    while lo < cost.size:
+    while lo < spent.size:
         limit = budget + (int(spent[lo - 1]) if lo else 0)
         hi = max(lo + 1, int(np.searchsorted(spent, limit, side="right")))
         yield lo, hi
@@ -396,7 +397,7 @@ def root_batches(order: DegeneracyOrder, k: int):
     """
     roots = np.flatnonzero(order.core_number >= k - 1)
     size = order.core_number[roots]
-    for lo, hi in _spans(size * size, 2 * _CHUNK_ELEMS):
+    for lo, hi in _spans(np.cumsum(size * size), 2 * _CHUNK_ELEMS):
         batch, classes = roots[lo:hi], -(-size[lo:hi] // 64)
         yield [(batch[classes == nw], nw)
                for nw in sorted(set(classes.tolist()))]
@@ -465,10 +466,11 @@ def oriented_table(g: Graph, check_time: Callable[[], None] = lambda: None
     rows of vertices with out-degree <= 1 are zero. It depends on the order
     alone, not on any k. Members ascend in id, so the pair a < b is the one
     edge key u * n + w, looked up once in edge_keys(g) and set in both
-    rows. Vertices are cut, in id order, into chunks, as root_batches cuts
-    roots: a chunk closes before its member pairs plus the bits of its rows
-    would pass 2 * _CHUNK_ELEMS (a vertex with more is a chunk alone), so
-    a vertex of out-degree 1, which has no pair, still counts. Chunks fill
+    rows; the 2m keys are made for the fill and dropped after it. Vertices
+    are cut, in id order, into chunks, as root_batches cuts roots: a chunk
+    closes before its member pairs plus the bits of its rows would pass
+    2 * _CHUNK_ELEMS (a vertex with more is a chunk alone), so a vertex of
+    out-degree 1, which has no pair, still counts. Chunks fill
     disjoint rows on the threads of map_batches; check_time() runs before
     each chunk. g keeps the finished table, read-only, and no stopped one.
     """
@@ -479,7 +481,7 @@ def oriented_table(g: Graph, check_time: Callable[[], None] = lambda: None
     nw = max(1, -(-order.alpha // 64))
     row_bits = 64 * nw
     table = np.zeros((g.edge_count, nw), dtype=np.uint64)
-    keys = edge_keys(g)  # a lazy cache: filled here, not raced for by workers
+    keys = edge_keys(g)
 
     def fill(span):
         check_time()
@@ -500,7 +502,7 @@ def oriented_table(g: Graph, check_time: Callable[[], None] = lambda: None
             "<u8").reshape(-1, nw)
 
     cost = out_deg * (out_deg - 1) // 2 + out_deg * row_bits
-    map_batches(fill, _spans(cost, 2 * _CHUNK_ELEMS))
+    map_batches(fill, _spans(np.cumsum(cost), 2 * _CHUNK_ELEMS))
     table.flags.writeable = False
     g._table = table
     return table
@@ -626,14 +628,10 @@ def dump_shadow(sh: TuranShadow, stream: IO | None = None) -> str | None:
 
 def _dump_chunks(sh: TuranShadow):
     """The dump's lines, a chunk of entries at a time, joined by newlines."""
-    offsets, lo = sh.offsets, 0
-    while lo < len(sh.ells):
-        # entries lo..hi - 1 end within _CHUNK_ELEMS members, or hi = lo + 1
-        hi = max(lo + 1, int(np.searchsorted(
-            offsets, offsets[lo] + _CHUNK_ELEMS, side="right")) - 1)
+    # offsets[1:] is the running sum of the sizes: a view, not E new words
+    for lo, hi in _spans(sh.offsets[1:], _CHUNK_ELEMS):
         ids = sh._member_ids(lo, hi).tolist()
-        bounds = (offsets[lo:hi + 1] - offsets[lo]).tolist()
+        bounds = (sh.offsets[lo:hi + 1] - sh.offsets[lo]).tolist()
         yield "\n".join(
             f"{ell}\t{b - a}\t{' '.join(map(str, ids[a:b]))}"
             for ell, a, b in zip(sh.ells[lo:hi].tolist(), bounds, bounds[1:]))
-        lo = hi

@@ -1,4 +1,4 @@
-"""Small root-batch, chunk and lookup budgets for the builder and counter,
+"""Small root-batch and chunk budgets for the builder and counter,
 a deadlock guard for runs on the batch runner, and a spy on the builds of
 the degeneracy order and the oriented table."""
 
@@ -13,8 +13,8 @@ def shrink_budgets(monkeypatch, budget):
     """Run the builder at small budgets; returns the batches it made.
 
     A root of out-degree d costs d * d member slots. "unit" sets the chunk
-    and lookup budgets to one element, so every root batch holds one root
-    and every oriented_table chunk one vertex with out-neighbours.
+    budget to one element, so every root batch holds one root and every
+    oriented_table chunk one vertex with out-neighbours.
     "batch3" sets, at each call of root_batches, the cut 2 * _CHUNK_ELEMS
     below the least cost of four roots in a row, so no batch holds four.
     Each call adds (its cut, its batches) to the list returned, with per
@@ -22,7 +22,6 @@ def shrink_budgets(monkeypatch, budget):
     """
     if budget == "unit":
         monkeypatch.setattr(shadow, "_CHUNK_ELEMS", 1)
-        monkeypatch.setattr(graph, "_LOOKUP_CHUNK", 1)
     calls = []
     root_batches = shadow.root_batches
 

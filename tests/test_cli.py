@@ -360,9 +360,11 @@ def test_convergence_negative_seed_exits_before_shadow(capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("args,message", [
-    (["count", "--k", "4", "--eps", "0.1"], "--eps and --delta"),
+    (["count", "--k", "4", "--eps", "0.1"],
+     "eps and delta must be given together"),
     (["sweep", "--k-range", "9:3"], "k range must satisfy"),
-    (["sweep", "--k-range", "3:4", "--delta", "0.1"], "--eps and --delta"),
+    (["sweep", "--k-range", "3:4", "--delta", "0.1"],
+     "eps and delta must be given together"),
     (["convergence", "--k", "4", "--repeat", "0"], "--repeat must be >= 1"),
     (["convergence", "--k", "4", "--samples", "0"],
      "sample counts must be >= 1"),

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -395,7 +396,7 @@ def test_out_neighbors_sum_to_edge_count():
 
 def test_graph_arrays_are_read_only(tmp_path):
     # neighbors() hands out views, so writing through one must fail rather
-    # than change the graph under its cached edge keys
+    # than change the graph under its cached order and table
     path = tmp_path / "triangle.txt"
     path.write_text("0 1\n1 2\n0 2\n")
     triangle = Graph.from_edges([(0, 1), (1, 2), (0, 2)])
@@ -463,6 +464,32 @@ def test_induced_adjacency_matrix_is_symmetric_and_hollow():
     mat = induced_adjacency_matrix(g, verts)
     assert np.array_equal(mat, mat.T)
     assert not mat.diagonal().any()
+
+
+def test_induced_helpers_refuse_bad_vertex_sets():
+    # unchecked, [0, 7] would alias the pair key 0 * 5 + 7 of the edge
+    # (1, 2), and the repeated 2 in [1, 2, 2] would count that edge twice
+    g = Graph.from_edges([(1, 2)], num_vertices=5)
+    for helper in (induced_adjacency_matrix, induced_edge_count,
+                   induced_subgraph):
+        for verts in ([0, 7], [-1, 2], [1, 2, 2], [2, 1], [4, 2, 1]):
+            with pytest.raises(ValueError):
+                helper(g, verts)
+    assert induced_edge_count(g, [0, 1, 2, 4]) == 1
+
+
+def test_induced_helpers_hold_no_quadratic_arrays():
+    # the rows of the set are gathered, so a 5000-vertex path costs its
+    # 2 * 4999 neighbours, not 5000 x 5000 pairs
+    g, verts = path_graph(5000), np.arange(5000)
+    for helper in (induced_subgraph, induced_edge_count):
+        tracemalloc.start()
+        try:
+            helper(g, verts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, (helper.__name__, peak)
 
 
 def test_edge_density():
