@@ -7,14 +7,25 @@ at one or more sample counts), baseline (edge sampling).
 Data goes to stdout as JSON objects (one per line) or CSV; diagnostics go
 to stderr. Reruns with identical flags are byte-identical except for the
 timing fields.
+
+A run pays only for its own work: OpenBLAS, which no command calls, gets
+one thread unless OPENBLAS_NUM_THREADS is already set, and the objects
+made by the imports are frozen out of the garbage collector's walks.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 import time
+
+if "numpy" not in sys.modules:
+    # no code here calls BLAS, yet OpenBLAS starts a worker thread per extra
+    # CPU when numpy is imported; a count the user set wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .baseline import check_baseline_args, edge_sampling_estimate
 from .estimator import (
@@ -32,6 +43,10 @@ from .graph import load_edge_list
 from .oracle import check_exact_args, exact_kclique_count
 from .shadow import MAX_K, check_shadow_args, shadow_finder, shadow_stats
 
+# numpy and these modules live until exit, so the collector (the final
+# collection at exit included) need not walk what they made at import
+gc.freeze()
+
 
 class _Emitter:
     """Writes rows as one-per-line JSON objects or CSV with a header."""
@@ -39,16 +54,18 @@ class _Emitter:
     def __init__(self, fmt: str, out):
         self.fmt = fmt
         self.out = out
-        self.header_done = False
+        self.writer = None
 
     def row(self, data: dict) -> None:
         if self.fmt == "json":
             self.out.write(json.dumps(data) + "\n")
             return
-        if not self.header_done:
-            self.out.write(",".join(data.keys()) + "\n")
-            self.header_done = True
-        self.out.write(",".join(_csv_cell(v) for v in data.values()) + "\n")
+        if self.writer is None:
+            import csv  # only the CSV path pays for it
+
+            self.writer = csv.writer(self.out, lineterminator="\n")
+            self.writer.writerow(data.keys())
+        self.writer.writerow(_csv_cell(v) for v in data.values())
 
 
 def _csv_cell(value) -> str:

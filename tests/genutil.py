@@ -1,8 +1,28 @@
-"""Deterministic graph generators used as test fixtures."""
+"""Deterministic graph generators used as test fixtures, and a runner for
+child processes that import this same package."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 
+import turanshadow
 from turanshadow.graph import Graph
+
+
+def run_child(args, **env):
+    """Run python with args in a child that imports this same package.
+
+    Each keyword sets one of the child's environment variables; None
+    removes it.
+    """
+    src = os.path.dirname(os.path.dirname(turanshadow.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, **env, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env={k: v for k, v in env.items() if v is not None})
 
 
 def er_graph(n: int, p: float, seed: int) -> Graph:

@@ -1,13 +1,11 @@
+import csv
 import json
 import math
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import turanshadow
 from turanshadow import cli, estimator, shadow
 from turanshadow.cli import main
 from turanshadow.estimator import required_samples
@@ -15,7 +13,7 @@ from turanshadow.graph import degeneracy_order, load_edge_list
 from turanshadow.oracle import exact_kclique_count
 
 from budgets import spy_builds
-from genutil import complete_graph, cycle_graph, er_graph
+from genutil import complete_graph, cycle_graph, er_graph, run_child
 
 COUNT_KEYS = [
     "command", "input", "k", "estimate", "t", "successes", "success_ratio",
@@ -100,6 +98,17 @@ def test_count_csv_header_and_row(capsys, er_file):
     assert lines[0] == ",".join(COUNT_KEYS)
     assert len(lines) == 2
     assert len(lines[1].split(",")) == len(COUNT_KEYS)
+
+
+def test_csv_quotes_a_cell_holding_a_comma(capsys, tmp_path):
+    path = write_graph(tmp_path / "a,b.txt", complete_graph(5))
+    code, out, _ = run_cli(
+        capsys, ["stats", "--input", path, "--k", "4", "--format", "csv"])
+    assert code == 0
+    header, row = csv.reader(out.splitlines())
+    assert len(row) == len(header) == 13
+    assert dict(zip(header, row))["input"] == path
+    assert f'"{path}"' in out
 
 
 def test_count_eps_delta_mode(capsys, tmp_path):
@@ -450,18 +459,12 @@ def test_baseline_refuses_p_out_of_double_range(capsys, er_file):
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def run_child(args):
-    """Run python with args in a child that imports this same package."""
-    src = os.path.dirname(os.path.dirname(turanshadow.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": path})
-
-
 def test_console_entry_point_subprocess(er_file):
-    proc = run_child(["-m", "turanshadow.cli", "count", "--input", er_file,
-                      "--k", "3", "--samples", "1000", "--seed", "1"])
+    # -W error: runpy warns when something imports turanshadow.cli before
+    # running it, as an eager package __init__ would
+    proc = run_child(["-W", "error", "-m", "turanshadow.cli", "count",
+                      "--input", er_file, "--k", "3", "--samples", "1000",
+                      "--seed", "1"], OPENBLAS_NUM_THREADS=None)
     assert proc.returncode == 0
     row = json.loads(proc.stdout)
     assert list(row.keys()) == COUNT_KEYS
@@ -500,3 +503,29 @@ assert eager or "numpy.random" not in sys.modules, "numpy.random imported"
     proc = run_child(["-c", script])
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 1
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_cli_import_gives_openblas_one_thread_by_default(preset, expected):
+    script = """
+import gc, os
+enabled = gc.isenabled()
+import turanshadow.cli
+print(os.environ["OPENBLAS_NUM_THREADS"])
+assert gc.get_freeze_count() > 0, "nothing frozen"
+assert gc.isenabled() == enabled, "collector switched"
+"""
+    proc = run_child(["-c", script], OPENBLAS_NUM_THREADS=preset)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected + "\n"
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs /proc/self/task and two CPUs")
+def test_cli_import_starts_no_blas_thread():
+    script = ("import os, turanshadow.cli; "
+              "print(len(os.listdir('/proc/self/task')))")
+    proc = run_child(["-c", script], OPENBLAS_NUM_THREADS=None)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
