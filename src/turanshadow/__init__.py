@@ -17,11 +17,10 @@ _EXPORTS = {
         "run_trials", "turan_shadow_count"),
     "graph": (
         "DegeneracyOrder", "EdgeListParseError", "Graph", "degeneracy_order",
-        "induced_adjacency_matrix", "induced_edge_count", "induced_subgraph",
-        "load_edge_list", "out_neighbors"),
+        "induced_adjacency_matrix", "load_edge_list"),
     "oracle": (
         "CountOverflowError", "ExactCount", "TimeBudgetExceeded",
-        "exact_kclique_count", "naive_kclique_count"),
+        "exact_kclique_count"),
     "shadow": (
         "MAX_K", "ShadowEntry", "TuranShadow", "dump_shadow", "shadow_finder",
         "shadow_stats"),

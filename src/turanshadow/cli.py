@@ -54,24 +54,25 @@ class _Emitter:
     def __init__(self, fmt: str, out):
         self.fmt = fmt
         self.out = out
-        self.writer = None
+        self.header = fmt == "csv"  # still to be written
 
     def row(self, data: dict) -> None:
         if self.fmt == "json":
             self.out.write(json.dumps(data) + "\n")
             return
-        if self.writer is None:
-            import csv  # only the CSV path pays for it
-
-            self.writer = csv.writer(self.out, lineterminator="\n")
-            self.writer.writerow(data.keys())
-        self.writer.writerow(_csv_cell(v) for v in data.values())
+        if self.header:
+            self.header = False
+            self.out.write(",".join(map(_csv_cell, data)) + "\n")
+        self.out.write(",".join(map(_csv_cell, data.values())) + "\n")
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, dict):
-        return "|".join(f"{k}:{v}" for k, v in value.items())
-    return str(value)
+    """value as a CSV cell, quoted if it holds a comma, quote, CR or LF."""
+    text = ("|".join(f"{k}:{v}" for k, v in value.items())
+            if isinstance(value, dict) else str(value))
+    if any(c in text for c in ',"\r\n'):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _ms(seconds: float) -> float:

@@ -1,4 +1,4 @@
-"""Compact immutable graph storage, degeneracy ordering, and induced-subgraph tools.
+"""Compact immutable graph storage, degeneracy ordering, and induced adjacency.
 
 Graphs are simple and undirected, stored in CSR form with sorted neighbor
 lists. Vertex ids are dense ints in [0, n); loaders compact arbitrary input
@@ -105,23 +105,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        """Edge test via binary search in the shorter adjacency list."""
-        if u == v:
-            return False
-        if self.degree(u) > self.degree(v):
-            u, v = v, u
-        nbrs = self.neighbors(u)
-        i = int(np.searchsorted(nbrs, v))
-        return i < nbrs.size and int(nbrs[i]) == v
-
-    def edge_density(self) -> float:
-        """m / C(n, 2); defined as 0 for n <= 1."""
-        n = self.vertex_count
-        if n <= 1:
-            return 0.0
-        return 2.0 * self.edge_count / (n * (n - 1))
-
     def __repr__(self):
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
 
@@ -132,7 +115,10 @@ def _parse_lines(lines: Iterable, comment_prefix: str) -> np.ndarray:
     vs: list[int] = []
     for line_number, raw in enumerate(lines, start=1):
         if isinstance(raw, bytes):
-            raw = raw.decode()
+            try:
+                raw = raw.decode()
+            except UnicodeDecodeError:
+                raise EdgeListParseError(line_number, "not UTF-8") from None
         elif not isinstance(raw, str):
             raise EdgeListParseError(
                 line_number, f"expected a str or bytes line, got {raw!r}")
@@ -165,9 +151,16 @@ def _parse_text(text: str | bytes, comment_prefix: str) -> np.ndarray:
     it accepts exactly the lines the per-line parser accepts and reads the
     same integers (on non-ASCII text it can misread letters as digits).
     Any other text, or text it rejects, is parsed line by line, which
-    skips comments and reports the number of a malformed line.
+    skips comments and reports the number of a malformed line; a byte that
+    is not UTF-8 (a lone surrogate by surrogateescape) is reported so too.
     """
-    text, start = text.decode() if isinstance(text, bytes) else text, 0
+    text, start = (text.decode(errors="surrogateescape")
+                   if isinstance(text, bytes) else text), 0
+    try:
+        text.isascii() or text.encode()  # ASCII text holds no surrogate
+    except UnicodeEncodeError as err:
+        raise EdgeListParseError(text.count("\n", 0, err.start) + 1,
+                                 "not UTF-8") from None
     while comment_prefix and start < len(text):
         end = text.find("\n", start) + 1 or len(text)  # past the line
         line = text[start:end].strip()
@@ -196,12 +189,13 @@ def load_edge_list(source: Source, comment_prefix: str = "#") -> Graph:
     Direction is ignored, self-loops are dropped, and parallel edges are
     merged. Input ids are compacted to [0, n) in ascending numeric order;
     the original ids are retained on the graph when relabeling actually
-    changed anything. A path or a source with .read() (text or UTF-8
-    bytes) is read whole and parsed in one numpy call where that gives the
-    same edges as the per-line parser; other iterables go line by line.
+    changed anything. A path or a .read() source is read whole and parsed
+    in one numpy call where that gives the per-line parser's edges; other
+    iterables go line by line. Bytes and paths are UTF-8 whatever the
+    locale, and a path's lines end at LF, CRLF or a lone CR (text mode).
     """
     if isinstance(source, (str, Path)):
-        with open(source, "rt") as fh:
+        with open(source, encoding="utf-8", errors="surrogateescape") as fh:
             raw_edges = _parse_text(fh.read(), comment_prefix)
     elif hasattr(source, "read"):  # the text is not held past the parse
         raw_edges = _parse_text(source.read(), comment_prefix)
@@ -302,17 +296,6 @@ def degeneracy_order(g: Graph) -> DegeneracyOrder:
     return g._order
 
 
-def out_neighbors(g: Graph, order: DegeneracyOrder, v: int) -> np.ndarray:
-    """Neighbors of v that come strictly later in the peeling order.
-
-    The result is sorted ascending by vertex id and has exactly
-    core_number[v] elements: a read-only view of v's slice of
-    order.out_ids.
-    """
-    start = int(order.out_start[v])
-    return order.out_ids[start:start + int(order.core_number[v])]
-
-
 def edge_keys(g: Graph) -> np.ndarray:
     """Ascending keys u * n + v of all ordered adjacent pairs (u, v).
 
@@ -364,25 +347,3 @@ def induced_adjacency_matrix(g: Graph, vertices) -> np.ndarray:
     mat = np.zeros((verts.size, verts.size), dtype=bool)
     mat[a, b] = True
     return mat
-
-
-def induced_edge_count(g: Graph, vertices) -> int:
-    """Number of edges of g with both endpoints in `vertices`: strictly
-    ascending ids of g, else ValueError. Costs O(sum of their degrees *
-    log W) for W vertices."""
-    return _induced_pairs(g, vertices)[1].size // 2
-
-
-def induced_subgraph(g: Graph, vertices) -> tuple[Graph, np.ndarray]:
-    """Subgraph induced by a sorted vertex set, plus the local-to-global map.
-
-    Returns (subgraph, local_to_global) where local id i names global id
-    local_to_global[i]. The global-to-local direction is a searchsorted
-    into that array. vertices must be strictly ascending ids of g, else
-    ValueError. Costs O(sum of their degrees * log W) for W vertices, and
-    no W x W array.
-    """
-    verts, a, b = _induced_pairs(g, vertices)
-    indptr = np.zeros(verts.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(a, minlength=verts.size), out=indptr[1:])
-    return Graph(indptr, b), verts.copy()

@@ -35,14 +35,10 @@ chunk or batch only when it is free, so each holds one: a table chunk, or
 a batch, within the bound above. The soft time budget is checked before
 every table chunk and every stack chunk; the first error raised, such as
 TimeBudgetExceeded, is re-raised, and nothing starts after it.
-
-A brute-force enumerator over all k-subsets is kept as an independent
-second oracle for testing the tester.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -50,16 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import shadow
-from .graph import (
-    DegeneracyOrder,
-    Graph,
-    degeneracy_order,
-    induced_adjacency_matrix,
-)
+from .graph import DegeneracyOrder, Graph, degeneracy_order
 
 UINT64_MAX = 2**64 - 1
-
-NAIVE_GUARD = 100_000_000
 
 
 class CountOverflowError(OverflowError):
@@ -175,37 +164,5 @@ def exact_kclique_count(g: Graph, k: int,
                 lambda group: _count_batch(order, table, group, k,
                                            check_time),
                 shadow.root_batches(order, k)))
-    _check_uint64(count)
-    return ExactCount(k, count, time.perf_counter() - start)
-
-
-def naive_kclique_count(g: Graph, k: int) -> ExactCount:
-    """Enumerate every k-subset and test all pairs. Testing oracle only.
-
-    Refuses instances with C(n, k) above NAIVE_GUARD.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = g.vertex_count
-    if math.comb(n, k) > NAIVE_GUARD:
-        raise ValueError(
-            f"refusing naive enumeration: C({n},{k}) exceeds {NAIVE_GUARD}")
-    start = time.perf_counter()
-    if k == 1:
-        return ExactCount(k, n, time.perf_counter() - start)
-    adj = induced_adjacency_matrix(g, np.arange(n, dtype=np.int64))
-    count = 0
-    combos = itertools.combinations(range(n), k)
-    while True:
-        chunk = list(itertools.islice(combos, 200_000))
-        if not chunk:
-            break
-        arr = np.asarray(chunk, dtype=np.int64)
-        ok = np.ones(len(arr), dtype=bool)
-        for a in range(k):
-            col_a = arr[:, a]
-            for b in range(a + 1, k):
-                ok &= adj[col_a, arr[:, b]]
-        count += int(np.count_nonzero(ok))
     _check_uint64(count)
     return ExactCount(k, count, time.perf_counter() - start)

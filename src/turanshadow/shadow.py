@@ -53,8 +53,8 @@ graph and k alone, and the table of the graph alone, whatever the batch
 and chunk sizes and the number of threads.
 
 The shadow itself is flat, one label a member, as TuranShadow describes.
-`vertices` (derived once, on first read) and the lazy `entries` view give
-the ids; dump_shadow derives them a chunk at a time instead.
+The lazy `entries` view derives the ids an entry at a time, and
+dump_shadow a chunk at a time.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ import os
 import threading
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from typing import IO
 
 import numpy as np
@@ -173,8 +172,7 @@ class TuranShadow:
     and about 16 * _CHUNK_ELEMS words of chunk temporaries. A
     sampler adds one index per entry with ell >= 3, in the narrowest
     unsigned dtype that holds an index below E (at most 4 B below 2^32
-    entries). `vertices`, once read, adds 8 B a member; dump_shadow does
-    not read it.
+    entries).
     """
 
     k: int
@@ -193,13 +191,6 @@ class TuranShadow:
         rows = np.repeat(self.rowbase[lo:hi], np.diff(offsets))
         rows += self.labels[offsets[0]:offsets[-1]]
         return self.ids[rows]
-
-    @cached_property
-    def vertices(self) -> np.ndarray:
-        """Every entry's sorted ids, flat and read-only, made on first read."""
-        vertices = self._member_ids(0, len(self.ells))
-        vertices.flags.writeable = False
-        return vertices
 
     @property
     def entries(self) -> ShadowEntries:
@@ -616,7 +607,7 @@ def dump_shadow(sh: TuranShadow, stream: IO | None = None) -> str | None:
     """Debug dump, one entry per line: ell TAB size TAB sorted global ids.
 
     Entries go out in chunks of about _CHUNK_ELEMS members, each chunk's
-    ids derived by _member_ids, so `vertices` is never built.
+    ids derived by _member_ids: no array holds them all at once.
     """
     chunks = _dump_chunks(sh)
     if stream is None:

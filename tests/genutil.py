@@ -1,5 +1,6 @@
-"""Deterministic graph generators used as test fixtures, and a runner for
-child processes that import this same package."""
+"""Deterministic graph generators used as test fixtures, reference graph
+queries that the library does not need, and a runner for child processes
+that import this same package."""
 
 import os
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 
 import turanshadow
-from turanshadow.graph import Graph
+from turanshadow.graph import Graph, _induced_pairs
 
 
 def run_child(args, **env):
@@ -23,6 +24,44 @@ def run_child(args, **env):
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True,
         env={k: v for k, v in env.items() if v is not None})
+
+
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    """Edge test via binary search in the shorter adjacency list."""
+    if u == v:
+        return False
+    if g.degree(u) > g.degree(v):
+        u, v = v, u
+    nbrs = g.neighbors(u)
+    i = int(np.searchsorted(nbrs, v))
+    return i < nbrs.size and int(nbrs[i]) == v
+
+
+def induced_edge_count(g: Graph, vertices) -> int:
+    """Number of edges of g with both endpoints in `vertices`: strictly
+    ascending ids of g, else ValueError. Costs O(sum of their degrees *
+    log W) for W vertices."""
+    return _induced_pairs(g, vertices)[1].size // 2
+
+
+def induced_subgraph(g: Graph, vertices) -> tuple[Graph, np.ndarray]:
+    """Subgraph induced by a sorted vertex set, plus the local-to-global map.
+
+    Returns (subgraph, local_to_global) where local id i names global id
+    local_to_global[i]. The global-to-local direction is a searchsorted
+    into that array. vertices must be strictly ascending ids of g, else
+    ValueError. Costs O(sum of their degrees * log W) for W vertices, and
+    no W x W array.
+    """
+    verts, a, b = _induced_pairs(g, vertices)
+    indptr = np.zeros(verts.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(a, minlength=verts.size), out=indptr[1:])
+    return Graph(indptr, b), verts.copy()
+
+
+def shadow_vertices(sh) -> np.ndarray:
+    """Every entry's sorted ids of a TuranShadow, flat, in entry order."""
+    return sh._member_ids(0, len(sh.ells))
 
 
 def er_graph(n: int, p: float, seed: int) -> Graph:

@@ -1,15 +1,26 @@
-"""Set-intersection reference for the exact k-clique counter.
+"""Reference k-clique counters for testing the exact counter.
 
-The orientation counter the library used before its level engine: each
-vertex's out-neighbourhood in the degeneracy order is a Python set, and
-(k-1)-cliques are found inside it by recursive intersection. Adjacency
-comes from Python sets of CSR neighbours, so this shares no counting or
-induced-subgraph code with the library; it shares only `degeneracy_order`.
+`reference_count` is the orientation counter the library used before its
+level engine: each vertex's out-neighbourhood in the degeneracy order is a
+Python set, and (k-1)-cliques are found inside it by recursive
+intersection. Adjacency comes from Python sets of CSR neighbours, so it
+shares no counting or induced-subgraph code with the library; it shares
+only `degeneracy_order`.
+
+`naive_kclique_count` enumerates every k-subset and tests all pairs, so it
+shares not even the order: an independent second oracle for small graphs.
 """
 
+import itertools
 import math
+import time
 
-from turanshadow.graph import degeneracy_order
+import numpy as np
+
+from turanshadow.graph import Graph, degeneracy_order, induced_adjacency_matrix
+from turanshadow.oracle import ExactCount, _check_uint64
+
+NAIVE_GUARD = 100_000_000
 
 
 def _count_rec(outs, cand, j):
@@ -36,3 +47,35 @@ def reference_count(g, k):
             for v in range(n)]
     return sum(_count_rec(outs, outs[v], k - 1)
                for v in range(n) if len(outs[v]) >= k - 1)
+
+
+def naive_kclique_count(g: Graph, k: int) -> ExactCount:
+    """Enumerate every k-subset and test all pairs. Testing oracle only.
+
+    Refuses instances with C(n, k) above NAIVE_GUARD.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n = g.vertex_count
+    if math.comb(n, k) > NAIVE_GUARD:
+        raise ValueError(
+            f"refusing naive enumeration: C({n},{k}) exceeds {NAIVE_GUARD}")
+    start = time.perf_counter()
+    if k == 1:
+        return ExactCount(k, n, time.perf_counter() - start)
+    adj = induced_adjacency_matrix(g, np.arange(n, dtype=np.int64))
+    count = 0
+    combos = itertools.combinations(range(n), k)
+    while True:
+        chunk = list(itertools.islice(combos, 200_000))
+        if not chunk:
+            break
+        arr = np.asarray(chunk, dtype=np.int64)
+        ok = np.ones(len(arr), dtype=bool)
+        for a in range(k):
+            col_a = arr[:, a]
+            for b in range(a + 1, k):
+                ok &= adj[col_a, arr[:, b]]
+        count += int(np.count_nonzero(ok))
+    _check_uint64(count)
+    return ExactCount(k, count, time.perf_counter() - start)

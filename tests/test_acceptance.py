@@ -23,16 +23,18 @@ from turanshadow.estimator import (
     run_trials,
     turan_shadow_count,
 )
-from turanshadow.graph import (
-    degeneracy_order,
-    induced_edge_count,
-    induced_subgraph,
-    load_edge_list,
-)
-from turanshadow.oracle import exact_kclique_count, naive_kclique_count
+from turanshadow.graph import degeneracy_order, load_edge_list
+from turanshadow.oracle import exact_kclique_count
 from turanshadow.shadow import shadow_finder
 
-from genutil import complete_graph, er_graph, turan_graph
+from genutil import (
+    complete_graph,
+    er_graph,
+    induced_edge_count,
+    induced_subgraph,
+    turan_graph,
+)
+from oracle_reference import naive_kclique_count
 
 SUITE_SEED = 20260810
 

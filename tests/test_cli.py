@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -109,6 +110,16 @@ def test_csv_quotes_a_cell_holding_a_comma(capsys, tmp_path):
     assert len(row) == len(header) == 13
     assert dict(zip(header, row))["input"] == path
     assert f'"{path}"' in out
+
+
+def test_csv_quotes_a_cell_holding_a_carriage_return(capsys, tmp_path):
+    path = write_graph(tmp_path / "a\rb.txt", complete_graph(5))
+    code, out, _ = run_cli(
+        capsys, ["stats", "--input", path, "--k", "4", "--format", "csv"])
+    assert code == 0
+    header, row = csv.reader(io.StringIO(out, newline=""))
+    assert len(row) == len(header) == 13
+    assert dict(zip(header, row))["input"] == path
 
 
 def test_count_eps_delta_mode(capsys, tmp_path):

@@ -18,7 +18,6 @@ from turanshadow.estimator import (
     run_trials,
     turan_shadow_count,
 )
-from turanshadow.graph import induced_subgraph
 from turanshadow.oracle import exact_kclique_count
 from turanshadow.shadow import dump_shadow, shadow_finder
 
@@ -26,6 +25,9 @@ from genutil import (
     complete_graph,
     cycle_graph,
     er_graph,
+    has_edge,
+    induced_subgraph,
+    shadow_vertices,
     turan_graph,
     validity_suite,
 )
@@ -227,8 +229,8 @@ def test_total_weight_matches_recomputation_from_dump():
     assert st.shadow is sh
     # (ell, size) are kept per class, and each entry has its class's
     ells, sizes = np.repeat(st.ells, st.count), np.repeat(st.sizes, st.count)
-    starts = sh.offsets[st.entry]
-    assert [(ells[i], sh.vertices[a:a + b].tolist())
+    starts, vertices = sh.offsets[st.entry], shadow_vertices(sh)
+    assert [(ells[i], vertices[a:a + b].tolist())
             for i, (a, b) in enumerate(zip(starts, sizes))] == \
         [(sh.entries[i].ell, sh.entries[i].vertices.tolist())
          for i in sampled]
@@ -334,7 +336,7 @@ def reference_successes(sh, g, t, seed):
                 j = i + int(u[1 + i] * (s - i))
                 perm[i], perm[j] = perm[j], perm[i]
             picks = [verts[p] for p in perm[:ell]]
-            successes += all(g.has_edge(a, b)
+            successes += all(has_edge(g, a, b)
                              for a, b in itertools.combinations(picks, 2))
     return successes
 

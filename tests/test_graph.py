@@ -10,10 +10,7 @@ from turanshadow.graph import (
     Graph,
     degeneracy_order,
     induced_adjacency_matrix,
-    induced_edge_count,
-    induced_subgraph,
     load_edge_list,
-    out_neighbors,
 )
 
 from degeneracy_reference import reference_degeneracy
@@ -22,7 +19,11 @@ from genutil import (
     cycle_graph,
     er_graph,
     grid_graph,
+    has_edge,
+    induced_edge_count,
+    induced_subgraph,
     path_graph,
+    run_child,
     star_graph,
     turan_graph,
 )
@@ -61,7 +62,7 @@ def test_load_compacts_ids_preserving_numeric_order():
     assert g.vertex_count == 3
     assert g.original_ids.tolist() == [10, 20, 30]
     # 10 -> 0, 20 -> 1, 30 -> 2
-    assert g.has_edge(0, 2) and g.has_edge(0, 1) and not g.has_edge(1, 2)
+    assert has_edge(g, 0, 2) and has_edge(g, 0, 1) and not has_edge(g, 1, 2)
 
 
 def test_load_accepts_bytes_and_large_ids():
@@ -190,6 +191,7 @@ def test_load_stream_is_read_whole_like_a_path(tmp_path, monkeypatch):
     ("0 1\n\u01fe1 2\n", 2),  # np.loadtxt would read 4621
     ("0 1 2\n3 4 5\n", 1),
     ("# c\n0 1\n1 2 # x\n", 3),
+    ("# c\r\n0 1\r\n1 x\r\n", 3),
 ])
 def test_load_path_malformed_line_number(tmp_path, text, line_number):
     path = tmp_path / "bad.txt"
@@ -198,6 +200,51 @@ def test_load_path_malformed_line_number(tmp_path, text, line_number):
         with pytest.raises(EdgeListParseError) as exc:
             load_edge_list(source)
         assert exc.value.line_number == line_number
+
+
+@pytest.mark.parametrize("data, line_number", [
+    (b"0 1\n1 \xff2\n", 2),
+    (b"# caf\xe9\n0 1\n", 1),  # Latin-1, in a comment
+    (b"0 1\n1 2\n2 3\xc3\n", 3),  # cut short at the end
+])
+@pytest.mark.parametrize("kind", ["path", "stream", "lines"])
+def test_load_bytes_not_utf8_report_line_number(tmp_path, kind, data,
+                                                line_number):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    source = {"path": path, "stream": io.BytesIO(data),
+              "lines": data.splitlines(keepends=True)}[kind]
+    with pytest.raises(EdgeListParseError, match="UTF-8") as exc:
+        load_edge_list(source)
+    assert exc.value.line_number == line_number
+
+
+def test_load_path_decodes_utf8_under_an_ascii_locale(tmp_path):
+    path = tmp_path / "snap.txt"
+    path.write_bytes("# caf\u00e9\n0 1\n1 2\n".encode())
+    script = f"""
+from turanshadow.graph import load_edge_list
+print(load_edge_list({str(path)!r}).edge_count)
+"""
+    proc = run_child(["-c", script], LC_ALL="C", PYTHONUTF8="0",
+                     PYTHONCOERCECLOCALE="0")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "2\n"
+
+
+def test_load_crlf_and_lone_cr_lines(tmp_path):
+    path = tmp_path / "g.txt"
+    data = b"0 1\r\n1 2\r\n\r\n# c\r\n2 0\r\n"
+    path.write_bytes(data)
+    for source in (path, io.BytesIO(data)):
+        assert load_edge_list(source).indices.tolist() == [1, 2, 0, 2, 0, 1]
+    # a path is read in text mode, where a lone CR ends a line too
+    path.write_bytes(data.replace(b"\r\n", b"\r"))
+    assert load_edge_list(path).indices.tolist() == [1, 2, 0, 2, 0, 1]
+    path.write_bytes(b"0 1\r1 2\rx\r")
+    with pytest.raises(EdgeListParseError) as exc:
+        load_edge_list(path)
+    assert exc.value.line_number == 3
 
 
 @pytest.mark.parametrize("text", ["0 1\n1 99999999999999999999\n",
@@ -373,25 +420,31 @@ def test_alpha_sqrt_bound():
             assert degeneracy_order(g).alpha <= (2 * g.edge_count) ** 0.5
 
 
+def out_neighbors(d, v):
+    """v's later neighbours in the order d: its slice of d.out_ids."""
+    start = int(d.out_start[v])
+    return d.out_ids[start:start + int(d.core_number[v])]
+
+
 def test_out_neighbors_complete_graph_extremes():
     g = complete_graph(4)
     d = degeneracy_order(g)
-    assert out_neighbors(g, d, int(d.order[0])).size == 3
-    assert out_neighbors(g, d, int(d.order[-1])).size == 0
+    assert out_neighbors(d, int(d.order[0])).size == 3
+    assert out_neighbors(d, int(d.order[-1])).size == 0
 
 
 def test_out_neighbors_sizes_equal_deletion_degrees():
     g = er_graph(50, 0.3, seed=9)
     d = degeneracy_order(g)
     for v in range(50):
-        assert out_neighbors(g, d, v).size == int(d.core_number[v])
+        assert out_neighbors(d, v).size == int(d.core_number[v])
 
 
 def test_out_neighbors_sum_to_edge_count():
     for seed in range(5):
         g = er_graph(45, 0.25, seed=seed)
         d = degeneracy_order(g)
-        assert sum(out_neighbors(g, d, v).size for v in range(45)) == g.edge_count
+        assert sum(out_neighbors(d, v).size for v in range(45)) == g.edge_count
 
 
 def test_graph_arrays_are_read_only(tmp_path):
@@ -430,7 +483,7 @@ def test_induced_subgraph_matches_edge_filter():
         sub, l2g = induced_subgraph(g, verts)
         expected = {(int(u), int(v))
                     for u in verts for v in verts
-                    if u < v and g.has_edge(int(u), int(v))}
+                    if u < v and has_edge(g, int(u), int(v))}
         got = set()
         for lu in range(sub.vertex_count):
             for lv in sub.neighbors(lu).tolist():
@@ -442,9 +495,9 @@ def test_induced_subgraph_matches_edge_filter():
 
 def test_has_edge_triangle_and_self():
     g = Graph.from_edges([(0, 1), (1, 2), (0, 2)])
-    assert g.has_edge(0, 1)
-    assert g.has_edge(1, 0)
-    assert not g.has_edge(0, 0)
+    assert has_edge(g, 0, 1)
+    assert has_edge(g, 1, 0)
+    assert not has_edge(g, 0, 0)
 
 
 def test_has_edge_agrees_with_edge_set_on_all_pairs():
@@ -455,7 +508,7 @@ def test_has_edge_agrees_with_edge_set_on_all_pairs():
             pairs.add((min(u, v), max(u, v)))
     for u in range(200):
         for v in range(u + 1, 200):
-            assert g.has_edge(u, v) == ((u, v) in pairs)
+            assert has_edge(g, u, v) == ((u, v) in pairs)
 
 
 def test_induced_adjacency_matrix_is_symmetric_and_hollow():
@@ -491,12 +544,6 @@ def test_induced_helpers_hold_no_quadratic_arrays():
             tracemalloc.stop()
         assert peak < 2 * 2**20, (helper.__name__, peak)
 
-
-def test_edge_density():
-    assert complete_graph(5).edge_density() == 1.0
-    assert cycle_graph(5).edge_density() == 0.5
-    assert Graph.from_edges([], num_vertices=1).edge_density() == 0.0
-    assert Graph.from_edges([], num_vertices=0).edge_density() == 0.0
 
 
 def test_from_edges_matches_set_reference():

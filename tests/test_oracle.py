@@ -13,7 +13,6 @@ from turanshadow.oracle import (
     TimeBudgetExceeded,
     _check_uint64,
     exact_kclique_count,
-    naive_kclique_count,
 )
 
 from budgets import check_batches, shrink_budgets, spy_builds
@@ -23,7 +22,7 @@ from genutil import (
     er_graph,
     turan_graph,
 )
-from oracle_reference import reference_count
+from oracle_reference import naive_kclique_count, reference_count
 
 
 def test_complete_graph_binomial():

@@ -13,11 +13,7 @@ import pytest
 
 from turanshadow import shadow
 from turanshadow.estimator import turan_shadow_count
-from turanshadow.graph import (
-    degeneracy_order,
-    induced_edge_count,
-    induced_subgraph,
-)
+from turanshadow.graph import degeneracy_order
 from turanshadow.oracle import exact_kclique_count
 from turanshadow.shadow import (
     dump_shadow,
@@ -35,6 +31,10 @@ from genutil import (
     complete_graph,
     cycle_graph,
     er_graph,
+    has_edge,
+    induced_edge_count,
+    induced_subgraph,
+    shadow_vertices,
     turan_graph,
     validity_suite,
 )
@@ -218,13 +218,10 @@ def test_dump_streams_in_chunks(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "vertices" not in sh.__dict__
     assert peak < bound
     # every chunking gives the same lines, one per entry, from the ids
-    expected = [f"{ell}\t{b - a}\t"
-                + " ".join(map(str, sh.vertices[a:b].tolist()))
-                for ell, a, b in zip(sh.ells.tolist(), sh.offsets.tolist(),
-                                     sh.offsets[1:].tolist())]
+    expected = [f"{e.ell}\t{e.size}\t"
+                + " ".join(map(str, e.vertices.tolist())) for e in sh.entries]
     for size in (1, 37, chunk):
         monkeypatch.setattr(shadow, "_CHUNK_ELEMS", size)
         buf = io.StringIO()
@@ -386,7 +383,8 @@ def test_shadow_arrays_do_not_depend_on_batches(monkeypatch):
                     got = shadow_finder(g, k)
                     where = (budget, workers, g, k)
                     for f in (*SHADOW_FIELDS, "vertices"):
-                        a, b = getattr(got, f), getattr(want, f)
+                        a, b = (shadow_vertices(x) if f == "vertices"
+                                else getattr(x, f) for x in (got, want))
                         assert np.array_equal(a, b), (*where, f)
                         assert np.asarray(a).dtype == np.asarray(b).dtype
                     assert dump_shadow(got) == dump_shadow(want), where
@@ -396,20 +394,21 @@ def test_shadow_arrays_do_not_depend_on_batches(monkeypatch):
 def test_flat_shadow_invariants():
     for g, k in reference_cases():
         sh = shadow_finder(g, k)
+        vertices = shadow_vertices(sh)
         assert sh.offsets[0] == 0
         assert np.all(np.diff(sh.offsets) >= 0)
-        assert sh.offsets[-1] == sh.representation_size == sh.vertices.size
+        assert sh.offsets[-1] == sh.representation_size == vertices.size
         assert len(sh.entries) == len(sh.ells) == len(sh.edges) \
             == len(sh.offsets) - 1
         assert sh.ells.min(initial=k) >= 2  # ell <= 1 is never emitted
         for i, e in enumerate(sh.entries):
             a, b = sh.offsets[i], sh.offsets[i + 1]
-            assert np.array_equal(e.vertices, sh.vertices[a:b])
+            assert np.array_equal(e.vertices, vertices[a:b])
             assert (e.ell, e.edges) == (sh.ells[i], sh.edges[i])
-        assert sh.labels.size == sh.vertices.size
+        assert sh.labels.size == vertices.size
         assert sh.rowbase.size == sh.ells.size
         assert sh.labels.dtype.kind == "u"
-        for a in (sh.offsets, sh.vertices, sh.ells, sh.edges, sh.labels,
+        for a in (sh.offsets, sh.ells, sh.edges, sh.labels,
                   sh.rowbase, sh.table, sh.ids):
             assert not a.flags.writeable
 
@@ -471,14 +470,14 @@ def test_table_bits_match_adjacency(monkeypatch, budget):
                 row = sh.table[base + la]
                 for lb, v in zip(labels, verts):
                     bit = int(row[lb // 64]) >> (lb % 64) & 1
-                    assert bit == g.has_edge(u, v), (g, k, i)
+                    assert bit == has_edge(g, u, v), (g, k, i)
                     bits += bit
             assert bits == 2 * e.edges
     check_batches(budget, batches)
 
 
 def expected_table(g, order):
-    """Every oriented_table row, bit by bit, from g.has_edge."""
+    """Every oriented_table row, bit by bit, from has_edge."""
     table = np.zeros((g.edge_count, max(1, -(-order.alpha // 64))),
                      dtype=np.uint64)
     for v in range(g.vertex_count):
@@ -486,7 +485,7 @@ def expected_table(g, order):
         out = order.out_ids[start:start + int(order.core_number[v])].tolist()
         for a, u in enumerate(out):
             for b, w in enumerate(out):
-                if g.has_edge(u, w):
+                if has_edge(g, u, w):
                     table[start + a, b // 64] |= np.uint64(1 << (b % 64))
     return table
 
