@@ -43,7 +43,7 @@ class Graph:
     Safe for concurrent reads. Its degeneracy order and oriented table are
     built lazily, once per graph, and kept read-only; two threads making the
     first call at once may both build one, harmlessly. Nothing else is
-    cached: edge_keys makes its keys anew on each call.
+    cached.
     """
 
     __slots__ = ("indptr", "indices", "vertex_count", "edge_count",
@@ -234,15 +234,13 @@ class DegeneracyOrder:
     out_ids: np.ndarray
 
 
-def _gather_rows(g: Graph, vertices: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """(neighbours, count): the CSR rows of `vertices`, in their order and
-    joined by one index, and each row's length."""
-    start = g.indptr[vertices]
-    count = g.indptr[vertices + 1] - start
+def _gather_rows(indices: np.ndarray, start: np.ndarray, count: np.ndarray
+                 ) -> np.ndarray:
+    """The CSR rows indices[start[i]:start[i] + count[i]], in their order
+    and joined by one index."""
     # each row's start, less where it begins in the join
     shift = start + count - count.cumsum()
-    return g.indices[shift.repeat(count) + np.arange(count.sum())], count
+    return indices[shift.repeat(count) + np.arange(count.sum())]
 
 
 def degeneracy_order(g: Graph) -> DegeneracyOrder:
@@ -278,7 +276,8 @@ def degeneracy_order(g: Graph) -> DegeneracyOrder:
             continue
         live[peel] = False
         rounds.append(peel)
-        nbrs = _gather_rows(g, peel)[0]
+        start = indptr[peel]
+        nbrs = _gather_rows(indices, start, indptr[peel + 1] - start)
         nbrs = nbrs[live[nbrs]]
         np.subtract.at(deg, nbrs, 1)
         nbrs.sort()
@@ -296,26 +295,6 @@ def degeneracy_order(g: Graph) -> DegeneracyOrder:
     return g._order
 
 
-def edge_keys(g: Graph) -> np.ndarray:
-    """Ascending keys u * n + v of all ordered adjacent pairs (u, v).
-
-    The CSR is lexsorted by (row, column), so the keys need no sort. They
-    are 2m words, made on each call and kept by nobody: oriented_table
-    makes them for its fill and drops them once the table is built.
-    """
-    n = g.vertex_count
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
-    return rows * n + g.indices
-
-
-def has_edge_keys(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Elementwise membership of the pair keys q in the sorted `keys`."""
-    if keys.size == 0:
-        return np.zeros(np.shape(q), dtype=bool)
-    at = np.searchsorted(keys, q).clip(max=keys.size - 1)
-    return keys[at] == q
-
-
 def _induced_pairs(g: Graph, vertices
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(verts, a, b): the set as int64 and, ascending by a then b, the
@@ -330,7 +309,9 @@ def _induced_pairs(g: Graph, vertices
         raise ValueError("vertex set must be strictly ascending")
     if verts.size and (int(verts[0]) < 0 or int(verts[-1]) >= g.vertex_count):
         raise ValueError("vertex id out of range")
-    nbrs, count = _gather_rows(g, verts)
+    start = g.indptr[verts]
+    count = g.indptr[verts + 1] - start
+    nbrs = _gather_rows(g.indices, start, count)
     b = np.searchsorted(verts, nbrs).clip(max=verts.size - 1)
     hit = verts[b] == nbrs
     return verts, np.arange(verts.size).repeat(count)[hit], b[hit]

@@ -28,13 +28,14 @@ levels of 2 * _CHUNK_ELEMS words and 16 * _CHUNK_ELEMS while expanding.
 
 The table's chunks and then the batches are run by shadow.map_batches,
 the builder's batch runner, on one thread per CPU the process may run on;
-numpy releases the interpreter lock in the searchsorted lookups, gathers
-and popcounts where they spend their time, and the sum of the batches'
-Python-int counts is the same at any number of threads. A thread takes a
-chunk or batch only when it is free, so each holds one: a table chunk, or
-a batch, within the bound above. The soft time budget is checked before
-every table chunk and every stack chunk; the first error raised, such as
-TimeBudgetExceeded, is re-raised, and nothing starts after it.
+numpy releases the interpreter lock in the table's wedge searches, the
+gathers and popcounts where they spend their time, and the sum of the
+batches' Python-int counts is the same at any number of threads. A thread
+takes a chunk or batch only when it is free, so each holds one: a table
+chunk, or a batch, within the bound above. The soft time budget is
+checked before every table chunk and every stack chunk; the first error
+raised, such as TimeBudgetExceeded, is re-raised, and nothing starts
+after it.
 """
 
 from __future__ import annotations

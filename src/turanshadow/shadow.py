@@ -21,15 +21,17 @@ a root. Its d members are numbered 0..d-1 in ascending id, so every set
 below it is a member mask of nw = ceil(d / 64) words, its word class. Row
 out_start[v] + a of oriented_table, one table per graph that the exact
 counter reads too, holds the adjacency of out-neighbour a of v among v's
-out-neighbours, for every vertex v, so it does not depend on k. Member
-rows are read there in place by one flat gather (member_rows), and members
-found by one 1-D flatnonzero over the masks. At budget ell the frontier sets of a word
-class are tested together, in one call per level when alpha <= 64; the
-saturated ones (and all at ell <= 2) are emitted, the rest are peeled
-together, one minimum-degree member per step (the lowest index, which is
-the lowest id, among ties), and each member's out-neighborhood with at
-least ell - 1 members joins the frontier at budget ell - 1, its edges
-counted over its own members' rows.
+out-neighbours, for every vertex v, so it does not depend on k; it is
+filled by forward triangle listing along the order, and no vertex pair is
+looked up. Member rows are read there in place by one flat gather
+(member_rows), and members found by one 1-D flatnonzero over the masks.
+At budget ell the frontier sets of a word class are tested together, in
+one call per level when alpha <= 64; the saturated ones (and all at
+ell <= 2) are emitted, the rest are peeled together, one minimum-degree
+member per step (the lowest index, which is the lowest id, among ties),
+and each member's out-neighborhood with at least ell - 1 members joins
+the frontier at budget ell - 1, its edges counted over its own members'
+rows.
 
 A set is named by its path: the root id, then the member index taken at
 each level. A recursive builder visits children in ascending member order,
@@ -71,9 +73,8 @@ import numpy as np
 from .graph import (
     DegeneracyOrder,
     Graph,
+    _gather_rows,
     degeneracy_order,
-    edge_keys,
-    has_edge_keys,
     induced_adjacency_matrix,
 )
 
@@ -164,15 +165,15 @@ class TuranShadow:
     ceil(alpha / 64) table words and m ids words shared with the order;
     for the whole graph, n * ceil(n / 64) table words and n ids words.
     The table is the same at every k, and g keeps it for the counter and
-    later builds; while it is filled, 2m edge-key words are held too. While
-    the shadow is built, each map_batches worker holds a table chunk or a
-    root batch, which holds no rows: with nw = ceil(alpha / 64),
-    at most twice its emitted sets plus its largest frontier and the
-    children made from it, at nw + k + 2 words a set, two bytes a label,
-    and about 16 * _CHUNK_ELEMS words of chunk temporaries. A
-    sampler adds one index per entry with ell >= 3, in the narrowest
-    unsigned dtype that holds an index below E (at most 4 B below 2^32
-    entries).
+    later builds; while its chunks are cut, one m-word transient and three
+    n-word arrays are held too. While the shadow is built, each map_batches
+    worker holds a table chunk (see oriented_table) or a root batch, which
+    holds no rows: with nw = ceil(alpha / 64), at most twice its emitted
+    sets plus its largest frontier and the children made from it, at
+    nw + k + 2 words a set, two bytes a label, and about 16 * _CHUNK_ELEMS
+    words of chunk temporaries. A sampler adds one index per entry with
+    ell >= 3, in the narrowest unsigned dtype that holds an index below E
+    (at most 4 B below 2^32 entries).
     """
 
     k: int
@@ -455,45 +456,59 @@ def oriented_table(g: Graph, check_time: Callable[[], None] = lambda: None
     out_start[v] + a stands for out-neighbour a of v (out_ids order): bit b
     is set exactly when out-neighbours a and b of v are adjacent in g, so
     rows of vertices with out-degree <= 1 are zero. It depends on the order
-    alone, not on any k. Members ascend in id, so the pair a < b is the one
-    edge key u * n + w, looked up once in edge_keys(g) and set in both
-    rows; the 2m keys are made for the fill and dropped after it. Vertices
-    are cut, in id order, into chunks, as root_batches cuts roots: a chunk
-    closes before its member pairs plus the bits of its rows would pass
-    2 * _CHUNK_ELEMS (a vertex with more is a chunk alone), so a vertex of
-    out-degree 1, which has no pair, still counts. Chunks fill
-    disjoint rows on the threads of map_batches; check_time() runs before
-    each chunk. g keeps the finished table, read-only, and no stopped one.
+    alone, not on any k. It is filled by forward triangle listing: a wedge
+    is a row (v, u) and a w in out(u), and each w is looked up among the
+    ascending keys v * n + x, v chunk-local, of the chunk's own rows (v, x).
+    A hit is the row of w, and sets the pair's bit in both rows; each
+    adjacent pair of out(v) is one wedge, from whichever of the two comes
+    first in the order. Vertices are cut, in id order, into chunks, as
+    root_batches cuts roots: a chunk closes before its wedges plus the bits
+    of its rows would pass 2 * _CHUNK_ELEMS (a vertex with more is a chunk
+    alone), so a vertex without wedges still counts. Beside the table,
+    cutting holds one m-word transient, the running wedge count by row,
+    and three n-word arrays; a chunk holds at most 16 * _CHUNK_ELEMS words,
+    or, alone, about 8 words per unit of its cost. Chunks fill disjoint
+    rows on the threads of map_batches; check_time() runs before each
+    chunk. g keeps the finished table, read-only, and no stopped one.
     """
     if g._table is not None:
         return g._table
     order = degeneracy_order(g)
     n, out_deg, out_start = g.vertex_count, order.core_number, order.out_start
+    out_ids = order.out_ids
     nw = max(1, -(-order.alpha // 64))
     row_bits = 64 * nw
     table = np.zeros((g.edge_count, nw), dtype=np.uint64)
-    keys = edge_keys(g)
 
     def fill(span):
         check_time()
         deg, start = out_deg[span[0]:span[1]], out_start[span[0]:span[1]]
         rows = np.arange(start[0], start[-1] + deg[-1])
-        member = rows - np.repeat(start, deg)
-        later = np.repeat(deg, deg) - 1 - member  # pairs (a, b > a) of row a
-        a = np.repeat(rows, later)
-        # b runs from a + 1 to the last row of a's vertex
-        b = np.arange(a.size) + np.repeat(rows + 1 - np.cumsum(later) + later,
-                                          later)
-        hit = has_edge_keys(keys, order.out_ids[a] * n + order.out_ids[b])
-        a, b = a[hit] - start[0], b[hit] - start[0]
+        owner = np.arange(deg.size).repeat(deg)  # chunk-local v of row (v, u)
+        member = rows - start[owner]
+        u = out_ids[rows]
+        keys = owner * n + u
+        # wedge (v, u, w) for each w in out(u): row a is (v, u)
+        a = np.arange(rows.size).repeat(out_deg[u])
+        q = owner[a] * n + _gather_rows(out_ids, out_start[u], out_deg[u])
+        b = np.searchsorted(keys, q).clip(max=rows.size - 1)
+        hit = keys[b] == q
+        a, b = a[hit], b[hit]
         bits = np.zeros(rows.size * row_bits, dtype=bool)
         bits[a * row_bits + member[b]] = True
         bits[b * row_bits + member[a]] = True
         table[rows] = np.packbits(bits, bitorder="little").view(
             "<u8").reshape(-1, nw)
 
-    cost = out_deg * (out_deg - 1) // 2 + out_deg * row_bits
-    map_batches(fill, _spans(np.cumsum(cost), 2 * _CHUNK_ELEMS))
+    # each chunk's cost, from the running wedge count by row, made in place
+    wedges = out_deg[out_ids]
+    np.cumsum(wedges, out=wedges)
+    last = out_start + out_deg - 1  # each vertex's last row, ascending
+    first = int(np.searchsorted(last, 0))  # the first vertex with a row
+    spent = row_bits * (last + 1)
+    spent[first:] += wedges[last[first:]]
+    del wedges, last
+    map_batches(fill, _spans(spent, 2 * _CHUNK_ELEMS))
     table.flags.writeable = False
     g._table = table
     return table

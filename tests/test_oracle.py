@@ -208,14 +208,14 @@ def test_time_budget_stops_the_table_build(monkeypatch):
     shrink_budgets(monkeypatch, "unit")
     g = er_graph(160, 0.6, seed=2)
     chunks, batches = [], []
-    lookup = shadow.has_edge_keys
+    join = shadow._gather_rows  # one row join per table chunk
 
-    def slow_lookup(*args):
+    def slow_join(*args):
         chunks.append(None)
         time.sleep(0.01)
-        return lookup(*args)
+        return join(*args)
 
-    monkeypatch.setattr(shadow, "has_edge_keys", slow_lookup)
+    monkeypatch.setattr(shadow, "_gather_rows", slow_join)
     monkeypatch.setattr(oracle, "_count_batch",
                         lambda *args: batches.append(None))
     with pytest.raises(TimeBudgetExceeded):
@@ -228,15 +228,15 @@ def test_a_stopped_table_build_keeps_no_table(monkeypatch):
     # the budget stops the table after a few of its one-vertex chunks: g
     # keeps no table, and a later count with no budget fills one, whole
     g, k = er_graph(60, 0.5, seed=2), 5
-    lookup = shadow.has_edge_keys
+    join = shadow._gather_rows  # one row join per table chunk
 
-    def slow_lookup(*args):
+    def slow_join(*args):
         time.sleep(0.01)
-        return lookup(*args)
+        return join(*args)
 
     with monkeypatch.context() as mp:
         shrink_budgets(mp, "unit")
-        mp.setattr(shadow, "has_edge_keys", slow_lookup)
+        mp.setattr(shadow, "_gather_rows", slow_join)
         with pytest.raises(TimeBudgetExceeded):
             exact_kclique_count(g, k, time_budget=0.05)
     assert g._table is None

@@ -13,7 +13,7 @@ import pytest
 
 from turanshadow import shadow
 from turanshadow.estimator import turan_shadow_count
-from turanshadow.graph import degeneracy_order
+from turanshadow.graph import Graph, degeneracy_order
 from turanshadow.oracle import exact_kclique_count
 from turanshadow.shadow import (
     dump_shadow,
@@ -34,6 +34,7 @@ from genutil import (
     has_edge,
     induced_edge_count,
     induced_subgraph,
+    path_graph,
     shadow_vertices,
     turan_graph,
     validity_suite,
@@ -506,6 +507,82 @@ def test_whole_table_matches_adjacency():
             tables[id(g)] = g, expected_table(g, degeneracy_order(g))
         assert np.array_equal(shadow_finder(g, k).table, tables[id(g)][1]), \
             (g, k)
+
+
+def cycle_complement(n):
+    """K_n less the cycle 0, 1, ..., n - 1: (n - 3)-regular, so its
+    degeneracy is n - 3, and every out-neighbourhood misses some pairs."""
+    iu, ju = np.triu_indices(n, 1)
+    keep = (ju - iu != 1) & (ju - iu != n - 1)
+    return Graph.from_edges(np.stack([iu[keep], ju[keep]], axis=1),
+                            num_vertices=n)
+
+
+def random_bipartite(side, p, seed):
+    """Each pair across two sides of `side` vertices with probability p."""
+    u, w = np.nonzero(np.random.default_rng(seed).random((side, side)) < p)
+    return Graph.from_edges(np.stack([u, w + side], axis=1),
+                            num_vertices=2 * side)
+
+
+# graphs of alpha 63, 64, 65, 128 and 129 put members on both sides of a
+# word boundary; the rest have all-zero tables
+TABLE_GRAPHS = {
+    **{f"alpha{n - 3}": lambda n=n: cycle_complement(n)
+       for n in (66, 67, 68, 131, 132)},
+    "triangle-free": lambda: random_bipartite(40, 0.5, seed=3),
+    "path": lambda: path_graph(50),
+    "empty": lambda: Graph.from_edges(np.empty((0, 2), dtype=np.int64),
+                                      num_vertices=0),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_GRAPHS)
+def test_table_at_word_boundaries_and_on_degenerate_graphs(monkeypatch,
+                                                           name):
+    # oriented_table itself, so that graphs the builder would take whole
+    # count too; one vertex a chunk, on one and three workers
+    g = TABLE_GRAPHS[name]()
+    order = degeneracy_order(g)
+    expected = expected_table(g, order)
+    if name.startswith("alpha"):
+        assert order.alpha == int(name[5:])
+    else:
+        assert not expected.any()
+    shrink_budgets(monkeypatch, "unit")
+    for workers in (1, 3):
+        monkeypatch.setattr(shadow, "_workers", lambda: workers)
+        table = shadow.oriented_table(TABLE_GRAPHS[name]())
+        assert table.dtype == np.uint64
+        assert np.array_equal(table, expected), workers
+
+
+def test_table_fill_peaks_within_the_documented_bound(monkeypatch):
+    # oriented_table's bound on one worker: beside the table, one m-word
+    # transient and three n-word arrays while chunks are cut, and 16 *
+    # _CHUNK_ELEMS words a chunk. No vertex here is a chunk alone, and 4m
+    # words (2m edge keys and as many row ids) would pass the bound
+    chunk = 1024
+    monkeypatch.setattr(shadow, "_CHUNK_ELEMS", chunk)
+    monkeypatch.setattr(shadow, "_workers", lambda: 1)
+    g = er_graph(2000, 0.01, seed=3)
+    order = degeneracy_order(g)
+    n, m = g.vertex_count, g.edge_count
+    nw = max(1, -(-order.alpha // 64))
+    deg, start = order.core_number.tolist(), order.out_start.tolist()
+    costs = [64 * nw * d + int(order.core_number[order.out_ids[s:s + d]].sum())
+             for s, d in zip(start, deg)]  # each vertex's bits and wedges
+    assert max(costs) <= 2 * chunk
+    words = m + 3 * n + 16 * chunk
+    assert 4 * m > words
+    tracemalloc.start()
+    try:
+        table = shadow.oriented_table(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(table, expected_table(g, order))
+    assert peak <= table.nbytes + 8 * words
 
 
 def test_table_does_not_depend_on_k():
