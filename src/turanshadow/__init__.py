@@ -17,7 +17,7 @@ _EXPORTS = {
         "run_trials", "turan_shadow_count"),
     "graph": (
         "DegeneracyOrder", "EdgeListParseError", "Graph", "degeneracy_order",
-        "induced_adjacency_matrix", "load_edge_list"),
+        "load_edge_list"),
     "oracle": (
         "CountOverflowError", "ExactCount", "TimeBudgetExceeded",
         "exact_kclique_count"),

@@ -1,4 +1,4 @@
-"""Compact immutable graph storage, degeneracy ordering, and induced adjacency.
+"""Compact immutable graph storage, edge-list loading and degeneracy ordering.
 
 Graphs are simple and undirected, stored in CSR form with sorted neighbor
 lists. Vertex ids are dense ints in [0, n); loaders compact arbitrary input
@@ -8,13 +8,13 @@ ids and keep the original-id map around for reporting.
 from __future__ import annotations
 
 import io
+import os
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import IO, Union
 
 import numpy as np
 
-Source = Union[str, Path, IO, Iterable]
+Source = Union[str, os.PathLike, IO]
 
 # Largest vertex count whose pair keys u * n + v (u, v < n) fit in int64.
 MAX_VERTICES = 3_037_000_499
@@ -109,21 +109,13 @@ class Graph:
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
 
 
-def _parse_lines(lines: Iterable, comment_prefix: str) -> np.ndarray:
-    """(E, 2) int64 edges of an edge list, parsed line by line."""
+def _parse_lines(text: str) -> np.ndarray:
+    """(E, 2) int64 edges of an edge-list text, parsed line by line."""
     us: list[int] = []
     vs: list[int] = []
-    for line_number, raw in enumerate(lines, start=1):
-        if isinstance(raw, bytes):
-            try:
-                raw = raw.decode()
-            except UnicodeDecodeError:
-                raise EdgeListParseError(line_number, "not UTF-8") from None
-        elif not isinstance(raw, str):
-            raise EdgeListParseError(
-                line_number, f"expected a str or bytes line, got {raw!r}")
+    for line_number, raw in enumerate(io.StringIO(text), start=1):
         line = raw.strip()
-        if not line or (comment_prefix and line.startswith(comment_prefix)):
+        if not line or line.startswith("#"):
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -142,34 +134,35 @@ def _parse_lines(lines: Iterable, comment_prefix: str) -> np.ndarray:
                      np.asarray(vs, dtype=np.int64)], axis=1)
 
 
-def _parse_text(text: str | bytes, comment_prefix: str) -> np.ndarray:
+def _parse_text(text: str | bytes) -> np.ndarray:
     """(E, 2) int64 edges of a whole edge-list text (str, or UTF-8 bytes).
 
-    The leading block of blank and comment lines (a SNAP header, say) is
-    skipped. One np.loadtxt call parses the rest when it is ASCII,
-    whitespace-separated text that holds no comment prefix; on such text
-    it accepts exactly the lines the per-line parser accepts and reads the
-    same integers (on non-ASCII text it can misread letters as digits).
-    Any other text, or text it rejects, is parsed line by line, which
-    skips comments and reports the number of a malformed line; a byte that
-    is not UTF-8 (a lone surrogate by surrogateescape) is reported so too.
+    One leading byte-order mark is dropped, and so is the leading block of
+    blank and `#` comment lines (a SNAP header, say). One np.loadtxt call
+    parses the rest when it is ASCII, whitespace-separated text that holds
+    no `#`; on such text it accepts exactly the lines the per-line parser
+    accepts and reads the same integers (on non-ASCII text it can misread
+    letters as digits). Any other text, or text it rejects, is parsed line
+    by line, which skips comments and reports the number of a malformed
+    line; a byte that is not UTF-8 (a lone surrogate by surrogateescape)
+    is reported so too.
     """
-    text, start = (text.decode(errors="surrogateescape")
-                   if isinstance(text, bytes) else text), 0
+    text = (text.decode(errors="surrogateescape")
+            if isinstance(text, bytes) else text).removeprefix("\ufeff")
     try:
         text.isascii() or text.encode()  # ASCII text holds no surrogate
     except UnicodeEncodeError as err:
         raise EdgeListParseError(text.count("\n", 0, err.start) + 1,
                                  "not UTF-8") from None
-    while comment_prefix and start < len(text):
+    start = 0
+    while start < len(text):
         end = text.find("\n", start) + 1 or len(text)  # past the line
         line = text[start:end].strip()
-        if line and not line.startswith(comment_prefix):
+        if line and not line.startswith("#"):
             break
         start = end
     body = text[start:]
-    if (body.isascii() and body.strip()
-            and not (comment_prefix and comment_prefix in body)):
+    if body.isascii() and body.strip() and "#" not in body:
         try:
             edges = np.loadtxt(io.StringIO(body), dtype=np.int64,
                                comments=None, ndmin=2)
@@ -178,29 +171,32 @@ def _parse_text(text: str | bytes, comment_prefix: str) -> np.ndarray:
         else:
             if edges.shape[1] == 2:
                 return edges
-    return _parse_lines(io.StringIO(text), comment_prefix)
+    return _parse_lines(text)
 
 
-def load_edge_list(source: Source, comment_prefix: str = "#") -> Graph:
+def load_edge_list(source: Source) -> Graph:
     """Parse a whitespace-separated edge list into a simple undirected graph.
 
-    One edge per line as two integer tokens; lines starting with
-    `comment_prefix` (unless it is empty) and blank lines are skipped.
+    `source` is a path (str or os.PathLike) or an open text or byte stream;
+    anything else is refused with TypeError before anything is read. One
+    edge per line as two integer tokens; lines starting with `#` and blank
+    lines are skipped, and one leading UTF-8 byte-order mark is dropped.
     Direction is ignored, self-loops are dropped, and parallel edges are
     merged. Input ids are compacted to [0, n) in ascending numeric order;
     the original ids are retained on the graph when relabeling actually
-    changed anything. A path or a .read() source is read whole and parsed
-    in one numpy call where that gives the per-line parser's edges; other
-    iterables go line by line. Bytes and paths are UTF-8 whatever the
-    locale, and a path's lines end at LF, CRLF or a lone CR (text mode).
+    changed anything. The source is read whole and parsed in one numpy
+    call where that gives the per-line parser's edges. Bytes and paths are
+    UTF-8 whatever the locale, and a path's lines end at LF, CRLF or a
+    lone CR (text mode).
     """
-    if isinstance(source, (str, Path)):
+    if isinstance(source, (str, os.PathLike)):
         with open(source, encoding="utf-8", errors="surrogateescape") as fh:
-            raw_edges = _parse_text(fh.read(), comment_prefix)
+            raw_edges = _parse_text(fh.read())
     elif hasattr(source, "read"):  # the text is not held past the parse
-        raw_edges = _parse_text(source.read(), comment_prefix)
+        raw_edges = _parse_text(source.read())
     else:
-        raw_edges = _parse_lines(source, comment_prefix)
+        raise TypeError(f"expected a path or a stream with .read(), got "
+                        f"{type(source).__name__}")
     if not len(raw_edges):
         return Graph.from_edges(np.empty((0, 2), dtype=np.int64), num_vertices=0)
     # one sort gives the ids and every endpoint's rank; the inverse comes
@@ -294,37 +290,3 @@ def degeneracy_order(g: Graph) -> DegeneracyOrder:
         a.flags.writeable = False  # shared by every caller
     return g._order
 
-
-def _induced_pairs(g: Graph, vertices
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(verts, a, b): the set as int64 and, ascending by a then b, the
-    local index pairs of its induced edges in both directions.
-
-    vertices must be strictly ascending ids of g, else ValueError. Each
-    gathered neighbour is placed in the set by one searchsorted, so W
-    members cost O(sum of their degrees * log W) and no W x W array.
-    """
-    verts = np.asarray(vertices, dtype=np.int64)
-    if verts.size and np.any(np.diff(verts) <= 0):
-        raise ValueError("vertex set must be strictly ascending")
-    if verts.size and (int(verts[0]) < 0 or int(verts[-1]) >= g.vertex_count):
-        raise ValueError("vertex id out of range")
-    start = g.indptr[verts]
-    count = g.indptr[verts + 1] - start
-    nbrs = _gather_rows(g.indices, start, count)
-    b = np.searchsorted(verts, nbrs).clip(max=verts.size - 1)
-    hit = verts[b] == nbrs
-    return verts, np.arange(verts.size).repeat(count)[hit], b[hit]
-
-
-def induced_adjacency_matrix(g: Graph, vertices) -> np.ndarray:
-    """Dense boolean adjacency of the subgraph induced by `vertices`.
-
-    Row/column i corresponds to vertices[i]; vertices must be strictly
-    ascending ids of g, else ValueError. Costs O(sum of their degrees *
-    log W) for W vertices, plus the W x W result.
-    """
-    verts, a, b = _induced_pairs(g, vertices)
-    mat = np.zeros((verts.size, verts.size), dtype=bool)
-    mat[a, b] = True
-    return mat

@@ -64,7 +64,7 @@ from __future__ import annotations
 import operator
 import os
 import threading
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import IO
 
@@ -75,7 +75,6 @@ from .graph import (
     Graph,
     _gather_rows,
     degeneracy_order,
-    induced_adjacency_matrix,
 )
 
 MAX_K = 64
@@ -403,7 +402,7 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def map_batches(fn: Callable, batches: Iterable) -> list:
+def map_batches(fn: Callable, batches: Iterator) -> list:
     """[fn(batch) for batch in batches], on _workers() plain threads.
 
     The calling thread is one of the workers, so one worker starts no
@@ -578,13 +577,14 @@ def shadow_finder(g: Graph, k: int) -> TuranShadow:
     n, m = g.vertex_count, g.edge_count
     order = degeneracy_order(g)
     if n >= k and _saturated(m, n, k):
-        # one entry, the whole graph: its rows are the packed adjacency
-        # matrix, about n * n / 64 < m / 16 words because the graph is dense
+        # one entry, the whole graph: its rows are g's CSR rows as bits
+        # (bit j of row v in word j // 64), about n * n / 64 < m / 16 words
+        # because the graph is dense
         ids = np.arange(n, dtype=np.int64)
-        bits = np.packbits(induced_adjacency_matrix(g, ids), axis=1,
-                           bitorder="little")  # bit j of word j // 64
-        table = np.pad(bits, ((0, 0), (0, -bits.shape[1] % 8))).view(
-            "<u8").astype(np.uint64)
+        bits = np.zeros((n, 64 * -(-n // 64)), dtype=bool)
+        bits[ids.repeat(np.diff(g.indptr)), g.indices] = True
+        table = np.packbits(bits, axis=1, bitorder="little").view(
+            "<u8").astype(np.uint64, copy=False)
         parts = [(np.array([n]), ids.astype(_label_dtype(n)), np.array([k]),
                   np.array([m]), np.array([0]))]
     else:

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 import turanshadow
-from turanshadow.graph import Graph, _induced_pairs
+from turanshadow.graph import Graph, _gather_rows
 
 
 def run_child(args, **env):
@@ -35,6 +35,41 @@ def has_edge(g: Graph, u: int, v: int) -> bool:
     nbrs = g.neighbors(u)
     i = int(np.searchsorted(nbrs, v))
     return i < nbrs.size and int(nbrs[i]) == v
+
+
+def _induced_pairs(g: Graph, vertices
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(verts, a, b): the set as int64 and, ascending by a then b, the
+    local index pairs of its induced edges in both directions.
+
+    vertices must be strictly ascending ids of g, else ValueError. Each
+    gathered neighbour is placed in the set by one searchsorted, so W
+    members cost O(sum of their degrees * log W) and no W x W array.
+    """
+    verts = np.asarray(vertices, dtype=np.int64)
+    if verts.size and np.any(np.diff(verts) <= 0):
+        raise ValueError("vertex set must be strictly ascending")
+    if verts.size and (int(verts[0]) < 0 or int(verts[-1]) >= g.vertex_count):
+        raise ValueError("vertex id out of range")
+    start = g.indptr[verts]
+    count = g.indptr[verts + 1] - start
+    nbrs = _gather_rows(g.indices, start, count)
+    b = np.searchsorted(verts, nbrs).clip(max=verts.size - 1)
+    hit = verts[b] == nbrs
+    return verts, np.arange(verts.size).repeat(count)[hit], b[hit]
+
+
+def induced_adjacency_matrix(g: Graph, vertices) -> np.ndarray:
+    """Dense boolean adjacency of the subgraph induced by `vertices`.
+
+    Row/column i corresponds to vertices[i]; vertices must be strictly
+    ascending ids of g, else ValueError. Costs O(sum of their degrees *
+    log W) for W vertices, plus the W x W result.
+    """
+    verts, a, b = _induced_pairs(g, vertices)
+    mat = np.zeros((verts.size, verts.size), dtype=bool)
+    mat[a, b] = True
+    return mat
 
 
 def induced_edge_count(g: Graph, vertices) -> int:

@@ -17,8 +17,10 @@ import time
 
 import numpy as np
 
-from turanshadow.graph import Graph, degeneracy_order, induced_adjacency_matrix
+from turanshadow.graph import Graph, degeneracy_order
 from turanshadow.oracle import ExactCount, _check_uint64
+
+from genutil import induced_adjacency_matrix
 
 NAIVE_GUARD = 100_000_000
 

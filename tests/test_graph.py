@@ -9,7 +9,6 @@ from turanshadow.graph import (
     EdgeListParseError,
     Graph,
     degeneracy_order,
-    induced_adjacency_matrix,
     load_edge_list,
 )
 
@@ -20,6 +19,7 @@ from genutil import (
     er_graph,
     grid_graph,
     has_edge,
+    induced_adjacency_matrix,
     induced_edge_count,
     induced_subgraph,
     path_graph,
@@ -71,7 +71,21 @@ def test_load_accepts_bytes_and_large_ids():
     assert g.original_ids.tolist() == [1, 9999999999999]
 
 
-def test_load_path_fast_parse_matches_line_parser(tmp_path, monkeypatch):
+@pytest.fixture
+def line_parses(monkeypatch):
+    """One entry per call of the per-line parser, made while the test runs."""
+    calls = []
+    parse_lines = graph._parse_lines
+
+    def spy(text):
+        calls.append(1)
+        return parse_lines(text)
+
+    monkeypatch.setattr(graph, "_parse_lines", spy)
+    return calls
+
+
+def test_load_path_fast_parse_matches_line_parser(tmp_path, line_parses):
     # a relabeled file with duplicates, reversed pairs, self-loops, blank
     # lines and uneven spacing takes the one-call parse from a path and
     # must give the per-line parser's CSR and original ids
@@ -81,20 +95,13 @@ def test_load_path_fast_parse_matches_line_parser(tmp_path, monkeypatch):
              zip(pairs.tolist(), rng.integers(1, 4, size=2000))]
     lines[10] = lines[20] = ""
     lines.append(f"{pairs[0, 0]} {pairs[0, 0]}")
+    text = "\n".join(lines) + "\n"
     path = tmp_path / "g.txt"
-    path.write_text("\n".join(lines) + "\n")
-    line_parses = []
-    parse_lines = graph._parse_lines
-
-    def spy(lines, comment_prefix):
-        line_parses.append(1)
-        return parse_lines(lines, comment_prefix)
-
-    monkeypatch.setattr(graph, "_parse_lines", spy)
+    path.write_text(text)
     fast = load_edge_list(path)
     assert line_parses == []
-    with open(path) as fh:
-        slow = load_edge_list(list(fh))  # lines, not a stream: per line
+    # a comment past the header sends the text to the per-line parser
+    slow = load_edge_list(io.StringIO(text + "# end\n"))
     assert line_parses == [1]
     assert fast.vertex_count == slow.vertex_count > 200
     for a, b in ((fast.indptr, slow.indptr), (fast.indices, slow.indices),
@@ -102,7 +109,7 @@ def test_load_path_fast_parse_matches_line_parser(tmp_path, monkeypatch):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def test_load_path_snap_header_takes_fast_parse(tmp_path, monkeypatch):
+def test_load_path_snap_header_takes_fast_parse(tmp_path, line_parses):
     # a SNAP-style header of comment and blank lines, then tab-separated
     # pairs: the header is skipped and the rest takes the one-call parse
     rng = np.random.default_rng(9)
@@ -112,17 +119,9 @@ def test_load_path_snap_header_takes_fast_parse(tmp_path, monkeypatch):
             + "".join(f"{u}\t{v}\n" for u, v in pairs.tolist()))
     path = tmp_path / "snap.txt"
     path.write_text(text)
-    line_parses = []
-    parse_lines = graph._parse_lines
-
-    def spy(lines, comment_prefix):
-        line_parses.append(1)
-        return parse_lines(lines, comment_prefix)
-
-    monkeypatch.setattr(graph, "_parse_lines", spy)
     fast = load_edge_list(path)
     assert line_parses == []
-    slow = load_edge_list(text.splitlines())
+    slow = load_edge_list(io.StringIO(text + "# end\n"))  # per line
     assert line_parses == [1]
     assert fast.vertex_count == slow.vertex_count > 200
     for a, b in ((fast.indptr, slow.indptr), (fast.indices, slow.indices),
@@ -139,7 +138,7 @@ def test_load_path_without_edges_is_empty(tmp_path, text):
     assert (g.vertex_count, g.edge_count) == (0, 0)
 
 
-def test_load_stream_is_read_whole_like_a_path(tmp_path, monkeypatch):
+def test_load_stream_is_read_whole_like_a_path(tmp_path, line_parses):
     # text and byte streams are read whole and parsed as a path's text is:
     # the same graph with no per-line parse, and, for a malformed line,
     # the same line number
@@ -148,14 +147,6 @@ def test_load_stream_is_read_whole_like_a_path(tmp_path, monkeypatch):
     text = "# header\n\n" + "".join(f"{u} {v}\n" for u, v in pairs.tolist())
     path = tmp_path / "g.txt"
     path.write_text(text)
-    line_parses = []
-    parse_lines = graph._parse_lines
-
-    def spy(lines, comment_prefix):
-        line_parses.append(1)
-        return parse_lines(lines, comment_prefix)
-
-    monkeypatch.setattr(graph, "_parse_lines", spy)
 
     def streams(text, path):
         yield io.StringIO(text)
@@ -207,13 +198,12 @@ def test_load_path_malformed_line_number(tmp_path, text, line_number):
     (b"# caf\xe9\n0 1\n", 1),  # Latin-1, in a comment
     (b"0 1\n1 2\n2 3\xc3\n", 3),  # cut short at the end
 ])
-@pytest.mark.parametrize("kind", ["path", "stream", "lines"])
+@pytest.mark.parametrize("kind", ["path", "stream"])
 def test_load_bytes_not_utf8_report_line_number(tmp_path, kind, data,
                                                 line_number):
     path = tmp_path / "bad.txt"
     path.write_bytes(data)
-    source = {"path": path, "stream": io.BytesIO(data),
-              "lines": data.splitlines(keepends=True)}[kind]
+    source = {"path": path, "stream": io.BytesIO(data)}[kind]
     with pytest.raises(EdgeListParseError, match="UTF-8") as exc:
         load_edge_list(source)
     assert exc.value.line_number == line_number
@@ -251,11 +241,11 @@ def test_load_crlf_and_lone_cr_lines(tmp_path):
                                   "0 1\n-9223372036854775809 2\n",
                                   "0 1\n3 9223372036854775808\n"])
 def test_load_id_outside_int64_reports_line_number(tmp_path, text):
-    # a path, a stream and a list of lines alike; the loadtxt fast path
-    # refuses such a line, and the line parser names it
+    # a path and a stream alike; the loadtxt fast path refuses such a
+    # line, and the line parser names it
     path = tmp_path / "big.txt"
     path.write_text(text)
-    for source in (path, io.StringIO(text), text.splitlines()):
+    for source in (path, io.StringIO(text)):
         with pytest.raises(EdgeListParseError, match="int64") as exc:
             load_edge_list(source)
         assert exc.value.line_number == 2, source
@@ -265,31 +255,62 @@ def test_load_int64_extremes(tmp_path):
     text = "-9223372036854775808 9223372036854775807\n"
     path = tmp_path / "edge.txt"
     path.write_text(text)
-    for source in (path, io.StringIO(text), [text]):
+    for source in (path, io.StringIO(text)):
         g = load_edge_list(source)
         assert g.original_ids.tolist() == [-2**63, 2**63 - 1], source
 
 
-@pytest.mark.parametrize("source, line_number", [
-    (b"0 1\n", 1),
-    (bytearray(b"0 1\n"), 1),
-    ([0, 1], 1),
-    (["0 1\n", b"1 2\n", 7], 3),
-])
-def test_load_refuses_lines_that_are_not_text(source, line_number):
-    with pytest.raises(EdgeListParseError, match="str or bytes") as exc:
-        load_edge_list(source)
-    assert exc.value.line_number == line_number
+def test_load_refuses_sources_that_are_not_paths_or_streams(tmp_path):
+    # bytes, a bytearray and lists are neither a path nor a stream: each is
+    # refused before anything is read
+    lines = iter(["0 1\n", "1 2\n"])
+    for source in (b"0 1\n", bytearray(b"0 1\n"), [0, 1],
+                   ["0 1\n", b"1 2\n", 7], lines):
+        with pytest.raises(TypeError, match="path or a stream"):
+            load_edge_list(source)
+    assert next(lines) == "0 1\n"
 
+    class PlainPath:  # an os.PathLike that is no pathlib.Path
+        def __fspath__(self):
+            return str(path)
 
-def test_load_empty_comment_prefix_means_no_comments(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("0 1\n1 2\n")
-    for source in (io.StringIO("0 1\n1 2\n"), path):
-        g = load_edge_list(source, comment_prefix="")
-        assert (g.vertex_count, g.edge_count) == (3, 2)
-    with pytest.raises(EdgeListParseError):
-        load_edge_list(io.StringIO("# c\n0 1\n"), comment_prefix="")
+    g = load_edge_list(PlainPath())
+    assert (g.vertex_count, g.edge_count) == (3, 2)
+
+
+BOM_TEXT = "\ufeff0 1\n1 2\n2 0\n"
+
+
+def bom_sources(tmp_path, text):
+    """The UTF-8 text as a path, a byte stream and a text stream."""
+    path = tmp_path / "bom.txt"
+    path.write_bytes(text.encode())
+    return [path, io.BytesIO(text.encode()), io.StringIO(text)]
+
+
+def test_load_drops_a_leading_byte_order_mark(tmp_path, line_parses):
+    # one parse call, no per-line fallback, and the plain text's graph
+    want = load_edge_list(io.StringIO(BOM_TEXT[1:]))
+    for source in bom_sources(tmp_path, BOM_TEXT):
+        got = load_edge_list(source)
+        for a, b in ((got.indptr, want.indptr), (got.indices, want.indices)):
+            assert a.dtype == b.dtype and np.array_equal(a, b), source
+        assert got.original_ids is None
+    assert line_parses == []
+
+
+def test_load_byte_order_mark_keeps_line_numbers(tmp_path):
+    for source in bom_sources(tmp_path, BOM_TEXT + "# c\n3 x\n"):
+        with pytest.raises(EdgeListParseError) as exc:
+            load_edge_list(source)
+        assert exc.value.line_number == 5, source
+    # only one mark is dropped: a second is a malformed token on line 1
+    for source in bom_sources(tmp_path, "\ufeff" + BOM_TEXT):
+        with pytest.raises(EdgeListParseError) as exc:
+            load_edge_list(source)
+        assert exc.value.line_number == 1, source
 
 
 def test_adjacency_invariants():

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import os
 import sys
 import threading
 import time
@@ -32,6 +33,7 @@ from genutil import (
     cycle_graph,
     er_graph,
     has_edge,
+    induced_adjacency_matrix,
     induced_edge_count,
     induced_subgraph,
     path_graph,
@@ -496,7 +498,7 @@ def whole_graph(g, k):
     return n >= k and shadow._saturated(g.edge_count, n, k)
 
 
-def test_whole_table_matches_adjacency():
+def test_oriented_table_matches_adjacency():
     # every row, those of vertices with out-degree below k - 1 included:
     # the table depends on the order alone
     tables = {}  # by graph, which it holds so that no id is reused
@@ -507,6 +509,30 @@ def test_whole_table_matches_adjacency():
             tables[id(g)] = g, expected_table(g, degeneracy_order(g))
         assert np.array_equal(shadow_finder(g, k).table, tables[id(g)][1]), \
             (g, k)
+
+
+WHOLE_GRAPHS = [(complete_graph(n), k) for n in (63, 64, 65, 128, 129)
+                for k in (3, 8)] + [
+    (er_graph(n, p, seed=n), k) for n in (63, 64, 65, 128, 129)
+    for p, k in ((0.97, 8), (0.9, 5), (0.8, 3))]
+
+
+def test_whole_table_is_the_packed_adjacency():
+    # a graph that saturates is one entry, its table the adjacency matrix
+    # packed little-endian into words, with the padding bits clear
+    for g, k in WHOLE_GRAPHS:
+        n = g.vertex_count
+        assert whole_graph(g, k), (g, k)
+        sh = shadow_finder(g, k)
+        assert sh.ells.tolist() == [k] and sh.sizes.tolist() == [n]
+        assert np.array_equal(sh.ids, np.arange(n))
+        assert sh.table.dtype == np.uint64
+        assert sh.table.shape == (n, -(-n // 64))
+        bits = np.unpackbits(sh.table.view(np.uint8), axis=1,
+                             bitorder="little")
+        assert not bits[:, n:].any(), (g, k)
+        assert np.array_equal(bits[:, :n],
+                              induced_adjacency_matrix(g, np.arange(n)))
 
 
 def cycle_complement(n):
@@ -638,6 +664,23 @@ def test_entries_view_indexing():
     assert isinstance(sh.entries[1:3], list)
     assert sh.entries[::-1] == list(sh.entries)[::-1]
     assert sh.entries[n:] == []
+
+
+def test_workers_falls_back_to_the_cpu_count(monkeypatch):
+    # platforms without CPU affinity (macOS) count every CPU, or take one
+    # worker when that count is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert shadow._workers() == 3
+
+    def fn(batch):
+        time.sleep(0.002 * (10 - batch))
+        return batch * batch
+
+    got = run_bounded(lambda: shadow.map_batches(fn, iter(range(10))))
+    assert got == [b * b for b in range(10)]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert shadow._workers() == 1
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
