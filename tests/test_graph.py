@@ -260,14 +260,28 @@ def test_load_int64_extremes(tmp_path):
         assert g.original_ids.tolist() == [-2**63, 2**63 - 1], source
 
 
+@pytest.mark.parametrize("source, line_number", [
+    (b"0 1\n", 1),
+    (bytearray(b"0 1\n"), 1),
+    ([0, 1], 1),
+    (["0 1\n", b"1 2\n", 7], 3),
+])
+def test_load_refuses_lines_that_are_not_text(source, line_number):
+    # iterated as lines, each source holds neither str nor bytes at
+    # line_number; the loader takes no lines, so it refuses the source by its
+    # type, whatever the lines hold
+    assert not isinstance(list(source)[line_number - 1], (str, bytes))
+    with pytest.raises(TypeError,
+                       match=f"path or a stream .*, got {type(source).__name__}$"):
+        load_edge_list(source)
+
+
 def test_load_refuses_sources_that_are_not_paths_or_streams(tmp_path):
-    # bytes, a bytearray and lists are neither a path nor a stream: each is
-    # refused before anything is read
+    # an iterator of lines is neither a path nor a stream: it is refused
+    # before anything is read
     lines = iter(["0 1\n", "1 2\n"])
-    for source in (b"0 1\n", bytearray(b"0 1\n"), [0, 1],
-                   ["0 1\n", b"1 2\n", 7], lines):
-        with pytest.raises(TypeError, match="path or a stream"):
-            load_edge_list(source)
+    with pytest.raises(TypeError, match="path or a stream"):
+        load_edge_list(lines)
     assert next(lines) == "0 1\n"
 
     class PlainPath:  # an os.PathLike that is no pathlib.Path
