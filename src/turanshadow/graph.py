@@ -98,13 +98,6 @@ class Graph:
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         return cls(indptr, indices, original_ids)
 
-    def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbor ids of v (a read-only view)."""
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
-
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def __repr__(self):
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
 
@@ -137,15 +130,15 @@ def _parse_lines(text: str) -> np.ndarray:
 def _parse_text(text: str | bytes) -> np.ndarray:
     """(E, 2) int64 edges of a whole edge-list text (str, or UTF-8 bytes).
 
-    One leading byte-order mark is dropped, and so is the leading block of
-    blank and `#` comment lines (a SNAP header, say). One np.loadtxt call
-    parses the rest when it is ASCII, whitespace-separated text that holds
-    no `#`; on such text it accepts exactly the lines the per-line parser
-    accepts and reads the same integers (on non-ASCII text it can misread
-    letters as digits). Any other text, or text it rejects, is parsed line
-    by line, which skips comments and reports the number of a malformed
-    line; a byte that is not UTF-8 (a lone surrogate by surrogateescape)
-    is reported so too.
+    One leading byte-order mark is dropped, and every whole-line `#`
+    comment (a SNAP header, say, or a trailing note) is blanked, its
+    newline kept. One np.loadtxt call parses the rest when it is ASCII,
+    whitespace-separated text; on such text it accepts exactly the lines
+    the per-line parser accepts and reads the same integers (on non-ASCII
+    text it can misread letters as digits). Any other text, text it
+    rejects, or text with a `#` after an edge on its line, is parsed line
+    by line, which reports the number of a malformed line; a byte that is
+    not UTF-8 (a lone surrogate by surrogateescape) is reported so too.
     """
     text = (text.decode(errors="surrogateescape")
             if isinstance(text, bytes) else text).removeprefix("\ufeff")
@@ -154,15 +147,17 @@ def _parse_text(text: str | bytes) -> np.ndarray:
     except UnicodeEncodeError as err:
         raise EdgeListParseError(text.count("\n", 0, err.start) + 1,
                                  "not UTF-8") from None
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start) + 1 or len(text)  # past the line
-        line = text[start:end].strip()
-        if line and not line.startswith("#"):
-            break
-        start = end
-    body = text[start:]
-    if body.isascii() and body.strip() and "#" not in body:
+    parts, end = [], 0
+    while (at := text.find("#", end)) >= 0:
+        start = text.rfind("\n", 0, at) + 1  # of the `#`'s line
+        if text[start:at].strip():
+            return _parse_lines(text)
+        parts.append(text[end:start])
+        end = text.find("\n", at)
+        if end < 0:  # a comment ends the text
+            end = len(text)
+    body = "".join([*parts, text[end:]])
+    if body.isascii() and body.strip():
         try:
             edges = np.loadtxt(io.StringIO(body), dtype=np.int64,
                                comments=None, ndmin=2)

@@ -33,11 +33,12 @@ and each member's out-neighborhood with at least ell - 1 members joins
 the frontier at budget ell - 1, its edges counted over its own members'
 rows.
 
-A set is named by its path: the root id, then the member index taken at
-each level. A recursive builder visits children in ascending member order,
-and emitted sets are leaves, so no emitted path is a prefix of another;
-sorting the emitted sets by path therefore restores exactly the
-depth-first emission order, and with it every draw of the sampler.
+The shadow is a multiset, and neither the estimate nor its guarantee
+depends on the order of its entries; one canonical key fixes that order.
+Emitted sets are sorted by root (by base, out_start[root], which rises with
+the root id), then by ell, then by the member mask read as one integer
+(bit a of word w is 2^(64w + a)). Two sets tie only when they are the same
+entry, since a mask and its root fix the members, the size and the edges.
 
 Roots are processed in id-ordered batches that hold no rows, only frontier
 and emitted sets. Every set below a root of out-degree d is a subset of
@@ -49,8 +50,8 @@ batches run on map_batches, the batch runner the exact counter shares,
 one thread per CPU the process may run on, each holding one chunk or batch
 (TuranShadow bounds what a batch holds). Table chunks fill disjoint rows,
 and batches only read the table. Batches are id-contiguous, so sorting
-each batch's emitted sets by path and joining the batches in order gives
-the global depth-first order: every shadow array is a function of the
+each batch's emitted sets by the key and joining the batches in order
+sorts the whole shadow by it: every shadow array is a function of the
 graph and k alone, and the table of the graph alone, whatever the batch
 and chunk sizes and the number of threads.
 
@@ -169,7 +170,7 @@ class TuranShadow:
     worker holds a table chunk (see oriented_table) or a root batch, which
     holds no rows: with nw = ceil(alpha / 64), at most twice its emitted
     sets plus its largest frontier and the children made from it, at
-    nw + k + 2 words a set, two bytes a label, and about 16 * _CHUNK_ELEMS
+    nw + 4 words a set, two bytes a label, and about 16 * _CHUNK_ELEMS
     words of chunk temporaries. A sampler adds one index per entry with
     ell >= 3, in the narrowest unsigned dtype that holds an index below E
     (at most 4 B below 2^32 entries).
@@ -241,16 +242,15 @@ class _Sets:
     mask: np.ndarray   # (F, nw) uint64 member bitmask
     size: np.ndarray
     edges: np.ndarray
-    path: np.ndarray   # (F, L): root id, then member indices, -1 padded
 
     def take(self, idx) -> "_Sets":
         return _Sets(self.base[idx], self.mask[idx], self.size[idx],
-                     self.edges[idx], self.path[idx])
+                     self.edges[idx])
 
     @staticmethod
     def concat(parts: list["_Sets"]) -> "_Sets":
         return _Sets(*(np.concatenate([getattr(p, f) for p in parts])
-                       for f in ("base", "mask", "size", "edges", "path")))
+                       for f in ("base", "mask", "size", "edges")))
 
 
 # _BIT[i] holds bit i alone and _LOW[i] bits 0..i - 1
@@ -311,20 +311,20 @@ def _edges(table: np.ndarray, sets: _Sets) -> np.ndarray:
     return edges
 
 
-def _children(table: np.ndarray, sets: _Sets, ell: int, depth: int) -> _Sets:
+def _children(table: np.ndarray, sets: _Sets, ell: int) -> _Sets:
     """Out-neighborhoods (budget ell - 1) of unsaturated sets at budget ell,
     given by descending size; peeled by chunk, their edges counted last."""
     nw = sets.mask.shape[1]
-    base, mask, size, path = (np.concatenate(field) for field in zip(*[
-        _peel(table, sets.take(c), ell, depth)
+    base, mask, size = (np.concatenate(field) for field in zip(*[
+        _peel(table, sets.take(c), ell)
         for c in _chunks(sets.size.size, 64 * nw * nw)]))
-    children = _Sets(base, mask, size, None, path)
+    children = _Sets(base, mask, size, None)
     children.edges = _edges(table, children)
     return children
 
 
-def _peel(table: np.ndarray, sets: _Sets, ell: int, depth: int):
-    """(base, mask, size, path) of a chunk's out-neighborhoods of at least
+def _peel(table: np.ndarray, sets: _Sets, ell: int):
+    """(base, mask, size) of a chunk's out-neighborhoods of at least
     ell - 1 members. Each step removes, in every set, the alive member of
     least degree (lowest index among ties), records its row & alive and
     lowers its neighbors' degrees; a set stops after size - ell + 1 steps,
@@ -353,11 +353,8 @@ def _peel(table: np.ndarray, sets: _Sets, ell: int, depth: int):
     cmask = np.concatenate(rests)
     csize = popcount(cmask)
     keep = csize >= ell - 1
-    at = np.concatenate(ats)[keep]
-    item = at // width
-    path = sets.path[item]
-    path[:, depth] = at - item * width
-    return base[item], cmask[keep], csize[keep], path
+    item = np.concatenate(ats)[keep] // width
+    return base[item], cmask[keep], csize[keep]
 
 
 def _spans(spent: np.ndarray, budget: int):
@@ -515,18 +512,17 @@ def oriented_table(g: Graph, check_time: Callable[[], None] = lambda: None
 
 def _build_batch(k: int, group: list, order: DegeneracyOrder,
                  table: np.ndarray, label_dtype):
-    """Emitted entries of one batch of root_batches, in path order.
+    """Emitted entries of one batch of root_batches, sorted by root, ell
+    and member mask (see the module docstring).
 
     Returns (sizes, flat labels, ells, edges, rowbase): labels are the
     members' root-local indices, rowbase[i] out_start of entry i's root.
     """
     emitted, ells = [], []
     for ids, nw in group:
-        size, path = order.core_number[ids], np.full((ids.size, k - 2), -1)
-        path[:, 0] = ids
-        sets = _Sets(order.out_start[ids], _low_bits(size, nw), size, None,
-                     path)
-        sets.edges, ell, depth = _edges(table, sets), k - 1, 1
+        size = order.core_number[ids]
+        sets = _Sets(order.out_start[ids], _low_bits(size, nw), size, None)
+        sets.edges, ell = _edges(table, sets), k - 1
         while sets.size.size:
             done = (_saturated(sets.edges, sets.size, ell) if ell > 2
                     else np.ones(sets.size.size, dtype=bool))
@@ -538,17 +534,18 @@ def _build_batch(k: int, group: list, order: DegeneracyOrder,
             rest = np.flatnonzero(~done)  # by descending size, as peeled
             sets = sets.take(rest[np.argsort(-sets.size[rest], kind="stable")])
             if sets.size.size:
-                sets = _children(table, sets, ell, depth)
-            ell, depth = ell - 1, depth + 1
+                sets = _children(table, sets, ell)
+            ell -= 1
     sets, ell = _Sets.concat(emitted), np.concatenate(ells)
     emitted.clear()  # so that it and the sorted copy are not held at once
-    perm = np.lexsort(sets.path.T[::-1])
+    # lexsort's last key is its first: base, then ell, then the mask's
+    # words from the highest down
+    perm = np.lexsort((*sets.mask.T, ell, sets.base))
     sets, ell = sets.take(perm), ell[perm]
     labels = [np.empty(0, dtype=label_dtype), *(
         _members(sets.mask[c])[1].astype(label_dtype)
         for c in _chunks(ell.size, 64 * table.shape[1]))]
-    return (sets.size, np.concatenate(labels), ell, sets.edges,
-            order.out_start[sets.path[:, 0]])
+    return sets.size, np.concatenate(labels), ell, sets.edges, sets.base
 
 
 def _label_dtype(count: int) -> np.dtype:

@@ -9,10 +9,12 @@ compare alphas, not orders, and it returns the alpha alone.
 
 import heapq
 
+from genutil import neighbors
+
 
 def reference_degeneracy(g) -> int:
     n = g.vertex_count
-    deg = [g.degree(v) for v in range(n)]
+    deg = [neighbors(g, v).size for v in range(n)]
     heap = [(deg[v], v) for v in range(n)]
     heapq.heapify(heap)
     removed = bytearray(n)
@@ -23,7 +25,7 @@ def reference_degeneracy(g) -> int:
             continue
         removed[v] = 1
         alpha = max(alpha, d)
-        for u in g.neighbors(v).tolist():
+        for u in neighbors(g, v).tolist():
             if not removed[u]:
                 deg[u] -= 1
                 heapq.heappush(heap, (deg[u], u))

@@ -26,13 +26,18 @@ def run_child(args, **env):
         env={k: v for k, v in env.items() if v is not None})
 
 
+def neighbors(g: Graph, v: int) -> np.ndarray:
+    """Sorted neighbour ids of v: a read-only view of g's CSR row."""
+    return g.indices[g.indptr[v]:g.indptr[v + 1]]
+
+
 def has_edge(g: Graph, u: int, v: int) -> bool:
     """Edge test via binary search in the shorter adjacency list."""
     if u == v:
         return False
-    if g.degree(u) > g.degree(v):
+    if neighbors(g, u).size > neighbors(g, v).size:
         u, v = v, u
-    nbrs = g.neighbors(u)
+    nbrs = neighbors(g, u)
     i = int(np.searchsorted(nbrs, v))
     return i < nbrs.size and int(nbrs[i]) == v
 

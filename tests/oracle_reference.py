@@ -20,7 +20,7 @@ import numpy as np
 from turanshadow.graph import Graph, degeneracy_order
 from turanshadow.oracle import ExactCount, _check_uint64
 
-from genutil import induced_adjacency_matrix
+from genutil import induced_adjacency_matrix, neighbors
 
 NAIVE_GUARD = 100_000_000
 
@@ -45,7 +45,7 @@ def reference_count(g, k):
     """Number of k-cliques of g, for k >= 3."""
     n = g.vertex_count
     pos = degeneracy_order(g).position
-    outs = [{u for u in g.neighbors(v).tolist() if pos[u] > pos[v]}
+    outs = [{u for u in neighbors(g, v).tolist() if pos[u] > pos[v]}
             for v in range(n)]
     return sum(_count_rec(outs, outs[v], k - 1)
                for v in range(n) if len(outs[v]) >= k - 1)

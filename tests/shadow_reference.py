@@ -2,11 +2,16 @@
 
 Depth-first refinement with one bitmask per set: the result is the ordered
 list of (ell, vertices, edges) that `shadow_finder` must reproduce exactly.
-Adjacency comes from Python sets of CSR neighbours, so this shares no
-induced-subgraph code with the library; it shares only `degeneracy_order`.
+Entries are sorted by root id, then by ell, then by the member mask read
+as one integer (bit j for the root's j-th out-neighbour in ascending id),
+the library's canonical order. Adjacency comes from Python sets of CSR
+neighbours, so this shares no induced-subgraph code with the library; it
+shares only `degeneracy_order`.
 """
 
 from turanshadow.graph import degeneracy_order
+
+from genutil import neighbors
 
 
 def _saturated(edges, size, ell):
@@ -41,25 +46,26 @@ def _peel(rows, members):
 
 
 def reference_shadow(g, k):
-    """Entries of the k-clique shadow of g, in depth-first emission order."""
+    """Entries of the k-clique shadow of g, in (root, ell, mask) order."""
     n, m = g.vertex_count, g.edge_count
     if n < k:
         return []
     if _saturated(m, n, k):
         return [(k, tuple(range(n)), m)]
     pos = degeneracy_order(g).position
-    adj = [set(g.neighbors(v).tolist()) for v in range(n)]
+    adj = [set(neighbors(g, v).tolist()) for v in range(n)]
     out = []
 
-    def refine(rows, ids, members, ell):
+    def refine(v, rows, ids, members, ell):
         if ell <= 2 or _saturated(_edges(rows, members), len(_bits(members)),
                                   ell):
-            out.append((ell, tuple(ids[b] for b in _bits(members)),
-                        _edges(rows, members)))
+            out.append(((v, ell, members), (
+                ell, tuple(ids[b] for b in _bits(members)),
+                _edges(rows, members))))
             return
-        for b, child in sorted(_peel(rows, members).items()):
+        for child in _peel(rows, members).values():
             if child.bit_count() >= ell - 1:
-                refine(rows, ids, child, ell - 1)
+                refine(v, rows, ids, child, ell - 1)
 
     for v in range(n):
         ids = [u for u in sorted(adj[v]) if pos[u] > pos[v]]
@@ -67,5 +73,5 @@ def reference_shadow(g, k):
             continue
         rows = [sum(1 << j for j, w in enumerate(ids) if w in adj[u])
                 for u in ids]
-        refine(rows, ids, (1 << len(ids)) - 1, k - 1)
-    return out
+        refine(v, rows, ids, (1 << len(ids)) - 1, k - 1)
+    return [entry for _, entry in sorted(out)]

@@ -14,7 +14,13 @@ from turanshadow.graph import degeneracy_order, load_edge_list
 from turanshadow.oracle import exact_kclique_count
 
 from budgets import spy_builds
-from genutil import complete_graph, cycle_graph, er_graph, run_child
+from genutil import (
+    complete_graph,
+    cycle_graph,
+    er_graph,
+    neighbors,
+    run_child,
+)
 
 COUNT_KEYS = [
     "command", "input", "k", "estimate", "t", "successes", "success_ratio",
@@ -29,7 +35,7 @@ TIMING_KEYS = {"time_shadow_ms", "time_sample_ms", "time_ms"}
 def write_graph(path, g):
     with open(path, "w") as fh:
         for v in range(g.vertex_count):
-            for u in g.neighbors(v).tolist():
+            for u in neighbors(g, v).tolist():
                 if v < u:
                     fh.write(f"{v} {u}\n")
     return str(path)

@@ -22,6 +22,7 @@ from genutil import (
     induced_adjacency_matrix,
     induced_edge_count,
     induced_subgraph,
+    neighbors,
     path_graph,
     run_child,
     star_graph,
@@ -85,7 +86,8 @@ def line_parses(monkeypatch):
     return calls
 
 
-def test_load_path_fast_parse_matches_line_parser(tmp_path, line_parses):
+def test_load_path_fast_parse_matches_line_parser(tmp_path, monkeypatch,
+                                                  line_parses):
     # a relabeled file with duplicates, reversed pairs, self-loops, blank
     # lines and uneven spacing takes the one-call parse from a path and
     # must give the per-line parser's CSR and original ids
@@ -100,8 +102,8 @@ def test_load_path_fast_parse_matches_line_parser(tmp_path, line_parses):
     path.write_text(text)
     fast = load_edge_list(path)
     assert line_parses == []
-    # a comment past the header sends the text to the per-line parser
-    slow = load_edge_list(io.StringIO(text + "# end\n"))
+    monkeypatch.setattr(graph, "_parse_text", graph._parse_lines)
+    slow = load_edge_list(io.StringIO(text))
     assert line_parses == [1]
     assert fast.vertex_count == slow.vertex_count > 200
     for a, b in ((fast.indptr, slow.indptr), (fast.indices, slow.indices),
@@ -109,7 +111,8 @@ def test_load_path_fast_parse_matches_line_parser(tmp_path, line_parses):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def test_load_path_snap_header_takes_fast_parse(tmp_path, line_parses):
+def test_load_path_snap_header_takes_fast_parse(tmp_path, monkeypatch,
+                                                line_parses):
     # a SNAP-style header of comment and blank lines, then tab-separated
     # pairs: the header is skipped and the rest takes the one-call parse
     rng = np.random.default_rng(9)
@@ -121,12 +124,34 @@ def test_load_path_snap_header_takes_fast_parse(tmp_path, line_parses):
     path.write_text(text)
     fast = load_edge_list(path)
     assert line_parses == []
-    slow = load_edge_list(io.StringIO(text + "# end\n"))  # per line
+    monkeypatch.setattr(graph, "_parse_text", graph._parse_lines)
+    slow = load_edge_list(io.StringIO(text))
     assert line_parses == [1]
     assert fast.vertex_count == slow.vertex_count > 200
     for a, b in ((fast.indptr, slow.indptr), (fast.indices, slow.indices),
                  (fast.original_ids, slow.original_ids)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_load_comments_past_the_header_take_fast_parse(tmp_path,
+                                                       line_parses):
+    # whole-line comments between and after the edges, indented, at CRLF
+    # and with no final newline, are blanked: one np.loadtxt call reads
+    # the per-line parser's edges, and a malformed line keeps its number
+    text = ("# header\n0 1\n  # between\n1 2\r\n\t#\tcrlf\r\n"
+            "2 3\n# a # b\n3 0\n# end")
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode())
+    want = graph._parse_lines(text)
+    assert want.tolist() == [[0, 1], [1, 2], [2, 3], [3, 0]]
+    for source in (path, io.StringIO(text), io.BytesIO(text.encode())):
+        got = load_edge_list(source)
+        assert got.indices.tolist() == [1, 3, 0, 2, 1, 3, 0, 2], source
+    assert graph._parse_text(text).tolist() == want.tolist()
+    assert line_parses == [1]  # the direct call alone
+    with pytest.raises(EdgeListParseError) as exc:
+        load_edge_list(io.StringIO(text.replace("3 0", "3 x")))
+    assert exc.value.line_number == 8
 
 
 @pytest.mark.parametrize("text", ["# c\n", "# a\n\n  # b\n\n", "\n \n"])
@@ -331,11 +356,11 @@ def test_adjacency_invariants():
     g = er_graph(60, 0.2, seed=5)
     total = 0
     for v in range(g.vertex_count):
-        nbrs = g.neighbors(v).tolist()
+        nbrs = neighbors(g, v).tolist()
         assert nbrs == sorted(set(nbrs))
         assert v not in nbrs
         for u in nbrs:
-            assert v in g.neighbors(u).tolist()
+            assert v in neighbors(g, u).tolist()
         total += len(nbrs)
     assert total == 2 * g.edge_count
 
@@ -363,7 +388,7 @@ def test_order_and_position_are_inverse():
 def _peel_bruteforce(g):
     """Degeneracy by peeling on sets: the largest deletion degree."""
     remaining = set(range(g.vertex_count))
-    adj = [set(g.neighbors(v).tolist()) for v in range(g.vertex_count)]
+    adj = [set(neighbors(g, v).tolist()) for v in range(g.vertex_count)]
     alpha = 0
     while remaining:
         v = min(remaining, key=lambda u: len(adj[u] & remaining))
@@ -424,7 +449,7 @@ def test_peel_is_a_degeneracy_order(case):
         # neighbours in ascending id, and out_start is the exclusive cumsum
         assert d.out_start.tolist() == (np.cumsum(later) - later).tolist()
         for v in range(n):
-            nbrs = g.neighbors(v)
+            nbrs = neighbors(g, v)
             got = d.out_ids[d.out_start[v]:d.out_start[v] + later[v]]
             assert got.tolist() == nbrs[d.position[nbrs]
                                         > d.position[v]].tolist()
@@ -483,8 +508,8 @@ def test_out_neighbors_sum_to_edge_count():
 
 
 def test_graph_arrays_are_read_only(tmp_path):
-    # neighbors() hands out views, so writing through one must fail rather
-    # than change the graph under its cached order and table
+    # the CSR arrays are handed out as they are, so writing to them must
+    # fail rather than change the graph under its cached order and table
     path = tmp_path / "triangle.txt"
     path.write_text("0 1\n1 2\n0 2\n")
     triangle = Graph.from_edges([(0, 1), (1, 2), (0, 2)])
@@ -492,8 +517,9 @@ def test_graph_arrays_are_read_only(tmp_path):
               induced_subgraph(triangle, [0, 1])[0]):
         assert not g.indptr.flags.writeable
         assert not g.indices.flags.writeable
-        with pytest.raises(ValueError):
-            g.neighbors(0)[0] = 2
+        for a in (g.indptr, g.indices):
+            with pytest.raises(ValueError):
+                a[0] = 2
 
 
 def test_induced_subgraph_cycle_segment_is_path():
@@ -521,7 +547,7 @@ def test_induced_subgraph_matches_edge_filter():
                     if u < v and has_edge(g, int(u), int(v))}
         got = set()
         for lu in range(sub.vertex_count):
-            for lv in sub.neighbors(lu).tolist():
+            for lv in neighbors(sub, lu).tolist():
                 if lu < lv:
                     got.add((int(l2g[lu]), int(l2g[lv])))
         assert got == expected
@@ -539,7 +565,7 @@ def test_has_edge_agrees_with_edge_set_on_all_pairs():
     g = er_graph(200, 0.1, seed=17)
     pairs = set()
     for v in range(200):
-        for u in g.neighbors(v).tolist():
+        for u in neighbors(g, v).tolist():
             pairs.add((min(u, v), max(u, v)))
     for u in range(200):
         for v in range(u + 1, 200):

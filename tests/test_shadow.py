@@ -1,13 +1,16 @@
+import hashlib
 import io
 import itertools
 import math
 import os
+import runpy
 import sys
 import threading
 import time
 import tracemalloc
 from dataclasses import fields
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,15 +272,16 @@ def reference_entries():
 @pytest.mark.parametrize("budget", [None, "unit", "batch3"],
                          ids=["default", "unit", "batch3"])
 def test_builder_matches_recursive_reference(monkeypatch, budget):
-    # the level engine must emit exactly the depth-first builder's ordered
-    # entries, whatever the root batch and chunk sizes and worker count
+    # the level engine must emit exactly the recursive builder's entries,
+    # in the canonical (root, ell, member mask) order, whatever the root
+    # batch and chunk sizes and worker count
     batches = shrink_budgets(monkeypatch, budget)
     words = []
     children = shadow._children
 
-    def spy(table, sets, ell, depth):
+    def spy(table, sets, ell):
         words.append(sets.mask.shape[1])
-        return children(table, sets, ell, depth)
+        return children(table, sets, ell)
 
     monkeypatch.setattr(shadow, "_children", spy)
     for workers in (1, 3):
@@ -294,7 +298,8 @@ def test_one_children_call_per_level_and_word_class(monkeypatch):
     # alpha = 49 <= 64: every root, of out-degree 5 to 49, is of one word
     # class, so each level of a batch makes one _children call; er160
     # (alpha = 81) still peels its roots of out-degree above 64 on rows
-    # of two words, one call per word class and level
+    # of two words, one call per word class and level. Roots are at
+    # budget k - 1, so a set at budget ell is at level k - 1 - ell
     monkeypatch.setattr(shadow, "_workers", lambda: 1)
     monkeypatch.setattr(shadow, "_CHUNK_ELEMS", 4096)  # several batches
     calls = []
@@ -304,9 +309,9 @@ def test_one_children_call_per_level_and_word_class(monkeypatch):
         calls.append([])
         return build(*args)
 
-    def children_spy(table, sets, ell, depth):
-        calls[-1].append((depth, sets.mask.shape[1]))
-        return children(table, sets, ell, depth)
+    def children_spy(table, sets, ell):
+        calls[-1].append((k - 1 - ell, sets.mask.shape[1]))
+        return children(table, sets, ell)
 
     monkeypatch.setattr(shadow, "_build_batch", build_spy)
     monkeypatch.setattr(shadow, "_children", children_spy)
@@ -314,12 +319,14 @@ def test_one_children_call_per_level_and_word_class(monkeypatch):
     out_deg = degeneracy_order(g).core_number
     assert out_deg.max() == 49
     assert out_deg[(out_deg >= 5) & (out_deg <= 8)].size > 1
-    shadow_finder(g, 6)
+    k = 6
+    shadow_finder(g, k)
     assert len(calls) > 2
     for batch in calls:
-        assert batch == [(depth, 1) for depth in range(1, len(batch) + 1)]
+        assert batch == [(level, 1) for level in range(len(batch))]
     calls.clear()
-    shadow_finder(er_graph(160, 0.6, seed=2), 5)
+    k = 5
+    shadow_finder(er_graph(160, 0.6, seed=2), k)
     for batch in calls:
         assert len(batch) == len(set(batch))
         assert {nw for _, nw in batch} <= {1, 2}
@@ -328,24 +335,25 @@ def test_one_children_call_per_level_and_word_class(monkeypatch):
 
 def test_builder_batch_peaks_within_the_documented_bound(monkeypatch):
     # the TuranShadow docstring's bound on a batch: twice its entries plus
-    # its largest frontier and children, at nw + k + 2 words a set, two
-    # bytes a label and 16 chunks of words. Traced: the batch of each
-    # graph's widest root, alone in its batch at this small chunk; the
-    # sets' words outweigh the chunks' at er120
+    # its largest frontier and children, at nw + 4 words a set (base, size,
+    # edges and the emitted ell beside the mask), two bytes a label and 16
+    # chunks of words. Traced: the batch of each graph's widest root, alone
+    # in its batch at this small chunk; the sets' words outweigh the
+    # chunks' at er160, k = 6
     chunk = 256
     monkeypatch.setattr(shadow, "_CHUNK_ELEMS", chunk)
     frontier = [0]
     children = shadow._children
 
-    def spy(table, sets, ell, depth):
-        out = children(table, sets, ell, depth)
+    def spy(table, sets, ell):
+        out = children(table, sets, ell)
         frontier[0] = max(frontier[0], sets.size.size + out.size.size)
         return out
 
     monkeypatch.setattr(shadow, "_children", spy)
     set_words = []
-    for g, k in [(er_graph(120, 0.5, seed=1), 7),
-                 (er_graph(160, 0.6, seed=2), 5)]:  # two-word rows
+    for g, k in [(er_graph(160, 0.6, seed=2), 6),  # two-word rows
+                 (er_graph(120, 0.5, seed=1), 7)]:
         order = degeneracy_order(g)
         table = shadow.oriented_table(g)
         group = max(shadow.root_batches(order, k), key=lambda group: max(
@@ -359,13 +367,51 @@ def test_builder_batch_peaks_within_the_documented_bound(monkeypatch):
         finally:
             tracemalloc.stop()
         set_words.append(2 * (frontier[0] + sizes.size)
-                         * (table.shape[1] + k + 2))
+                         * (table.shape[1] + 4))
         assert peak <= 8 * (set_words[-1] + 16 * chunk) + 2 * labels.size
     assert set_words[0] > 2 * 16 * chunk
 
 
 SHADOW_FIELDS = ("k", "offsets", "ells", "edges", "alpha", "labels",
                  "rowbase", "table", "ids")
+
+
+@lru_cache(maxsize=None)
+def planted_small():
+    """The benchmark's planted-small graph, seed 0, from perfbench/gen.py."""
+    gen = runpy.run_path(str(Path(__file__).parents[1] / "perfbench/gen.py"))
+    small = gen["SPECS"]["planted-small"]
+    return Graph.from_edges(gen["planted_edges"](small, 0),
+                            num_vertices=small.n)
+
+
+def test_shadow_arrays_digest_is_pinned():
+    # a sha256 of each entry array, its dtype and shape included, on
+    # planted-small at k = 5..7: any change to the entries, their order or
+    # their dtypes changes it
+    digest = hashlib.sha256()
+    for k in (5, 6, 7):
+        sh = shadow_finder(planted_small(), k)
+        for name in ("offsets", "ells", "edges", "labels", "rowbase"):
+            a = getattr(sh, name)
+            digest.update(f"{k} {name} {a.dtype.str} {a.shape}".encode())
+            digest.update(a.tobytes())
+    assert digest.hexdigest() == (
+        "a00be2ba041fe3ecb478618cbedb2282ae5a3feb354dc22b4e39abde6d381457")
+
+
+def test_entries_ascend_by_root_ell_and_mask():
+    # the canonical order, read off the flat arrays: (rowbase, ell, member
+    # mask as one integer) never decreases from one entry to the next
+    for g, k in [*((planted_small(), k) for k in (5, 6, 7)),
+                 (er_graph(160, 0.6, seed=2), 5)]:  # two-word masks
+        sh = shadow_finder(g, k)
+        bounds = sh.offsets.tolist()
+        keys = [(int(sh.rowbase[i]), int(sh.ells[i]),
+                 sum(1 << a for a in sh.labels[lo:hi].tolist()))
+                for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+        assert len(keys) > 100, (g, k)
+        assert keys == sorted(keys), (g, k)
 
 
 def test_shadow_arrays_do_not_depend_on_batches(monkeypatch):
