@@ -22,8 +22,7 @@ _EXPORTS = {
         "CountOverflowError", "ExactCount", "TimeBudgetExceeded",
         "exact_kclique_count"),
     "shadow": (
-        "MAX_K", "ShadowEntry", "TuranShadow", "dump_shadow", "shadow_finder",
-        "shadow_stats"),
+        "MAX_K", "ShadowEntry", "TuranShadow", "shadow_finder"),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
 

@@ -41,7 +41,7 @@ from .estimator import (
 )
 from .graph import load_edge_list
 from .oracle import check_exact_args, exact_kclique_count
-from .shadow import MAX_K, check_shadow_args, shadow_finder, shadow_stats
+from .shadow import MAX_K, check_shadow_args, shadow_finder
 
 # numpy and these modules live until exit, so the collector (the final
 # collection at exit included) need not walk what they made at import
@@ -156,23 +156,21 @@ def cmd_stats(args, emit: _Emitter) -> int:
     g = load_edge_list(args.input)
     t0 = time.perf_counter()
     sh = shadow_finder(g, args.k)
-    stats = shadow_stats(sh)
     elapsed = time.perf_counter() - t0
     m = g.edge_count
     emit.row({
         "command": "stats",
         "input": args.input,
         "k": args.k,
-        "set_count": stats["set_count"],
-        "representation_size": stats["representation_size"],
-        "max_set_size": stats["max_set_size"],
-        "ell_histogram": {str(k): v for k, v in stats["ell_histogram"].items()},
-        "depth_reached": stats["depth_reached"],
+        "set_count": len(sh.ells),
+        "representation_size": sh.representation_size,
+        "max_set_size": sh.max_set_size,
+        "ell_histogram": {str(k): v for k, v in sh.ell_histogram.items()},
+        "depth_reached": sh.k - int(sh.ells.min(initial=sh.k)),
         "alpha": sh.alpha,
         "n": g.vertex_count,
         "m": m,
-        "ratio_representation_to_m":
-            stats["representation_size"] / m if m else 0.0,
+        "ratio_representation_to_m": sh.representation_size / m if m else 0.0,
         "time_ms": _ms(elapsed),
     })
     return 0

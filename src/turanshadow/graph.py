@@ -205,21 +205,16 @@ def load_edge_list(source: Source) -> Graph:
 
 @dataclass(frozen=True)
 class DegeneracyOrder:
-    """A round peeling order with per-vertex out-degrees.
+    """The orientation of g along a round peeling order.
 
-    order[i] is the i-th deleted vertex: rounds in the order they ran, each
-    in ascending id (see degeneracy_order). position is the inverse
-    permutation. core_number[v] is v's out-degree, the number of its
-    neighbours deleted after it, and alpha is the maximum of those, which
-    is the degeneracy. The orientation itself is a CSR of m entries: v's
-    later neighbours, in ascending id, are
-    out_ids[out_start[v]:out_start[v] + core_number[v]], and out_start is
-    the exclusive cumulative sum of core_number.
+    out_degree[v] is the number of v's neighbours deleted after it, and
+    alpha is the maximum of those, which is the degeneracy. The orientation
+    is a CSR of m entries: v's later neighbours, in ascending id, are
+    out_ids[out_start[v]:out_start[v] + out_degree[v]], and out_start is
+    the exclusive cumulative sum of out_degree.
     """
 
-    order: np.ndarray
-    position: np.ndarray
-    core_number: np.ndarray
+    out_degree: np.ndarray
     alpha: int
     out_start: np.ndarray
     out_ids: np.ndarray
@@ -273,15 +268,17 @@ def degeneracy_order(g: Graph) -> DegeneracyOrder:
         np.subtract.at(deg, nbrs, 1)
         nbrs.sort()
         frontier = np.concatenate((nbrs[:1], nbrs[1:][nbrs[1:] != nbrs[:-1]]))
-    order = np.concatenate(rounds) if rounds else np.empty(0, dtype=np.int64)
+    # each vertex's place in the peel, rounds in the order they ran and
+    # each in ascending id: an edge points to the later end
     position = np.empty(n, dtype=np.int64)
-    position[order] = np.arange(n, dtype=np.int64)
+    position[np.concatenate(rounds) if rounds else []] = np.arange(n)
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     later = position[indices] > position[src]
-    core = np.bincount(src[later], minlength=n)
-    g._order = DegeneracyOrder(order, position, core, int(core.max(initial=0)),
-                               np.cumsum(core) - core, indices[later])
-    for a in (order, position, core, g._order.out_start, g._order.out_ids):
+    out_degree = np.bincount(src[later], minlength=n)
+    g._order = DegeneracyOrder(out_degree, int(out_degree.max(initial=0)),
+                               np.cumsum(out_degree) - out_degree,
+                               indices[later])
+    for a in (out_degree, g._order.out_start, g._order.out_ids):
         a.flags.writeable = False  # shared by every caller
     return g._order
 

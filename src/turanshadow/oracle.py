@@ -117,9 +117,9 @@ def _count_batch(order: DegeneracyOrder, table: np.ndarray, group: list,
     count = 0
     for ids, nw in group:
         # by out-degree, so that a chunk's masks span few bits
-        ids = ids[np.argsort(order.core_number[ids], kind="stable")]
+        ids = ids[np.argsort(order.out_degree[ids], kind="stable")]
         count += _count_class(table, order.out_start[ids],
-                              shadow._low_bits(order.core_number[ids], nw),
+                              shadow._low_bits(order.out_degree[ids], nw),
                               k, check_time)
     return count
 

@@ -56,8 +56,7 @@ graph and k alone, and the table of the graph alone, whatever the batch
 and chunk sizes and the number of threads.
 
 The shadow itself is flat, one label a member, as TuranShadow describes.
-The lazy `entries` view derives the ids an entry at a time, and
-dump_shadow a chunk at a time.
+The lazy `entries` view derives the ids an entry at a time.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ import os
 import threading
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
@@ -129,7 +127,8 @@ class ShadowEntries(Sequence):
         if not 0 <= i < len(self):
             raise IndexError("shadow entry index out of range")
         sh = self._sh
-        ids = sh._member_ids(i, i + 1)
+        lo, hi = sh.offsets[i], sh.offsets[i + 1]
+        ids = sh.ids[sh.rowbase[i] + sh.labels[lo:hi]]
         ids.flags.writeable = False
         return ShadowEntry(ids, int(sh.ells[i]), int(sh.edges[i]))
 
@@ -185,13 +184,6 @@ class TuranShadow:
     rowbase: np.ndarray
     table: np.ndarray  # (rows, words per row) uint64
     ids: np.ndarray  # vertex id of each table row
-
-    def _member_ids(self, lo: int, hi: int) -> np.ndarray:
-        """Sorted ids of entries lo..hi - 1, flat: ids[rowbase + labels]."""
-        offsets = self.offsets[lo:hi + 1]
-        rows = np.repeat(self.rowbase[lo:hi], np.diff(offsets))
-        rows += self.labels[offsets[0]:offsets[-1]]
-        return self.ids[rows]
 
     @property
     def entries(self) -> ShadowEntries:
@@ -376,15 +368,15 @@ def root_batches(order: DegeneracyOrder, k: int):
     """Roots for budget k, batch by batch.
 
     The roots are the vertices with at least k - 1 out-neighbours in
-    `order` (its core_number), in ascending id; one of out-degree d costs
+    `order` (its out_degree), in ascending id; one of out-degree d costs
     d * d member slots. A batch takes roots in id order until the next one
     would carry its cost past 2 * _CHUNK_ELEMS, and holds at least one.
     Yields one list per batch of (ids, nw) pairs, one per word class nw =
     ceil(d / 64) in ascending nw, ids ascending. Batches are made only when
     asked for, so under map_batches at most one per worker is alive.
     """
-    roots = np.flatnonzero(order.core_number >= k - 1)
-    size = order.core_number[roots]
+    roots = np.flatnonzero(order.out_degree >= k - 1)
+    size = order.out_degree[roots]
     for lo, hi in _spans(np.cumsum(size * size), 2 * _CHUNK_ELEMS):
         batch, classes = roots[lo:hi], -(-size[lo:hi] // 64)
         yield [(batch[classes == nw], nw)
@@ -470,7 +462,7 @@ def oriented_table(g: Graph, check_time: Callable[[], None] = lambda: None
     if g._table is not None:
         return g._table
     order = degeneracy_order(g)
-    n, out_deg, out_start = g.vertex_count, order.core_number, order.out_start
+    n, out_deg, out_start = g.vertex_count, order.out_degree, order.out_start
     out_ids = order.out_ids
     nw = max(1, -(-order.alpha // 64))
     row_bits = 64 * nw
@@ -520,7 +512,7 @@ def _build_batch(k: int, group: list, order: DegeneracyOrder,
     """
     emitted, ells = [], []
     for ids, nw in group:
-        size = order.core_number[ids]
+        size = order.out_degree[ids]
         sets = _Sets(order.out_start[ids], _low_bits(size, nw), size, None)
         sets.edges, ell = _edges(table, sets), k - 1
         while sets.size.size:
@@ -602,39 +594,3 @@ def shadow_finder(g: Graph, k: int) -> TuranShadow:
                        alpha=order.alpha, labels=labels, rowbase=rowbase,
                        table=table, ids=ids)
 
-
-def shadow_stats(sh: TuranShadow) -> dict:
-    """Aggregate structure of a shadow, as plain serializable values."""
-    min_ell = int(sh.ells.min(initial=sh.k))
-    return {
-        "set_count": len(sh.ells),
-        "representation_size": sh.representation_size,
-        "max_set_size": sh.max_set_size,
-        "ell_histogram": sh.ell_histogram,
-        "depth_reached": sh.k - min_ell,
-    }
-
-
-def dump_shadow(sh: TuranShadow, stream: IO | None = None) -> str | None:
-    """Debug dump, one entry per line: ell TAB size TAB sorted global ids.
-
-    Entries go out in chunks of about _CHUNK_ELEMS members, each chunk's
-    ids derived by _member_ids: no array holds them all at once.
-    """
-    chunks = _dump_chunks(sh)
-    if stream is None:
-        return "\n".join(chunks)
-    for chunk in chunks:
-        stream.write(chunk + "\n")
-    return None
-
-
-def _dump_chunks(sh: TuranShadow):
-    """The dump's lines, a chunk of entries at a time, joined by newlines."""
-    # offsets[1:] is the running sum of the sizes: a view, not E new words
-    for lo, hi in _spans(sh.offsets[1:], _CHUNK_ELEMS):
-        ids = sh._member_ids(lo, hi).tolist()
-        bounds = (sh.offsets[lo:hi + 1] - sh.offsets[lo]).tolist()
-        yield "\n".join(
-            f"{ell}\t{b - a}\t{' '.join(map(str, ids[a:b]))}"
-            for ell, a, b in zip(sh.ells[lo:hi].tolist(), bounds, bounds[1:]))

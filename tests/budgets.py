@@ -26,9 +26,9 @@ def shrink_budgets(monkeypatch, budget):
     root_batches = shadow.root_batches
 
     def spy(order, k):
-        cost = order.core_number ** 2
+        cost = order.out_degree ** 2
         if budget == "batch3":
-            spent = np.cumsum([0, *cost[order.core_number >= k - 1]])
+            spent = np.cumsum([0, *cost[order.out_degree >= k - 1]])
             least = min((spent[4:] - spent[:-4]).tolist(),
                         default=int(spent[-1]) + 2)
             monkeypatch.setattr(shadow, "_CHUNK_ELEMS", (least - 1) // 2)

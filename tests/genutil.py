@@ -3,8 +3,11 @@ queries that the library does not need, and a runner for child processes
 that import this same package."""
 
 import os
+import runpy
 import subprocess
 import sys
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -100,8 +103,17 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, np.ndarray]:
 
 
 def shadow_vertices(sh) -> np.ndarray:
-    """Every entry's sorted ids of a TuranShadow, flat, in entry order."""
-    return sh._member_ids(0, len(sh.ells))
+    """Every entry's sorted ids of a TuranShadow, flat, in entry order:
+    member a of entry i is vertex ids[rowbase[i] + a]."""
+    return sh.ids[np.repeat(sh.rowbase, np.diff(sh.offsets)) + sh.labels]
+
+
+def out_neighbors(d, v: int) -> np.ndarray:
+    """v's later neighbours in the DegeneracyOrder d: its slice of
+    d.out_ids, which ends where the next vertex's begins."""
+    end = (d.out_start[v + 1] if v + 1 < d.out_start.size
+           else d.out_ids.size)
+    return d.out_ids[int(d.out_start[v]):int(end)]
 
 
 def er_graph(n: int, p: float, seed: int) -> Graph:
@@ -174,3 +186,12 @@ def validity_suite():
         g = er_graph(n, p, seed=int(rng.integers(2**31)))
         for k in range(3, 7):
             yield g, k
+
+
+@lru_cache(maxsize=None)
+def planted_small() -> Graph:
+    """The benchmark's planted-small graph, seed 0, from perfbench/gen.py."""
+    gen = runpy.run_path(str(Path(__file__).parents[1] / "perfbench/gen.py"))
+    small = gen["SPECS"]["planted-small"]
+    return Graph.from_edges(gen["planted_edges"](small, 0),
+                            num_vertices=small.n)

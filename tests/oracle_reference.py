@@ -3,9 +3,9 @@
 `reference_count` is the orientation counter the library used before its
 level engine: each vertex's out-neighbourhood in the degeneracy order is a
 Python set, and (k-1)-cliques are found inside it by recursive
-intersection. Adjacency comes from Python sets of CSR neighbours, so it
-shares no counting or induced-subgraph code with the library; it shares
-only `degeneracy_order`.
+intersection. Its sets are read off the orientation's CSR (out_start and
+out_ids), so it shares no counting or induced-subgraph code with the
+library; it shares only `degeneracy_order`.
 
 `naive_kclique_count` enumerates every k-subset and tests all pairs, so it
 shares not even the order: an independent second oracle for small graphs.
@@ -20,7 +20,7 @@ import numpy as np
 from turanshadow.graph import Graph, degeneracy_order
 from turanshadow.oracle import ExactCount, _check_uint64
 
-from genutil import induced_adjacency_matrix, neighbors
+from genutil import induced_adjacency_matrix, out_neighbors
 
 NAIVE_GUARD = 100_000_000
 
@@ -44,9 +44,8 @@ def _count_rec(outs, cand, j):
 def reference_count(g, k):
     """Number of k-cliques of g, for k >= 3."""
     n = g.vertex_count
-    pos = degeneracy_order(g).position
-    outs = [{u for u in neighbors(g, v).tolist() if pos[u] > pos[v]}
-            for v in range(n)]
+    order = degeneracy_order(g)
+    outs = [set(out_neighbors(order, v).tolist()) for v in range(n)]
     return sum(_count_rec(outs, outs[v], k - 1)
                for v in range(n) if len(outs[v]) >= k - 1)
 

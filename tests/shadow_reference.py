@@ -4,14 +4,15 @@ Depth-first refinement with one bitmask per set: the result is the ordered
 list of (ell, vertices, edges) that `shadow_finder` must reproduce exactly.
 Entries are sorted by root id, then by ell, then by the member mask read
 as one integer (bit j for the root's j-th out-neighbour in ascending id),
-the library's canonical order. Adjacency comes from Python sets of CSR
+the library's canonical order. A root's members are its slice of the
+orientation's out_ids, and adjacency comes from Python sets of CSR
 neighbours, so this shares no induced-subgraph code with the library; it
 shares only `degeneracy_order`.
 """
 
 from turanshadow.graph import degeneracy_order
 
-from genutil import neighbors
+from genutil import neighbors, out_neighbors
 
 
 def _saturated(edges, size, ell):
@@ -52,7 +53,7 @@ def reference_shadow(g, k):
         return []
     if _saturated(m, n, k):
         return [(k, tuple(range(n)), m)]
-    pos = degeneracy_order(g).position
+    order = degeneracy_order(g)
     adj = [set(neighbors(g, v).tolist()) for v in range(n)]
     out = []
 
@@ -68,7 +69,7 @@ def reference_shadow(g, k):
                 refine(v, rows, ids, child, ell - 1)
 
     for v in range(n):
-        ids = [u for u in sorted(adj[v]) if pos[u] > pos[v]]
+        ids = out_neighbors(order, v).tolist()
         if len(ids) < k - 1:
             continue
         rows = [sum(1 << j for j, w in enumerate(ids) if w in adj[u])

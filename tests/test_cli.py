@@ -19,6 +19,7 @@ from genutil import (
     cycle_graph,
     er_graph,
     neighbors,
+    planted_small,
     run_child,
 )
 
@@ -273,6 +274,52 @@ def test_stats_cycle5(capsys, tmp_path):
     assert row["depth_reached"] == 1
     assert row["alpha"] == 2
     assert row["ratio_representation_to_m"] == 2 / 5
+
+
+STATS_KEYS = [
+    "command", "input", "k", "set_count", "representation_size",
+    "max_set_size", "ell_histogram", "depth_reached", "alpha", "n", "m",
+    "ratio_representation_to_m", "time_ms",
+]
+
+# stats rows on planted-small, seed 0, as the shadow of each k gave them
+PLANTED_SMALL_STATS = {
+    5: (627, 2991, 26, {"2": 141, "3": 417, "4": 69}, 3, 0.4396589739820667),
+    6: (557, 3117, 26, {"2": 8, "3": 208, "4": 307, "5": 34}, 4,
+        0.45818021461120095),
+    7: (756, 5697, 22, {"2": 10, "3": 59, "4": 258, "5": 424, "6": 5}, 5,
+        0.8374246655887109),
+}
+
+
+@pytest.mark.parametrize("k", sorted(PLANTED_SMALL_STATS))
+def test_stats_row_is_pinned_on_planted_small(capsys, tmp_path, k):
+    path = write_graph(tmp_path / "small.txt", planted_small())
+    code, out, _ = run_cli(capsys, ["stats", "--input", path, "--k", str(k)])
+    assert code == 0
+    row = json_rows(out)[0]
+    assert list(row) == STATS_KEYS
+    sets, size, largest, hist, depth, ratio = PLANTED_SMALL_STATS[k]
+    assert strip_timing(row) == {
+        "command": "stats", "input": path, "k": k, "set_count": sets,
+        "representation_size": size, "max_set_size": largest,
+        "ell_histogram": hist, "depth_reached": depth, "alpha": 26,
+        "n": 1498, "m": 6803, "ratio_representation_to_m": ratio}
+
+
+def test_stats_row_on_the_empty_graph(capsys, tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("")
+    code, out, _ = run_cli(capsys, ["stats", "--input", str(path),
+                                    "--k", "5"])
+    assert code == 0
+    row = json_rows(out)[0]
+    assert list(row) == STATS_KEYS
+    assert strip_timing(row) == {
+        "command": "stats", "input": str(path), "k": 5, "set_count": 0,
+        "representation_size": 0, "max_set_size": 0, "ell_histogram": {},
+        "depth_reached": 0, "alpha": 0, "n": 0, "m": 0,
+        "ratio_representation_to_m": 0.0}
 
 
 def test_sweep_complete_graph_binomials(capsys, tmp_path):

@@ -19,7 +19,7 @@ from turanshadow.estimator import (
     turan_shadow_count,
 )
 from turanshadow.oracle import exact_kclique_count
-from turanshadow.shadow import dump_shadow, shadow_finder
+from turanshadow.shadow import shadow_finder
 
 from genutil import (
     complete_graph,
@@ -214,11 +214,8 @@ def test_total_weight_matches_recomputation_from_dump():
     g = er_graph(80, 0.4, seed=42)
     sh = shadow_finder(g, 5)
     st = build_sampler(sh, g)
-    recomputed = 0
-    for line in dump_shadow(sh).split("\n"):
-        ell_s, size_s, _ = line.split("\t")
-        if int(ell_s) >= 3:
-            recomputed += math.comb(int(size_s), int(ell_s))
+    recomputed = sum(math.comb(size, ell) for size, ell in
+                     zip(sh.sizes.tolist(), sh.ells.tolist()) if ell >= 3)
     assert st.total_weight == float(recomputed)
     # entries sorted by (ell, size), in shadow order within a class, as
     # narrow indices into the shadow itself

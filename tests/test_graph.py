@@ -23,6 +23,7 @@ from genutil import (
     induced_edge_count,
     induced_subgraph,
     neighbors,
+    out_neighbors,
     path_graph,
     run_child,
     star_graph,
@@ -370,19 +371,11 @@ def test_degeneracy_complete_graph():
     # remaining degree drops by one per step
     d = degeneracy_order(complete_graph(4))
     assert d.alpha == 3
-    assert [int(d.core_number[v]) for v in d.order.tolist()] == [3, 2, 1, 0]
+    assert sorted(d.out_degree.tolist()) == [0, 1, 2, 3]
 
 
 def test_degeneracy_path_is_one():
     assert degeneracy_order(path_graph(4)).alpha == 1
-
-
-def test_order_and_position_are_inverse():
-    for seed in range(5):
-        g = er_graph(40, 0.3, seed=seed)
-        d = degeneracy_order(g)
-        assert np.array_equal(d.order[d.position], np.arange(40))
-        assert np.array_equal(d.position[d.order], np.arange(40))
 
 
 def _peel_bruteforce(g):
@@ -432,32 +425,48 @@ PEEL_CASES = {
 }
 
 
+def _is_acyclic(d):
+    """Whether the orientation's arcs v -> out_ids admit a topological
+    order: Kahn's algorithm removes every vertex."""
+    n = d.out_degree.size
+    indegree = np.bincount(d.out_ids, minlength=n).tolist()
+    ready = [v for v in range(n) if not indegree[v]]
+    for v in ready:  # grows as vertices lose their last in-arc
+        for u in out_neighbors(d, v).tolist():
+            indegree[u] -= 1
+            if not indegree[u]:
+                ready.append(u)
+    return len(ready) == n
+
+
 @pytest.mark.parametrize("case", PEEL_CASES)
 def test_peel_is_a_degeneracy_order(case):
-    # any order whose out-degrees stay within the degeneracy will do: the
-    # reference's alpha is the oracle, not its lowest-id order
+    # any acyclic orientation whose out-degrees stay within the degeneracy
+    # will do: the reference's alpha is the oracle, not its lowest-id order
     for g in PEEL_CASES[case]:
         d = degeneracy_order(g)
         n = g.vertex_count
-        assert sorted(d.order.tolist()) == list(range(n))
-        assert np.array_equal(d.position[d.order], np.arange(n))
-        src = np.repeat(np.arange(n), np.diff(g.indptr))
-        later = np.bincount(src[d.position[g.indices] > d.position[src]],
-                            minlength=n)
-        assert d.core_number.tolist() == later.tolist()
-        # the orientation is a CSR: each slice of out_ids holds v's later
-        # neighbours in ascending id, and out_start is the exclusive cumsum
-        assert d.out_start.tolist() == (np.cumsum(later) - later).tolist()
+        # the orientation is a CSR: out_start is the exclusive cumsum of
+        # out_degree, and each vertex's slice of out_ids ascends
+        assert set(vars(d)) == {"out_degree", "alpha", "out_start", "out_ids"}
+        assert d.out_start.tolist() == (
+            np.cumsum(d.out_degree) - d.out_degree).tolist()
         for v in range(n):
-            nbrs = neighbors(g, v)
-            got = d.out_ids[d.out_start[v]:d.out_start[v] + later[v]]
-            assert got.tolist() == nbrs[d.position[nbrs]
-                                        > d.position[v]].tolist()
-        assert d.out_ids.size == g.edge_count
-        assert not d.out_ids.flags.writeable
+            assert np.all(np.diff(out_neighbors(d, v)) > 0), (g, v)
+        # every edge is oriented exactly once, from one end to the other
+        src = np.repeat(np.arange(n), d.out_degree)
+        lo = np.minimum(src, d.out_ids)
+        hi = np.maximum(src, d.out_ids)
+        arcs = np.sort(lo * max(n, 1) + hi)
+        gsrc = np.repeat(np.arange(n), np.diff(g.indptr))
+        edges = gsrc * max(n, 1) + g.indices
+        assert arcs.tolist() == edges[gsrc < g.indices].tolist(), g
+        assert _is_acyclic(d), g
         alpha = reference_degeneracy(g)
-        assert int(later.max(initial=0)) == d.alpha == alpha, g
-        assert d.order.dtype == d.core_number.dtype == np.int64
+        assert int(d.out_degree.max(initial=0)) == d.alpha == alpha, g
+        assert d.out_degree.dtype == d.out_ids.dtype == np.int64
+        for a in (d.out_degree, d.out_start, d.out_ids):
+            assert not a.flags.writeable
         if case == "bruteforce":
             assert alpha == _peel_bruteforce(g)
 
@@ -480,24 +489,20 @@ def test_alpha_sqrt_bound():
             assert degeneracy_order(g).alpha <= (2 * g.edge_count) ** 0.5
 
 
-def out_neighbors(d, v):
-    """v's later neighbours in the order d: its slice of d.out_ids."""
-    start = int(d.out_start[v])
-    return d.out_ids[start:start + int(d.core_number[v])]
-
-
 def test_out_neighbors_complete_graph_extremes():
-    g = complete_graph(4)
-    d = degeneracy_order(g)
-    assert out_neighbors(d, int(d.order[0])).size == 3
-    assert out_neighbors(d, int(d.order[-1])).size == 0
+    # the first vertex peeled from K_4 points to the other three, and the
+    # last to none
+    d = degeneracy_order(complete_graph(4))
+    first, last = int(d.out_degree.argmax()), int(d.out_degree.argmin())
+    assert out_neighbors(d, first).tolist() == sorted({0, 1, 2, 3} - {first})
+    assert out_neighbors(d, last).size == 0
 
 
 def test_out_neighbors_sizes_equal_deletion_degrees():
     g = er_graph(50, 0.3, seed=9)
     d = degeneracy_order(g)
     for v in range(50):
-        assert out_neighbors(d, v).size == int(d.core_number[v])
+        assert out_neighbors(d, v).size == int(d.out_degree[v])
 
 
 def test_out_neighbors_sum_to_edge_count():

@@ -189,7 +189,7 @@ def test_time_budget_stops_batches_mid_count(monkeypatch):
     # batches are submitted one per free worker, so most never start
     shrink_budgets(monkeypatch, "unit")
     g, k = er_graph(160, 0.6, seed=2), 6
-    roots = int(np.count_nonzero(degeneracy_order(g).core_number >= k - 1))
+    roots = int(np.count_nonzero(degeneracy_order(g).out_degree >= k - 1))
     started = []
     count_batch = oracle._count_batch
 

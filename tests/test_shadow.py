@@ -1,16 +1,12 @@
 import hashlib
-import io
 import itertools
-import math
 import os
-import runpy
 import sys
 import threading
 import time
 import tracemalloc
 from dataclasses import fields
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,11 +15,7 @@ from turanshadow import shadow
 from turanshadow.estimator import turan_shadow_count
 from turanshadow.graph import Graph, degeneracy_order
 from turanshadow.oracle import exact_kclique_count
-from turanshadow.shadow import (
-    dump_shadow,
-    shadow_finder,
-    shadow_stats,
-)
+from turanshadow.shadow import shadow_finder
 
 from budgets import (
     check_batches,
@@ -39,7 +31,9 @@ from genutil import (
     induced_adjacency_matrix,
     induced_edge_count,
     induced_subgraph,
+    out_neighbors,
     path_graph,
+    planted_small,
     shadow_vertices,
     turan_graph,
     validity_suite,
@@ -71,10 +65,9 @@ def test_dense_root_passes_through_unrefined():
     e = sh.entries[0]
     assert e.ell == 4
     assert e.vertices.tolist() == [0, 1, 2, 3, 4, 5]
-    stats = shadow_stats(sh)
-    assert stats["set_count"] == 1
-    assert stats["representation_size"] == 6
-    assert stats["depth_reached"] == 0
+    assert len(sh.ells) == 1
+    assert sh.representation_size == 6
+    assert sh.ells.tolist() == [sh.k]  # no refinement
 
 
 def test_cycle5_triangle_shadow_hand_trace():
@@ -86,12 +79,11 @@ def test_cycle5_triangle_shadow_hand_trace():
     assert entry_keys(sh) == [(2, (1, 4))]
     assert sh.entries[0].edges == 0
     assert shadow_total(g, sh) == 0
-    stats = shadow_stats(sh)
-    assert stats["set_count"] == 1
-    assert stats["representation_size"] == 2
-    assert stats["max_set_size"] == 2
-    assert stats["ell_histogram"] == {2: 1}
-    assert stats["depth_reached"] == 1
+    assert len(sh.ells) == 1
+    assert sh.representation_size == 2
+    assert sh.max_set_size == 2
+    assert sh.ell_histogram == {2: 1}
+    assert sh.k - int(sh.ells.min()) == 1  # refined once
 
 
 def test_er_validity_exact_equality():
@@ -174,8 +166,9 @@ def test_k_above_cap_rejected():
 def test_small_graph_yields_empty_shadow():
     sh = shadow_finder(complete_graph(3), 5)
     assert sh.entries == []
-    assert shadow_stats(sh)["set_count"] == 0
+    assert len(sh.ells) == 0
     assert sh.max_set_size == 0
+    assert sh.ell_histogram == {}
 
 
 def test_representation_size_and_histogram_aggregates():
@@ -186,54 +179,6 @@ def test_representation_size_and_histogram_aggregates():
     for e in sh.entries:
         hist[e.ell] = hist.get(e.ell, 0) + 1
     assert sh.ell_histogram == hist
-
-
-def test_dump_format_round_trips():
-    g = er_graph(40, 0.4, seed=33)
-    sh = shadow_finder(g, 4)
-    text = dump_shadow(sh)
-    lines = text.split("\n") if text else []
-    assert len(lines) == len(sh.entries)
-    for line, e in zip(lines, sh.entries):
-        ell_s, size_s, ids_s = line.split("\t")
-        assert int(ell_s) == e.ell
-        assert int(size_s) == e.size
-        assert [int(x) for x in ids_s.split()] == e.vertices.tolist()
-    buf = io.StringIO()
-    assert dump_shadow(sh, buf) is None
-    assert buf.getvalue() == text + "\n" if text else buf.getvalue() == ""
-
-
-def test_dump_streams_in_chunks(monkeypatch):
-    # a streamed dump holds one chunk of ids at a time, not the shadow's
-    # flat ids: those alone would take 8 B per member, several bounds here
-    g = er_graph(120, 0.5, seed=1)
-    sh = shadow_finder(g, 6)
-    chunk = 1024
-    monkeypatch.setattr(shadow, "_CHUNK_ELEMS", chunk)
-    bound = 128 * chunk + 2**14
-    assert 8 * sh.representation_size > 4 * bound
-
-    class Discard:
-        def write(self, text):
-            pass
-
-    tracemalloc.start()
-    try:
-        dump_shadow(sh, Discard())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < bound
-    # every chunking gives the same lines, one per entry, from the ids
-    expected = [f"{e.ell}\t{e.size}\t"
-                + " ".join(map(str, e.vertices.tolist())) for e in sh.entries]
-    for size in (1, 37, chunk):
-        monkeypatch.setattr(shadow, "_CHUNK_ELEMS", size)
-        buf = io.StringIO()
-        dump_shadow(sh, buf)
-        assert buf.getvalue().split("\n") == [*expected, ""]
-        assert dump_shadow(sh) == "\n".join(expected)
 
 
 def test_turan_graph_sits_exactly_on_the_boundary():
@@ -316,7 +261,7 @@ def test_one_children_call_per_level_and_word_class(monkeypatch):
     monkeypatch.setattr(shadow, "_build_batch", build_spy)
     monkeypatch.setattr(shadow, "_children", children_spy)
     g = er_graph(120, 0.5, seed=1)
-    out_deg = degeneracy_order(g).core_number
+    out_deg = degeneracy_order(g).out_degree
     assert out_deg.max() == 49
     assert out_deg[(out_deg >= 5) & (out_deg <= 8)].size > 1
     k = 6
@@ -357,7 +302,7 @@ def test_builder_batch_peaks_within_the_documented_bound(monkeypatch):
         order = degeneracy_order(g)
         table = shadow.oriented_table(g)
         group = max(shadow.root_batches(order, k), key=lambda group: max(
-            order.core_number[ids].max() for ids, _ in group))
+            order.out_degree[ids].max() for ids, _ in group))
         frontier[0] = 0
         tracemalloc.start()
         try:
@@ -376,28 +321,41 @@ SHADOW_FIELDS = ("k", "offsets", "ells", "edges", "alpha", "labels",
                  "rowbase", "table", "ids")
 
 
-@lru_cache(maxsize=None)
-def planted_small():
-    """The benchmark's planted-small graph, seed 0, from perfbench/gen.py."""
-    gen = runpy.run_path(str(Path(__file__).parents[1] / "perfbench/gen.py"))
-    small = gen["SPECS"]["planted-small"]
-    return Graph.from_edges(gen["planted_edges"](small, 0),
-                            num_vertices=small.n)
+ENTRY_ARRAYS = ("offsets", "ells", "edges", "labels", "rowbase")
 
 
-def test_shadow_arrays_digest_is_pinned():
-    # a sha256 of each entry array, its dtype and shape included, on
-    # planted-small at k = 5..7: any change to the entries, their order or
-    # their dtypes changes it
+def shadow_digest(g, ks, names=ENTRY_ARRAYS):
+    """sha256 over the named arrays of g's shadow at each k in ks, each
+    array's dtype and shape included: any change to the entries, their
+    order or their dtypes changes it."""
     digest = hashlib.sha256()
-    for k in (5, 6, 7):
-        sh = shadow_finder(planted_small(), k)
-        for name in ("offsets", "ells", "edges", "labels", "rowbase"):
+    for k in ks:
+        sh = shadow_finder(g, k)
+        for name in names:
             a = getattr(sh, name)
             digest.update(f"{k} {name} {a.dtype.str} {a.shape}".encode())
             digest.update(a.tobytes())
-    assert digest.hexdigest() == (
+    return digest.hexdigest()
+
+
+def test_shadow_arrays_digest_is_pinned():
+    # planted-small at k = 5..7, whose table rows are one word
+    assert shadow_digest(planted_small(), (5, 6, 7)) == (
         "a00be2ba041fe3ecb478618cbedb2282ae5a3feb354dc22b4e39abde6d381457")
+
+
+def test_shadow_arrays_digest_is_pinned_on_wide_and_whole_tables():
+    # er(160, 0.6, 2) has alpha = 81, so its table rows are two words; the
+    # saturated K_65 is one entry over its own 65 x 2-word packed table
+    # and ids = arange(65), which are pinned too
+    wide = er_graph(160, 0.6, seed=2)
+    assert shadow_finder(wide, 5).table.shape[1] == 2
+    assert shadow_digest(wide, (5, 6)) == (
+        "de1d2aabec7bcb638d9e475cc8b97e3589512d99b588a19ddce99d45d9a8aebc")
+    whole = complete_graph(65)
+    assert shadow_finder(whole, 8).table.shape == (65, 2)
+    assert shadow_digest(whole, (8,), (*ENTRY_ARRAYS, "table", "ids")) == (
+        "f4e48c476105a716fe8074fc6e7ef72f9476463b5ac74c4904d669fe98c4cefd")
 
 
 def test_entries_ascend_by_root_ell_and_mask():
@@ -415,10 +373,11 @@ def test_entries_ascend_by_root_ell_and_mask():
 
 
 def test_shadow_arrays_do_not_depend_on_batches(monkeypatch):
-    # every array, the table's row order and rowbase included, the derived
-    # vertices and the dump, is a function of (g, k) alone: batches, chunks
-    # and worker threads change how it is built, not what. The expected
-    # shadows are built on one thread; the others on two and three
+    # every array, the table's row order and rowbase included, and the
+    # derived vertices, is a function of (g, k) alone, dtypes included:
+    # batches, chunks and worker threads change how it is built, not what.
+    # The expected shadows are built on one thread; the others on two and
+    # three
     assert set(SHADOW_FIELDS) == {f.name for f in fields(shadow.TuranShadow)}
     with monkeypatch.context() as mp:
         mp.setattr(shadow, "_workers", lambda: 1)
@@ -436,7 +395,6 @@ def test_shadow_arrays_do_not_depend_on_batches(monkeypatch):
                                 else getattr(x, f) for x in (got, want))
                         assert np.array_equal(a, b), (*where, f)
                         assert np.asarray(a).dtype == np.asarray(b).dtype
-                    assert dump_shadow(got) == dump_shadow(want), where
             check_batches(budget, batches)
 
 
@@ -513,7 +471,7 @@ def test_table_bits_match_adjacency(monkeypatch, budget):
                 # rowbase is out_start of a root that holds every label
                 root = np.searchsorted(order.out_start, base, "right") - 1
                 assert order.out_start[root] == base
-                assert max(labels) < order.core_number[root], (g, k, i)
+                assert max(labels) < order.out_degree[root], (g, k, i)
             bits = 0
             for la, u in zip(labels, verts):
                 row = sh.table[base + la]
@@ -531,7 +489,7 @@ def expected_table(g, order):
                      dtype=np.uint64)
     for v in range(g.vertex_count):
         start = int(order.out_start[v])
-        out = order.out_ids[start:start + int(order.core_number[v])].tolist()
+        out = out_neighbors(order, v).tolist()
         for a, u in enumerate(out):
             for b, w in enumerate(out):
                 if has_edge(g, u, w):
@@ -641,8 +599,8 @@ def test_table_fill_peaks_within_the_documented_bound(monkeypatch):
     order = degeneracy_order(g)
     n, m = g.vertex_count, g.edge_count
     nw = max(1, -(-order.alpha // 64))
-    deg, start = order.core_number.tolist(), order.out_start.tolist()
-    costs = [64 * nw * d + int(order.core_number[order.out_ids[s:s + d]].sum())
+    deg, start = order.out_degree.tolist(), order.out_start.tolist()
+    costs = [64 * nw * d + int(order.out_degree[order.out_ids[s:s + d]].sum())
              for s, d in zip(start, deg)]  # each vertex's bits and wedges
     assert max(costs) <= 2 * chunk
     words = m + 3 * n + 16 * chunk
