@@ -9,8 +9,9 @@ to stderr. Reruns with identical flags are byte-identical except for the
 timing fields.
 
 A run pays only for its own work: OpenBLAS, which no command calls, gets
-one thread unless OPENBLAS_NUM_THREADS is already set, and the objects
-made by the imports are frozen out of the garbage collector's walks.
+one thread unless OPENBLAS_NUM_THREADS is already set, each command
+imports only its own modules, and then freezes the objects made by the
+imports out of the garbage collector's walks.
 """
 
 from __future__ import annotations
@@ -27,23 +28,11 @@ if "numpy" not in sys.modules:
     # CPU when numpy is imported; a count the user set wins
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .baseline import check_baseline_args, edge_sampling_estimate
-from .estimator import (
-    DEFAULT_SAMPLES,
-    MAX_SAMPLES,
-    build_sampler,
-    check_count_args,
-    estimate_from_trials,
-    gamma_of,
-    required_samples,
-    run_trials,
-    turan_shadow_count,
-)
+# every command loads a graph and, directly or not, the shadow module
 from .graph import load_edge_list
-from .oracle import check_exact_args, exact_kclique_count
 from .shadow import MAX_K, check_shadow_args, shadow_finder
 
-# numpy and these modules live until exit, so the collector (the final
+# numpy and the modules live until exit, so the collector (the final
 # collection at exit included) need not walk what they made at import
 gc.freeze()
 
@@ -91,6 +80,7 @@ def _parse_k_range(text: str) -> tuple[int, int]:
 
 
 def _parse_samples_list(text: str) -> list[int]:
+    from .estimator import MAX_SAMPLES
     try:
         values = [int(tok) for tok in text.split(",")]
     except ValueError:
@@ -108,6 +98,8 @@ def _sampling_kwargs(args) -> dict:
 
 
 def cmd_count(args, emit: _Emitter) -> int:
+    from .estimator import check_count_args, turan_shadow_count
+    gc.freeze()
     sampling = _sampling_kwargs(args)
     check_count_args(args.k, seed=args.seed, **sampling)
     g = load_edge_list(args.input)
@@ -136,6 +128,8 @@ def cmd_count(args, emit: _Emitter) -> int:
 
 
 def cmd_exact(args, emit: _Emitter) -> int:
+    from .oracle import check_exact_args, exact_kclique_count
+    gc.freeze()
     check_exact_args(args.k, args.time_budget_secs)
     g = load_edge_list(args.input)
     res = exact_kclique_count(g, args.k, time_budget=args.time_budget_secs)
@@ -177,6 +171,8 @@ def cmd_stats(args, emit: _Emitter) -> int:
 
 
 def cmd_sweep(args, emit: _Emitter) -> int:
+    from .estimator import check_count_args, turan_shadow_count
+    gc.freeze()
     lo, hi = _parse_k_range(args.k_range)
     sampling = _sampling_kwargs(args)
     for k in range(lo, hi + 1):
@@ -198,6 +194,9 @@ def cmd_sweep(args, emit: _Emitter) -> int:
 
 
 def cmd_convergence(args, emit: _Emitter) -> int:
+    from .estimator import (DEFAULT_SAMPLES, build_sampler,
+                            estimate_from_trials, run_trials)
+    gc.freeze()
     sample_counts = _parse_samples_list(args.samples or str(DEFAULT_SAMPLES))
     if args.repeat < 1:
         raise ValueError("--repeat must be >= 1")
@@ -224,6 +223,8 @@ def cmd_convergence(args, emit: _Emitter) -> int:
 
 
 def cmd_baseline(args, emit: _Emitter) -> int:
+    from .baseline import check_baseline_args, edge_sampling_estimate
+    gc.freeze()
     if args.p is not None:
         ps = [args.p]
     else:
@@ -246,6 +247,14 @@ def cmd_baseline(args, emit: _Emitter) -> int:
     return 0
 
 
+class _SamplingHelp(argparse.HelpFormatter):
+    """Reads the default trial count from the estimator only for --help."""
+
+    def _get_help_string(self, action):
+        from .estimator import DEFAULT_SAMPLES
+        return action.help.replace("DEFAULT_SAMPLES", str(DEFAULT_SAMPLES))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="turanshadow",
@@ -260,8 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--k", type=int, required=True)
 
     def sampling(p):
+        p.formatter_class = _SamplingHelp
         p.add_argument("--samples", type=int, default=None,
-                       help=f"fixed trial count (default {DEFAULT_SAMPLES})")
+                       help="fixed trial count (default DEFAULT_SAMPLES)")
         p.add_argument("--eps", type=float, default=None)
         p.add_argument("--delta", type=float, default=None)
 

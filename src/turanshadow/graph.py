@@ -68,8 +68,6 @@ class Graph:
         merged. `num_vertices` may exceed the largest endpoint to keep
         isolated vertices, up to MAX_VERTICES.
         """
-        if num_vertices is not None:
-            _check_vertex_count(num_vertices)
         e = np.asarray(edges, dtype=np.int64)
         if e.size == 0:
             e = e.reshape(0, 2)
@@ -77,23 +75,20 @@ class Graph:
             raise ValueError("edges must be an (E, 2) array of vertex pairs")
         if num_vertices is None:
             num_vertices = int(e.max()) + 1 if len(e) else 0
-            _check_vertex_count(num_vertices)
+        _check_vertex_count(num_vertices)
         n = num_vertices
-        if len(e):
-            if int(e.min()) < 0 or int(e.max()) >= n:
-                raise ValueError("vertex id out of range")
-            e = e[e[:, 0] != e[:, 1]]
-        # one scalar key lo * n + hi per undirected edge; sorting the keys
-        # of both directions lists every row's neighbours in ascending order.
-        # Duplicates go by sort and compare: a plain np.unique takes a hash
-        # path in numpy 2.4 that is 20-40x slower on these keys
-        und = np.sort(np.minimum(e[:, 0], e[:, 1]) * n
-                      + np.maximum(e[:, 0], e[:, 1]))
-        und = und[np.diff(und, prepend=-1) != 0]
-        lo, hi = np.divmod(und, max(n, 1))
-        keys = np.concatenate([und, hi * n + lo])
+        if len(e) and (int(e.min()) < 0 or int(e.max()) >= n):
+            raise ValueError("vertex id out of range")
+        # one key u * n + v per direction of each edge: one sort lists each
+        # row's neighbours in ascending order, and duplicates go by compare
+        # (np.unique takes a hash path in numpy 2.4, 20-40x slower here)
+        u, v = e[:, 0], e[:, 1]
+        keys = np.concatenate([u * n + v, v * n + u])
         keys.sort()
         src, indices = np.divmod(keys, max(n, 1))
+        keep = np.diff(keys, prepend=-1) != 0
+        keep &= src != indices
+        src, indices = src[keep], indices[keep]
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         return cls(indptr, indices, original_ids)
@@ -194,10 +189,19 @@ def load_edge_list(source: Source) -> Graph:
                         f"{type(source).__name__}")
     if not len(raw_edges):
         return Graph.from_edges(np.empty((0, 2), dtype=np.int64), num_vertices=0)
-    # one sort gives the ids and every endpoint's rank; the inverse comes
-    # back flat or in the input's shape depending on the numpy 2.x release
-    ids, compact = np.unique(raw_edges, return_inverse=True)
-    compact = compact.reshape(raw_edges.shape)
+    low, high = int(raw_edges.min()), int(raw_edges.max())
+    if high - low < 2 * raw_edges.size:
+        # dense ids: an id's rank is the count of ids present below it
+        raw_edges -= low
+        present = np.bincount(raw_edges.reshape(-1)).astype(bool)
+        rank = np.cumsum(present) - 1
+        ids = np.flatnonzero(present) + low
+        compact = rank[raw_edges]
+    else:
+        # one sort gives the ids and ranks; the inverse comes back flat or
+        # in the input's shape depending on the numpy 2.x release
+        ids, compact = np.unique(raw_edges, return_inverse=True)
+        compact = compact.reshape(raw_edges.shape)
     relabeled = ids.size != int(ids[-1]) + 1 or int(ids[0]) != 0
     return Graph.from_edges(compact, num_vertices=ids.size,
                             original_ids=ids if relabeled else None)

@@ -20,11 +20,16 @@ expanded. The counter runs level by level over (row base, member mask)
 sets: a set that needs `need` more vertices is replaced by one child per
 member u, the mask restricted to u's row, and children too small to hold
 need - 1 are dropped. A set that induces a clique adds C(size, need) at
-once, in Python ints; at need = 2 the edges inside each mask are counted
-with np.bitwise_count and no pair is enumerated. Sets wait on a stack of
-chunks of about _CHUNK_ELEMS member slots, the deepest level expanded
-first: on any graph a batch holds nw + 2 words a root, at most k - 3 stacked
-levels of 2 * _CHUNK_ELEMS words and 16 * _CHUNK_ELEMS while expanding.
+once, in Python ints; at need = 2 the children's uint8 np.bitwise_count,
+the edges inside each mask, is summed once in int64. One loop serves every
+word class at about the cost of 1-D arrays for one word: the lowest member
+is dropped by mask & (mask - 1) on nw-word integers, whose borrow runs
+through the low zero words (a cumprod, when nw > 1); rows and masks are
+gathered by np.take, and children kept by index, as a boolean mask selects
+several times more slowly. Sets wait on a stack of chunks of about
+_CHUNK_ELEMS member slots, the deepest level expanded first: on any graph
+a batch holds nw + 2 words a root, at most k - 3 stacked levels of
+2 * _CHUNK_ELEMS words and 16 * _CHUNK_ELEMS while expanding.
 
 The table's chunks and then the batches are run by shadow.map_batches,
 the builder's batch runner, on one thread per CPU the process may run on;
@@ -87,26 +92,30 @@ def _count_class(table: np.ndarray, base: np.ndarray, mask: np.ndarray,
         if base.size > step:
             stack.append((need, base[step:], mask[step:]))
             base, mask = base[:step], mask[:step]
-        # member u keeps only the members below it: the lowest keeps none
-        item, member = shadow._members(mask ^ np.where(
-            np.cumsum(mask != 0, axis=1) == 1, mask & -mask, 0))
-        child = shadow.member_rows(table, base[item] + member, nw)
-        child &= mask[item]
+        # the lowest member keeps none: mask & (mask - 1), nw-word integers
+        low = mask - 1
+        if nw > 1:
+            low[:, 1:] = mask[:, 1:] - np.cumprod(mask[:, :-1] == 0, axis=1,
+                                                  dtype=np.uint64)
+        low &= mask
+        item, member = shadow._members(low)
+        child = shadow.member_rows(table, np.take(base, item) + member, nw)
+        child &= np.take(mask, item, axis=0)
         child &= shadow._low_bits(member, nw)
-        csize = shadow.popcount(child)
-        if need == 2:
-            total += int(csize.sum())
+        if need == 2:  # each edge below a member, once
+            total += int(np.bitwise_count(child).sum(dtype=np.int64))
             continue
+        csize = shadow.popcount(child)
         size = shadow.popcount(mask)
         # every mask has two members or more: one expanded at least
         edges = np.add.reduceat(csize, np.cumsum(size - 1) - (size - 1))
         clique = 2 * edges == size * (size - 1)
-        sizes, counts = np.unique(size[clique], return_counts=True)
-        total += sum(math.comb(s, need) * c
-                     for s, c in zip(sizes.tolist(), counts.tolist()))
-        keep = (csize >= need - 1) & ~clique[item]
-        if keep.any():
-            stack.append((need - 1, base[item[keep]], child[keep]))
+        counts = np.bincount(size[clique]).tolist()
+        total += sum(math.comb(s, need) * c for s, c in enumerate(counts))
+        keep = np.flatnonzero((csize >= need - 1) & ~clique[item])
+        if keep.size:
+            stack.append((need - 1, np.take(base, np.take(item, keep)),
+                          np.take(child, keep, axis=0)))
     return total
 
 

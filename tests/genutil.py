@@ -155,6 +155,15 @@ def grid_graph(rows: int, cols: int) -> Graph:
     return Graph.from_edges(edges, num_vertices=rows * cols)
 
 
+def cycle_complement(n):
+    """K_n less the cycle 0, 1, ..., n - 1: (n - 3)-regular, so its
+    degeneracy is n - 3, and every out-neighbourhood misses some pairs."""
+    iu, ju = np.triu_indices(n, 1)
+    keep = (ju - iu != 1) & (ju - iu != n - 1)
+    return Graph.from_edges(np.stack([iu[keep], ju[keep]], axis=1),
+                            num_vertices=n)
+
+
 def turan_graph(n: int, r: int) -> Graph:
     """Complete r-partite graph with balanced parts (sizes differ by <= 1)."""
     part = [i % r for i in range(n)]

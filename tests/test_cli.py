@@ -569,6 +569,46 @@ assert eager or "numpy.random" not in sys.modules, "numpy.random imported"
     assert len(proc.stdout.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, modules", [
+    (["exact", "--k", "4"], {"graph", "shadow", "oracle"}),
+    (["count", "--k", "4", "--samples", "500"],
+     {"graph", "shadow", "estimator"}),
+    (["sweep", "--k-range", "3:4", "--samples", "500"],
+     {"graph", "shadow", "estimator"}),
+    (["convergence", "--k", "4", "--samples", "500"],
+     {"graph", "shadow", "estimator"}),
+    (["stats", "--k", "4"], {"graph", "shadow"}),
+    (["baseline", "--k", "4", "--p", "0.5"],
+     {"graph", "shadow", "oracle", "baseline"}),
+], ids=["exact", "count", "sweep", "convergence", "stats", "baseline"])
+def test_each_command_imports_only_its_own_modules(er_file, argv, modules):
+    # a cold process compiles each module it imports when no bytecode is
+    # cached (about 2 ms for the estimator and 3 ms for the baseline), and
+    # what a module makes joins the collector's walks unless frozen: a
+    # frozen module's namespace is tracked by no generation
+    script = f"""
+import gc, sys
+from turanshadow.cli import main
+assert main([*{argv!r}, "--input", {er_file!r}]) == 0
+loaded = sorted(m for m in sys.modules if m.startswith("turanshadow."))
+tracked = {{id(o) for o in gc.get_objects()}}
+assert not [m for m in loaded if id(vars(sys.modules[m])) in tracked]
+print(loaded)
+"""
+    proc = run_child(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    *rows, loaded = proc.stdout.splitlines()
+    assert rows
+    assert loaded == str(sorted(f"turanshadow.{m}"
+                                for m in {"cli", *modules}))
+
+
+def test_help_names_the_default_trial_count(capsys):
+    with pytest.raises(SystemExit):
+        main(["count", "--help"])
+    assert f"(default {estimator.DEFAULT_SAMPLES})" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
 def test_cli_import_gives_openblas_one_thread_by_default(preset, expected):
     script = """

@@ -286,6 +286,57 @@ def test_load_int64_extremes(tmp_path):
         assert g.original_ids.tolist() == [-2**63, 2**63 - 1], source
 
 
+def unique_load(edges: np.ndarray) -> Graph:
+    """The reference for load_edge_list's relabelling: ids compacted by one
+    np.unique sort, which load_edge_list keeps for ids spread wider than
+    twice the endpoint count."""
+    if not len(edges):
+        return Graph.from_edges(edges, num_vertices=0)
+    ids, compact = np.unique(edges, return_inverse=True)
+    relabeled = ids.size != int(ids[-1]) + 1 or int(ids[0]) != 0
+    return Graph.from_edges(compact.reshape(edges.shape),
+                            num_vertices=ids.size,
+                            original_ids=ids if relabeled else None)
+
+
+def id_cases():
+    rng = np.random.default_rng(11)
+    yield "empty", np.empty((0, 2), dtype=np.int64)
+    yield "dense", rng.integers(0, 40, size=(150, 2))
+    yield "dense-from-0-all-present", np.array([[0, 1], [1, 2], [3, 2]])
+    yield "dense-offset", rng.integers(1000, 1050, size=(60, 2))
+    # a span of exactly, and of one past, twice the endpoint count
+    yield "span-at-bound", np.array([[0, 3], [2, 7]])
+    yield "span-past-bound", np.array([[0, 3], [2, 8]])
+    yield "gapped", rng.integers(0, 10**6, size=(80, 2))
+    yield "negative", rng.integers(-30, 30, size=(100, 2))
+    yield "negative-gapped", rng.integers(-10**9, 10**3, size=(50, 2))
+    yield "int64-extremes", np.array([[-2**63, 2**63 - 1], [0, -2**63],
+                                      [2**63 - 1, 5]])
+    yield "near-int64-max", 2**63 - 1 - rng.integers(0, 20, size=(30, 2))
+    yield "near-int64-min", -2**63 + rng.integers(0, 20, size=(30, 2))
+    yield "from-2**40", 2**40 + rng.integers(0, 30, size=(40, 2))
+    yield "gapped-past-2**40", rng.integers(2**40, 2**50, size=(40, 2))
+    yield "self-loops-and-repeats", np.array([[5, 5], [5, 6], [6, 5],
+                                              [5, 6], [7, 7]])
+
+
+@pytest.mark.parametrize("name, edges", list(id_cases()),
+                         ids=[name for name, _ in id_cases()])
+def test_load_matches_the_unique_relabelling(name, edges):
+    text = "".join(f"{u} {v}\n" for u, v in edges.tolist())
+    g = load_edge_list(io.StringIO(text))
+    ref = unique_load(edges.astype(np.int64))
+    assert np.array_equal(g.indptr, ref.indptr)
+    assert np.array_equal(g.indices, ref.indices)
+    assert g.indptr.dtype == g.indices.dtype == np.int64
+    if ref.original_ids is None:
+        assert g.original_ids is None
+    else:
+        assert g.original_ids.dtype == np.int64
+        assert np.array_equal(g.original_ids, ref.original_ids)
+
+
 @pytest.mark.parametrize("source, line_number", [
     (b"0 1\n", 1),
     (bytearray(b"0 1\n"), 1),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -18,6 +19,7 @@ from turanshadow.oracle import (
 from budgets import check_batches, shrink_budgets, spy_builds
 from genutil import (
     complete_graph,
+    cycle_complement,
     cycle_graph,
     er_graph,
     neighbors,
@@ -158,6 +160,53 @@ def test_exact_matches_set_reference(monkeypatch, budget):
             assert got == expected, (g, list(ks), workers)
     assert max(words) == 2  # er160's roots of out-degree above 64
     check_batches(budget, batches)
+
+
+@pytest.mark.parametrize("n", [66, 67, 68, 131, 132])
+def test_exact_matches_set_reference_at_word_boundaries(n):
+    # K_n less a Hamiltonian cycle has alpha n - 3 = 63, 64, 65, 128 and
+    # 129: members on both sides of a word boundary, and sets whose low
+    # words empty first as their lowest members are dropped
+    g = cycle_complement(n)
+    assert degeneracy_order(g).alpha == n - 3
+    for k in (3, 4, 5):
+        assert exact_kclique_count(g, k).count == reference_count(g, k), k
+
+
+def test_exact_matches_set_reference_on_roots_of_one_to_three_words():
+    g = er_graph(300, 0.6, seed=1)
+    out_degree = degeneracy_order(g).out_degree
+    words = -(-out_degree[out_degree >= 2] // 64)
+    assert set(words.tolist()) == {1, 2, 3}
+    for k in (3, 4):
+        assert exact_kclique_count(g, k).count == reference_count(g, k), k
+
+
+def test_count_class_drops_the_lowest_member_past_empty_words():
+    # sets under one root of 150 members (three words), with no member in
+    # word 0, in words 0 and 1, or in word 1 alone: the borrow that drops
+    # each set's lowest member runs through the low empty words only
+    rng = np.random.default_rng(5)
+    d = 150
+    adj = np.triu(rng.random((d, d)) < 0.6, 1)
+    adj |= adj.T
+    table = np.packbits(np.pad(adj, ((0, 0), (0, 192 - d))), axis=1,
+                        bitorder="little").view("<u8")
+    sets = rng.random((60, d)) < 0.15
+    sets[:20, :64] = False
+    sets[20:40, :128] = False
+    sets[40:50, 64:128] = False
+    for k in (3, 4, 5):
+        roots = sets[sets.sum(axis=1) >= k - 1]  # as root_batches keeps
+        mask = np.packbits(np.pad(roots, ((0, 0), (0, 192 - d))), axis=1,
+                           bitorder="little").view("<u8")
+        expected = sum(
+            all(adj[a, b] for a, b in itertools.combinations(clique, 2))
+            for row in roots
+            for clique in itertools.combinations(np.flatnonzero(row), k - 1))
+        assert expected > 0
+        assert oracle._count_class(table, np.zeros(len(roots), np.int64),
+                                   mask, k, lambda: None) == expected, k
 
 
 def test_counter_batch_peaks_within_the_documented_bound(monkeypatch):

@@ -25,6 +25,7 @@ from budgets import (
 )
 from genutil import (
     complete_graph,
+    cycle_complement,
     cycle_graph,
     er_graph,
     has_edge,
@@ -537,15 +538,6 @@ def test_whole_table_is_the_packed_adjacency():
         assert not bits[:, n:].any(), (g, k)
         assert np.array_equal(bits[:, :n],
                               induced_adjacency_matrix(g, np.arange(n)))
-
-
-def cycle_complement(n):
-    """K_n less the cycle 0, 1, ..., n - 1: (n - 3)-regular, so its
-    degeneracy is n - 3, and every out-neighbourhood misses some pairs."""
-    iu, ju = np.triu_indices(n, 1)
-    keep = (ju - iu != 1) & (ju - iu != n - 1)
-    return Graph.from_edges(np.stack([iu[keep], ju[keep]], axis=1),
-                            num_vertices=n)
 
 
 def random_bipartite(side, p, seed):
