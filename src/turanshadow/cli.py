@@ -29,7 +29,7 @@ if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # every command loads a graph and, directly or not, the shadow module
-from .graph import load_edge_list
+from .graph import degeneracy_order, load_edge_list
 from .shadow import MAX_K, check_shadow_args, shadow_finder
 
 # numpy and the modules live until exit, so the collector (the final
@@ -117,7 +117,7 @@ def cmd_count(args, emit: _Emitter) -> int:
         "exact_offset": report.exact_offset,
         "shadow_sets": report.shadow_set_count,
         "representation_size": report.representation_size,
-        "alpha": report.alpha,
+        "alpha": degeneracy_order(g).alpha,  # g keeps it for k >= 3
         "n": g.vertex_count,
         "m": g.edge_count,
         "time_shadow_ms": _ms(report.time_shadow),
@@ -161,7 +161,7 @@ def cmd_stats(args, emit: _Emitter) -> int:
         "max_set_size": sh.max_set_size,
         "ell_histogram": {str(k): v for k, v in sh.ell_histogram.items()},
         "depth_reached": sh.k - int(sh.ells.min(initial=sh.k)),
-        "alpha": sh.alpha,
+        "alpha": degeneracy_order(g).alpha,  # g keeps it
         "n": g.vertex_count,
         "m": m,
         "ratio_representation_to_m": sh.representation_size / m if m else 0.0,

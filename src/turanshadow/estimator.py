@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, degeneracy_order
+from .graph import Graph
 from .shadow import (MAX_K, TuranShadow, _label_dtype, check_shadow_args,
                      shadow_finder)
 
@@ -251,7 +251,8 @@ def estimate_from_trials(st: SamplerState, successes: int, t: int) -> float:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Estimate plus the diagnostics needed to judge it."""
+    """Estimate plus the diagnostics needed to judge it. The degeneracy
+    is degeneracy_order(g).alpha, which g keeps once the shadow is built."""
 
     k: int
     estimate: float
@@ -263,7 +264,6 @@ class EstimateReport:
     exact_offset: int
     shadow_set_count: int
     representation_size: int
-    alpha: int  # degeneracy of the input graph
     time_shadow: float
     time_sample: float
     seed: int
@@ -297,8 +297,9 @@ def turan_shadow_count(g: Graph, k: int, *, samples: int | None = None,
     """End-to-end k-clique estimate: build the shadow, then sample it.
 
     k = 1 and k = 2 return the exact vertex and edge counts without building
-    a shadow. For k >= 3 the trial count is `samples` (default 50000), or
-    derived from (eps, delta) when both are given.
+    a shadow or the degeneracy order. For k >= 3 the trial count is
+    `samples` (default 50000), or derived from (eps, delta) when both are
+    given.
     """
     check_count_args(k, samples=samples, eps=eps, delta=delta, seed=seed)
     if k <= 2:
@@ -307,8 +308,7 @@ def turan_shadow_count(g: Graph, k: int, *, samples: int | None = None,
             k=k, estimate=float(exact), samples_run=0, successes=0,
             success_ratio=0.0, gamma=1.0, total_weight=0.0,
             exact_offset=exact, shadow_set_count=0, representation_size=0,
-            alpha=degeneracy_order(g).alpha, time_shadow=0.0,
-            time_sample=0.0, seed=seed)
+            time_shadow=0.0, time_sample=0.0, seed=seed)
     t0 = time.perf_counter()
     sh = shadow_finder(g, k)
     st = build_sampler(sh, g)
@@ -332,7 +332,6 @@ def turan_shadow_count(g: Graph, k: int, *, samples: int | None = None,
         exact_offset=st.exact_offset,
         shadow_set_count=len(sh.ells),
         representation_size=sh.representation_size,
-        alpha=sh.alpha,
         time_shadow=t1 - t0,
         time_sample=t2 - t1,
         seed=seed,

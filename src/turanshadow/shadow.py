@@ -47,13 +47,13 @@ costs d * d member slots; a batch closes before its roots' costs would
 pass 2 * _CHUNK_ELEMS, unless it holds one root, and a peel step works in
 chunks of about _CHUNK_ELEMS member slots. The table's chunks and then the
 batches run on map_batches, the batch runner the exact counter shares,
-one thread per CPU the process may run on, each holding one chunk or batch
-(TuranShadow bounds what a batch holds). Table chunks fill disjoint rows,
-and batches only read the table. Batches are id-contiguous, so sorting
-each batch's emitted sets by the key and joining the batches in order
-sorts the whole shadow by it: every shadow array is a function of the
-graph and k alone, and the table of the graph alone, whatever the batch
-and chunk sizes and the number of threads.
+one thread per CPU the process may run on, each working on one chunk or
+batch at a time (TuranShadow bounds what a batch holds). Table chunks
+fill disjoint rows, and batches only read the table. Batches are
+id-contiguous, so sorting each batch's emitted sets by the key and
+joining the batches in order sorts the whole shadow by it: every shadow
+array is a function of the graph and k alone, and the table of the graph
+alone, whatever the batch and chunk sizes and the number of threads.
 
 The shadow itself is flat, one label a member, as TuranShadow describes.
 The lazy `entries` view derives the ids an entry at a time.
@@ -64,7 +64,7 @@ from __future__ import annotations
 import operator
 import os
 import threading
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,11 +103,11 @@ class ShadowEntry:
         return ((self.ell, self.edges) == (other.ell, other.edges)
                 and np.array_equal(self.vertices, other.vertices))
 
-    __hash__ = None
-
 
 class ShadowEntries(Sequence):
-    """Read-only view of a shadow's entries; each is made when read."""
+    """Read-only view of a shadow's entries; each is made when read. It
+    has len, integer indexing and iteration, and, like range, equals no
+    list; entries compare by value, so `e in sh.entries` works."""
 
     __slots__ = ("_sh",)
 
@@ -118,26 +118,12 @@ class ShadowEntries(Sequence):
         return int(self._sh.ells.size)
 
     def __getitem__(self, i):
-        """Entry i, or a list of entries for a slice (like list slicing)."""
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        i = operator.index(i)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("shadow entry index out of range")
+        i = range(len(self))[operator.index(i)]  # negative i from the end
         sh = self._sh
         lo, hi = sh.offsets[i], sh.offsets[i + 1]
         ids = sh.ids[sh.rowbase[i] + sh.labels[lo:hi]]
         ids.flags.writeable = False
         return ShadowEntry(ids, int(sh.ells[i]), int(sh.edges[i]))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
-
-    __hash__ = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +142,8 @@ class TuranShadow:
     edge and the rule above for every row, those of vertices that are no
     root included, and rowbase[i] is out_start of entry i's root. The
     saturated whole graph is the only entry, with rowbase 0, ids =
-    arange(n) and its packed adjacency as the table.
+    arange(n) and its packed adjacency as the table. The shadow keeps no
+    degeneracy: alpha here is degeneracy_order(g).alpha, which g keeps.
 
     Memory, for E entries and m edges: one label per member
     (itemsize 1 B while alpha <= 256, or n <= 256 for the whole graph),
@@ -165,21 +152,21 @@ class TuranShadow:
     for the whole graph, n * ceil(n / 64) table words and n ids words.
     The table is the same at every k, and g keeps it for the counter and
     later builds; while its chunks are cut, one m-word transient and three
-    n-word arrays are held too. While the shadow is built, each map_batches
-    worker holds a table chunk (see oriented_table) or a root batch, which
-    holds no rows: with nw = ceil(alpha / 64), at most twice its emitted
-    sets plus its largest frontier and the children made from it, at
-    nw + 4 words a set, two bytes a label, and about 16 * _CHUNK_ELEMS
-    words of chunk temporaries. A sampler adds one index per entry with
-    ell >= 3, in the narrowest unsigned dtype that holds an index below E
-    (at most 4 B below 2^32 entries).
+    n-word arrays are held too. While the shadow is built, its root batches
+    are listed, one word per root, and each map_batches worker holds a table
+    chunk (see oriented_table) or works on a root batch, which holds no
+    rows: with nw = ceil(alpha / 64), at most twice its emitted sets plus
+    its largest frontier and the children made from it, at nw + 4 words a
+    set, two bytes a label, and about 16 * _CHUNK_ELEMS words of chunk
+    temporaries. A sampler adds one index per entry with ell >= 3, in the
+    narrowest unsigned dtype that holds an index below E (at most 4 B
+    below 2^32 entries).
     """
 
     k: int
     offsets: np.ndarray
     ells: np.ndarray
     edges: np.ndarray
-    alpha: int  # degeneracy of the graph the shadow covers
     labels: np.ndarray
     rowbase: np.ndarray
     table: np.ndarray  # (rows, words per row) uint64
@@ -305,11 +292,15 @@ def _edges(table: np.ndarray, sets: _Sets) -> np.ndarray:
 
 def _children(table: np.ndarray, sets: _Sets, ell: int) -> _Sets:
     """Out-neighborhoods (budget ell - 1) of unsaturated sets at budget ell,
-    given by descending size; peeled by chunk, their edges counted last."""
+    given by descending size; peeled by chunk, the parts joined every 16
+    chunks so that one-set chunks hold few arrays, edges counted last."""
     nw = sets.mask.shape[1]
-    base, mask, size = (np.concatenate(field) for field in zip(*[
-        _peel(table, sets.take(c), ell)
-        for c in _chunks(sets.size.size, 64 * nw * nw)]))
+    parts = []
+    for c in _chunks(sets.size.size, 64 * nw * nw):
+        parts.append(_peel(table, sets.take(c), ell))
+        if len(parts) == 16:
+            parts = [tuple(map(np.concatenate, zip(*parts)))]
+    base, mask, size = map(np.concatenate, zip(*parts))
     children = _Sets(base, mask, size, None)
     children.edges = _edges(table, children)
     return children
@@ -372,8 +363,8 @@ def root_batches(order: DegeneracyOrder, k: int):
     d * d member slots. A batch takes roots in id order until the next one
     would carry its cost past 2 * _CHUNK_ELEMS, and holds at least one.
     Yields one list per batch of (ids, nw) pairs, one per word class nw =
-    ceil(d / 64) in ascending nw, ids ascending. Batches are made only when
-    asked for, so under map_batches at most one per worker is alive.
+    ceil(d / 64) in ascending nw, ids ascending. A batch holds only root
+    ids, so the list that map_batches makes of them costs one word a root.
     """
     roots = np.flatnonzero(order.out_degree >= k - 1)
     size = order.out_degree[roots]
@@ -391,32 +382,31 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def map_batches(fn: Callable, batches: Iterator) -> list:
+def map_batches(fn: Callable, batches: Iterable) -> list:
     """[fn(batch) for batch in batches], on _workers() plain threads.
 
-    The calling thread is one of the workers, so one worker starts no
-    thread. A worker takes the next batch from the iterator, under a lock,
-    only when it is free, so at most one batch per worker is in flight and
-    batches are made no sooner than they are needed. After the first error
-    that fn or the iterator raises, no batch is taken; the workers finish
-    what they hold and the error is re-raised. Results are in batch order.
+    The batches are listed first, so an error raised while they are cut
+    surfaces before any batch runs. The calling thread is one of the
+    workers, so one worker starts no thread. A free worker claims the next
+    index under a lock and writes fn's result into that slot of a
+    preallocated list. After the first error that fn raises, no batch is
+    claimed; the workers finish what they hold and the error is re-raised.
+    Results are in batch order.
     """
+    batches = list(batches)
+    results, errors = [None] * len(batches), []
     lock = threading.Lock()
-    source = enumerate(batches)
-    results, errors = {}, []
+    claimed = 0  # batches claimed so far
 
     def work():
+        nonlocal claimed
         try:
             while True:
                 with lock:
-                    if errors:
+                    if errors or claimed == len(batches):
                         return
-                    item = next(source, None)
-                if item is None:
-                    return
-                result = fn(item[1])
-                with lock:
-                    results[item[0]] = result
+                    i, claimed = claimed, claimed + 1
+                results[i] = fn(batches[i])
         except BaseException as error:  # re-raised by the calling thread
             with lock:
                 errors.append(error)
@@ -433,7 +423,7 @@ def map_batches(fn: Callable, batches: Iterator) -> list:
         raise
     if errors:
         raise errors[0]
-    return [results[i] for i in range(len(results))]
+    return results
 
 
 def oriented_table(g: Graph, check_time: Callable[[], None] = lambda: None
@@ -454,7 +444,8 @@ def oriented_table(g: Graph, check_time: Callable[[], None] = lambda: None
     of its rows would pass 2 * _CHUNK_ELEMS (a vertex with more is a chunk
     alone), so a vertex without wedges still counts. Beside the table,
     cutting holds one m-word transient, the running wedge count by row,
-    and three n-word arrays; a chunk holds at most 16 * _CHUNK_ELEMS words,
+    three n-word arrays and the (lo, hi) bounds of every chunk, listed
+    before any is filled; a chunk holds at most 16 * _CHUNK_ELEMS words,
     or, alone, about 8 words per unit of its cost. Chunks fill disjoint
     rows on the threads of map_batches; check_time() runs before each
     chunk. g keeps the finished table, read-only, and no stopped one.
@@ -591,6 +582,5 @@ def shadow_finder(g: Graph, k: int) -> TuranShadow:
     for a in (offsets, labels, ells, edges, rowbase, table, ids):
         a.flags.writeable = False
     return TuranShadow(k=k, offsets=offsets, ells=ells, edges=edges,
-                       alpha=order.alpha, labels=labels, rowbase=rowbase,
-                       table=table, ids=ids)
+                       labels=labels, rowbase=rowbase, table=table, ids=ids)
 

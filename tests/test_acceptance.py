@@ -317,7 +317,7 @@ def test_criterion_11_determinism(tmp_path, capsys, monkeypatch):
         reps.append(turan_shadow_count(g, 5, samples=20_000, seed=3))
     fields = [(r.estimate, r.samples_run, r.successes, r.success_ratio,
                r.gamma, r.total_weight, r.exact_offset, r.shadow_set_count,
-               r.representation_size, r.alpha, r.seed) for r in reps]
+               r.representation_size, r.seed) for r in reps]
     blocks_ok = all(f == fields[0] for f in fields)
     report(11, cli_ok and blocks_ok,
            f"CLI reruns byte-identical modulo timing: {cli_ok}, "

@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -21,12 +22,14 @@ from turanshadow.estimator import (
 from turanshadow.oracle import exact_kclique_count
 from turanshadow.shadow import shadow_finder
 
+from budgets import spy_builds
 from genutil import (
     complete_graph,
     cycle_graph,
     er_graph,
     has_edge,
     induced_subgraph,
+    path_graph,
     shadow_vertices,
     turan_graph,
     validity_suite,
@@ -300,7 +303,8 @@ def test_negative_seed_checked_before_any_work(monkeypatch):
         raise AssertionError("work done before the seed was checked")
 
     monkeypatch.setattr(estimator, "shadow_finder", no_work)
-    monkeypatch.setattr(estimator, "degeneracy_order", no_work)
+    # any peel: k <= 2 builds no order, so none is made before the check
+    monkeypatch.setattr("turanshadow.graph.DegeneracyOrder", no_work)
     monkeypatch.setattr(baseline, "exact_kclique_count", no_work)
     for k in (1, 2, 3):
         with pytest.raises(ValueError, match="seed must be >= 0"):
@@ -446,6 +450,20 @@ def test_full_pipeline_small_k():
     assert turan_shadow_count(g, 2).estimate == float(g.edge_count)
     with pytest.raises(ValueError):
         turan_shadow_count(g, 0)
+
+
+def test_k_at_most_two_builds_no_order_or_table(monkeypatch):
+    # n and m are read off the graph: no peel, no table and no shadow, even
+    # on a path, whose peel takes one round per pair of vertices. The
+    # report keeps no degeneracy; g keeps it, once an order is built
+    built = spy_builds(monkeypatch)
+    g = path_graph(100_000)
+    assert turan_shadow_count(g, 1).estimate == 100_000
+    rep = turan_shadow_count(g, 2)
+    assert rep.estimate == rep.exact_offset == g.edge_count == 99_999
+    assert built == {"order": [], "table": []}
+    assert g._order is None and g._table is None
+    assert "alpha" not in {f.name for f in fields(EstimateReport)}
 
 
 def test_turan_boundary_graph_estimates_zero():

@@ -111,11 +111,14 @@ def test_overflow_is_reported_not_wrapped():
 
 def test_overflow_through_the_counter():
     # C(70, 35) = 112186277816662845432 > 2^64: roots of two-word rows and
-    # the clique shortcut must carry it in Python ints, then refuse it
+    # the clique shortcut must carry it in Python ints, then refuse it.
+    # Without the shortcut, each count would enumerate its cliques one by
+    # one, so the budgets turn a lost shortcut into a failure, not a hang
     g = complete_graph(70)
     with pytest.raises(CountOverflowError):
-        exact_kclique_count(g, 35)
-    assert exact_kclique_count(g, 10).count == math.comb(70, 10)
+        exact_kclique_count(g, 35, time_budget=5.0)
+    count = exact_kclique_count(g, 10, time_budget=5.0).count
+    assert count == math.comb(70, 10)
 
 
 def reference_cases():
