@@ -156,11 +156,11 @@ def cmd_stats(args, emit: _Emitter) -> int:
         "command": "stats",
         "input": args.input,
         "k": args.k,
-        "set_count": len(sh.ells),
+        "set_count": len(sh.entries),
         "representation_size": sh.representation_size,
         "max_set_size": sh.max_set_size,
         "ell_histogram": {str(k): v for k, v in sh.ell_histogram.items()},
-        "depth_reached": sh.k - int(sh.ells.min(initial=sh.k)),
+        "depth_reached": sh.k - int(sh.class_ells.min(initial=sh.k)),
         "alpha": degeneracy_order(g).alpha,  # g keeps it
         "n": g.vertex_count,
         "m": m,

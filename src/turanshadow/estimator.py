@@ -7,8 +7,8 @@ estimate of the clique count covered by the sampled entries. Entries with
 ell <= 2 carry no density guarantee and are counted exactly instead of
 sampled.
 
-The weight depends only on (size, ell), so entries are drawn by class: one
-multinomial draw splits the t trials over the (ell, size) weight classes,
+The weight depends only on (ell, size), the shadow's class, so entries are
+drawn by class: one multinomial draw splits the t trials over the classes,
 and each trial then picks a uniform entry of its class. Per entry that is
 probability exactly C(|S|, ell) / W, with no per-entry table. All trials
 run in one array engine, ell by ell and _TRIAL_BLOCK trials at a time,
@@ -32,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .shadow import (MAX_K, TuranShadow, _label_dtype, check_shadow_args,
-                     shadow_finder)
+from .shadow import MAX_K, TuranShadow, check_shadow_args, shadow_finder
 
 DEFAULT_SAMPLES = 50_000
 
@@ -62,11 +61,9 @@ def gamma_of(sh: TuranShadow) -> float:
     1 / max over entries with ell >= 3 of f(ell) * |S|**2; 1 when no such
     entries exist (the sampling phase is then vacuous).
     """
-    largest = np.zeros(sh.k + 1, dtype=np.int64)  # largest set per ell
-    np.maximum.at(largest, sh.ells, sh.sizes)
-    worst = max((f_of(ell) * size * size
-                 for ell, size in enumerate(largest.tolist())
-                 if ell >= 3 and size), default=0.0)
+    worst = max((f_of(ell) * size * size for ell, size in zip(
+        sh.class_ells.tolist(), sh.class_sizes.tolist()) if ell >= 3),
+        default=0.0)
     return 1.0 / worst if worst > 0.0 else 1.0
 
 
@@ -94,84 +91,51 @@ def required_samples(gamma: float, eps: float, delta: float) -> int:
 
 @dataclass(eq=False)
 class SamplerState:
-    """Frozen draw structure for one shadow: weight classes and an offset.
+    """Frozen draw structure for one shadow: class weights and an offset.
 
-    The sampled entries (the ell >= 3 entries of the shadow) are sorted by
-    (ell, size), in shadow order within each weight class of equal
-    (ell, size). Class c holds entries first[c] .. first[c] + count[c] - 1,
-    each with clique budget ells[c] and sizes[c] members, and is drawn with
-    probability p[c] = W_c / W, where W_c = count[c] * C(sizes[c], ells[c])
-    and W, the total_weight, is the sum over classes; p[c] is the correctly
-    rounded double of that ratio. Per sampled entry i only entry[i], its
-    index in the shadow, is kept, in the shadow's narrowest index dtype;
-    labels and table rows are read from the shadow in place. exact_offset
-    is the exact clique count contributed by ell <= 2 entries.
+    Sampled class j, the shadow's j-th class with ell >= 3, is drawn with
+    probability p[j], the correctly rounded double of W_j / W, where W_j =
+    count * C(size, ell) and W, the total_weight, is their sum. Nothing is
+    kept per entry. exact_offset is the exact count of ell = 2 cliques.
     """
 
     shadow: TuranShadow
-    entry: np.ndarray
-    first: np.ndarray
-    count: np.ndarray
-    sizes: np.ndarray
-    ells: np.ndarray
     p: np.ndarray
     total_weight: float
     exact_offset: int
 
     @property
     def entry_count(self) -> int:
-        return len(self.entry)
+        return int(self.shadow.class_counts[self.shadow.class_ells >= 3].sum())
 
 
 def build_sampler(sh: TuranShadow, g: Graph) -> SamplerState:
-    """Split a shadow into sampled entries plus an exactly-counted offset.
+    """Split a shadow into sampled classes plus an exactly-counted offset.
 
     Entries with ell = 2 contribute their induced edge count to the offset;
-    the ell >= 3 entries are grouped into weight classes of equal
-    (ell, size), with class weights summed in exact integers.
+    the weights of the ell >= 3 classes are summed in exact integers.
     """
-    # sort by (ell, size), then shadow order, through one int64 key per
-    # sampled entry, below (k + 1) * span * n; the steps work in place, so
-    # at most four arrays of one word per entry are alive at a time
-    n = len(sh.ells)
-    sampled = np.flatnonzero(sh.ells >= 3)
-    key = sh.sizes[sampled]
-    span = int(key.max(initial=0)) + 1
-    key += span * sh.ells[sampled]
-    key *= n
-    key += sampled
-    key.sort()
-    np.remainder(key, n, out=sampled)
-    key //= n
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    count = np.diff(first, append=key.size)
-    ells, sizes = np.divmod(key[first], span)
-    wc = [c * math.comb(s, e) for c, s, e in
-          zip(count.tolist(), sizes.tolist(), ells.tolist())]
+    wc = [count * math.comb(size, ell) for count, size, ell in zip(
+        sh.class_counts.tolist(), sh.class_sizes.tolist(),
+        sh.class_ells.tolist()) if ell >= 3]
     w = sum(wc)
     return SamplerState(
         shadow=sh,
-        entry=sampled.astype(_label_dtype(n)),
-        first=first,
-        count=count,
-        sizes=sizes,
-        ells=ells,
         p=np.array([x / w for x in wc]),  # int / int rounds correctly
         total_weight=float(w),
-        exact_offset=int(sh.edges[sh.ells == 2].sum()),
+        exact_offset=sh.exact_offset,
     )
 
 
-def _count_cliques(keys: np.ndarray, sizes: np.ndarray, sh: TuranShadow,
-                   entry: np.ndarray) -> int:
+def _count_cliques(keys: np.ndarray, sizes: np.ndarray, starts: np.ndarray,
+                   rowbase: np.ndarray, sh: TuranShadow) -> int:
     """Rows of keys whose partial Fisher-Yates picks form a clique.
 
-    Row r picks from the sizes[r] members of shadow entry entry[r], reading
-    their labels and table rows from sh: step b swaps slot b with slot
+    Row r picks from the sizes[r] members of the entry of sh with labels
+    from starts[r] and the rowbase rowbase[r]: step b swaps slot b with slot
     b + floor(keys[r, b] * (sizes[r] - b)). Every row is tested at every
     pair.
     """
-    starts, rowbase = sh.offsets[entry], sh.rowbase[entry]
     nw = sh.table.shape[1]
     words = sh.table.reshape(-1)
     steps: list[np.ndarray] = []
@@ -202,10 +166,10 @@ def run_trials(st: SamplerState, g: Graph, t: int,
     """Run t Bernoulli trials; returns (successes, trials run).
 
     Skips (returning (0, 0)) when the sampler has no sampled entries. The
-    stream is one multinomial(t, p) draw of trials per weight class, then,
+    stream is one multinomial(t, p) draw of trials per sampled class, then,
     for each ell in ascending order, one (n_ell, ell + 1) matrix of
     uniforms, whose rows are that ell's n_ell trials in class order. In a
-    row, column 0 picks a uniform entry of the row's class and columns
+    row, column 0 picks a uniform rank in the row's class and columns
     1..ell are the Fisher-Yates keys of its ell-subset. The matrix is drawn
     _TRIAL_BLOCK rows at a time, and a Generator fills arrays in row-major
     order from one stream, so the outcome is a pure function of (seed, t)
@@ -221,11 +185,14 @@ def run_trials(st: SamplerState, g: Graph, t: int,
         raise ValueError("seed must be >= 0")
     if st.entry_count == 0:
         return 0, 0
+    sh = st.shadow
+    first, start, sampled = sh.class_first, sh.class_start, sh.class_ells >= 3
     rng = np.random.default_rng(seed)
-    hits = rng.multinomial(t, st.p)
+    hits = np.zeros(sampled.size, dtype=np.int64)  # by shadow class
+    hits[sampled] = rng.multinomial(t, st.p)
     successes = 0
-    for ell in sorted(set(st.ells.tolist())):
-        classes = np.flatnonzero(st.ells == ell)
+    for ell in sorted(set(sh.class_ells[sampled].tolist())):
+        classes = np.flatnonzero(sh.class_ells == ell)
         ends = np.cumsum(hits[classes])  # this ell's trials, by class
         n = int(ends[-1])
         for lo in range(0, n, _TRIAL_BLOCK):
@@ -233,10 +200,10 @@ def run_trials(st: SamplerState, g: Graph, t: int,
             # the class of each of this ell's trials lo.., in class order
             c = np.repeat(classes, np.diff(np.clip(ends, lo, lo + len(u)),
                                            prepend=lo))
-            idx = st.first[c] + (u[:, 0] * st.count[c]).astype(np.int64)
-            # one cast to intp, not one per gather from the shadow
-            successes += _count_cliques(u[:, 1:], st.sizes[c], st.shadow,
-                                        st.entry[idx].astype(np.intp))
+            size = sh.class_sizes[c]
+            rank = (u[:, 0] * sh.class_counts[c]).astype(np.int64)
+            successes += _count_cliques(u[:, 1:], size, start[c] + rank * size,
+                                        sh.rowbase[first[c] + rank], sh)
     return successes, t
 
 
@@ -330,7 +297,7 @@ def turan_shadow_count(g: Graph, k: int, *, samples: int | None = None,
         gamma=gamma,
         total_weight=st.total_weight,
         exact_offset=st.exact_offset,
-        shadow_set_count=len(sh.ells),
+        shadow_set_count=len(sh.entries),
         representation_size=sh.representation_size,
         time_shadow=t1 - t0,
         time_sample=t2 - t1,

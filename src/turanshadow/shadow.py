@@ -35,10 +35,11 @@ rows.
 
 The shadow is a multiset, and neither the estimate nor its guarantee
 depends on the order of its entries; one canonical key fixes that order.
-Emitted sets are sorted by root (by base, out_start[root], which rises with
-the root id), then by ell, then by the member mask read as one integer
-(bit a of word w is 2^(64w + a)). Two sets tie only when they are the same
-entry, since a mask and its root fix the members, the size and the edges.
+Emitted sets are sorted by class (ell, then size), then by root (by base,
+out_start[root], which rises with the root id), then by the member mask
+read as one integer (bit a of word w is 2^(64w + a)). Two sets tie only
+when they are the same entry, since a mask and its root fix the members,
+the size and the edges.
 
 Roots are processed in id-ordered batches that hold no rows, only frontier
 and emitted sets. Every set below a root of out-degree d is a subset of
@@ -50,13 +51,13 @@ batches run on map_batches, the batch runner the exact counter shares,
 one thread per CPU the process may run on, each working on one chunk or
 batch at a time (TuranShadow bounds what a batch holds). Table chunks
 fill disjoint rows, and batches only read the table. Batches are
-id-contiguous, so sorting each batch's emitted sets by the key and
-joining the batches in order sorts the whole shadow by it: every shadow
-array is a function of the graph and k alone, and the table of the graph
-alone, whatever the batch and chunk sizes and the number of threads.
+id-contiguous and each is sorted by the key, so laying each class's runs
+out batch after batch, with no sort over entries, sorts the whole shadow
+by it: every shadow array is a function of the graph and k alone, and the
+table of the graph alone, whatever the batch, chunk and thread counts.
 
-The shadow itself is flat, one label a member, as TuranShadow describes.
-The lazy `entries` view derives the ids an entry at a time.
+TuranShadow describes the stored layout; its lazy `entries` view derives
+the ids an entry at a time.
 """
 
 from __future__ import annotations
@@ -83,15 +84,11 @@ _CHUNK_ELEMS = 1 << 17
 
 @dataclass(frozen=True, eq=False)
 class ShadowEntry:
-    """One shadow element: count `ell`-cliques inside `vertices`.
-
-    vertices are sorted ascending global ids; edges caches the induced
-    edge count computed during construction. Entries compare by value.
-    """
+    """One shadow element: count `ell`-cliques inside `vertices`, sorted
+    ascending global ids. Entries compare by value."""
 
     vertices: np.ndarray
     ell: int
-    edges: int
 
     @property
     def size(self) -> int:
@@ -100,7 +97,7 @@ class ShadowEntry:
     def __eq__(self, other):
         if not isinstance(other, ShadowEntry):
             return NotImplemented
-        return ((self.ell, self.edges) == (other.ell, other.edges)
+        return (self.ell == other.ell
                 and np.array_equal(self.vertices, other.vertices))
 
 
@@ -109,45 +106,47 @@ class ShadowEntries(Sequence):
     has len, integer indexing and iteration, and, like range, equals no
     list; entries compare by value, so `e in sh.entries` works."""
 
-    __slots__ = ("_sh",)
+    __slots__ = ("_sh", "_first", "_start")
 
     def __init__(self, sh: "TuranShadow"):
-        self._sh = sh
+        self._sh, self._first, self._start = sh, sh.class_first, sh.class_start
 
     def __len__(self) -> int:
-        return int(self._sh.ells.size)
+        return int(self._sh.rowbase.size)
 
     def __getitem__(self, i):
         i = range(len(self))[operator.index(i)]  # negative i from the end
-        sh = self._sh
-        lo, hi = sh.offsets[i], sh.offsets[i + 1]
-        ids = sh.ids[sh.rowbase[i] + sh.labels[lo:hi]]
+        sh, first = self._sh, self._first
+        c = int(np.searchsorted(first, i, side="right")) - 1  # i's class
+        size = int(sh.class_sizes[c])
+        lo = int(self._start[c]) + (i - int(first[c])) * size
+        ids = sh.ids[sh.rowbase[i] + sh.labels[lo:lo + size]]
         ids.flags.writeable = False
-        return ShadowEntry(ids, int(sh.ells[i]), int(sh.edges[i]))
+        return ShadowEntry(ids, int(sh.class_ells[c]))
 
 
 @dataclass(frozen=True, eq=False)
 class TuranShadow:
-    """A k-clique shadow as flat read-only arrays.
+    """A k-clique shadow as flat read-only arrays, stored class-major.
 
-    Entry i has the clique budget ells[i], the induced edge count edges[i]
-    and the members labels[offsets[i]:offsets[i + 1]], each a root-local
-    index in the narrowest unsigned dtype. Row j of the uint64 table is the
-    adjacency row of vertex ids[j] inside its root, and entry i's member
-    with label a is row rowbase[i] + a: it is vertex ids[rowbase[i] + a],
-    and members a and b are adjacent exactly when bit b of that row is set.
-    Unless the whole graph saturates, ids is out_ids of
-    degeneracy_order(g), shared and not copied, the table is the graph's
-    oriented_table, with one row of ceil(alpha / 64) words per oriented
-    edge and the rule above for every row, those of vertices that are no
-    root included, and rowbase[i] is out_start of entry i's root. The
-    saturated whole graph is the only entry, with rowbase 0, ids =
-    arange(n) and its packed adjacency as the table. The shadow keeps no
-    degeneracy: alpha here is degeneracy_order(g).alpha, which g keeps.
+    Class c holds class_counts[c] >= 1 entries, each with the clique budget
+    class_ells[c] and class_sizes[c] members. Classes ascend by (ell, size),
+    a class's entries by root, then member mask. Its entries are numbered
+    from class_first[c] and its labels start at class_start[c], exclusive
+    cumsums of counts and of counts * sizes: rank r's labels start at
+    class_start[c] + r * size. A label is a root-local member index in the
+    narrowest unsigned dtype, and entry i's member with label a is table
+    row rowbase[i] + a and vertex ids[rowbase[i] + a]: members a and b are
+    adjacent exactly when bit b of that row is set. exact_offset sums the
+    induced edges of the ell = 2 entries. Unless the whole graph
+    saturates, ids and the table are out_ids and oriented_table of
+    degeneracy_order(g), shared and not copied, and rowbase[i] is out_start
+    of entry i's root; the saturated whole graph is one entry with rowbase
+    0, ids = arange(n) and its packed adjacency as the table.
 
-    Memory, for E entries and m edges: one label per member
-    (itemsize 1 B while alpha <= 256, or n <= 256 for the whole graph),
-    8(E + 1) + 24E bytes for offsets, ells, edges and rowbase, m *
+    Memory, for E entries, C classes, m edges and alpha the order's: one
+    label per member (1 B while alpha <= 256, or n <= 256 for the whole
+    graph), one rowbase word per entry, three words per class, and m *
     ceil(alpha / 64) table words and m ids words shared with the order;
     for the whole graph, n * ceil(n / 64) table words and n ids words.
     The table is the same at every k, and g keeps it for the counter and
@@ -158,17 +157,16 @@ class TuranShadow:
     rows: with nw = ceil(alpha / 64), at most twice its emitted sets plus
     its largest frontier and the children made from it, at nw + 4 words a
     set, two bytes a label, and about 16 * _CHUNK_ELEMS words of chunk
-    temporaries. A sampler adds one index per entry with ell >= 3, in the
-    narrowest unsigned dtype that holds an index below E (at most 4 B
-    below 2^32 entries).
+    temporaries. A sampler adds no bytes per entry.
     """
 
     k: int
-    offsets: np.ndarray
-    ells: np.ndarray
-    edges: np.ndarray
+    class_ells: np.ndarray
+    class_sizes: np.ndarray
+    class_counts: np.ndarray
     labels: np.ndarray
     rowbase: np.ndarray
+    exact_offset: int
     table: np.ndarray  # (rows, words per row) uint64
     ids: np.ndarray  # vertex id of each table row
 
@@ -177,21 +175,29 @@ class TuranShadow:
         return ShadowEntries(self)
 
     @property
-    def sizes(self) -> np.ndarray:
-        return np.diff(self.offsets)
+    def class_first(self) -> np.ndarray:
+        return np.cumsum(self.class_counts) - self.class_counts
+
+    @property
+    def class_start(self) -> np.ndarray:
+        labels = self.class_counts * self.class_sizes
+        return np.cumsum(labels) - labels
 
     @property
     def representation_size(self) -> int:
-        return int(self.offsets[-1])
+        return int(self.labels.size)
 
     @property
     def max_set_size(self) -> int:
-        return int(self.sizes.max(initial=0))
+        return int(self.class_sizes.max(initial=0))
 
     @property
     def ell_histogram(self) -> dict[int, int]:
-        ells, counts = np.unique(self.ells, return_counts=True)
-        return dict(zip(ells.tolist(), counts.tolist()))
+        hist: dict[int, int] = {}
+        for ell, count in zip(self.class_ells.tolist(),
+                              self.class_counts.tolist()):
+            hist[ell] = hist.get(ell, 0) + count
+        return hist
 
 
 def _saturated(edges, size, ell):
@@ -495,13 +501,10 @@ def oriented_table(g: Graph, check_time: Callable[[], None] = lambda: None
 
 def _build_batch(k: int, group: list, order: DegeneracyOrder,
                  table: np.ndarray, label_dtype):
-    """Emitted entries of one batch of root_batches, sorted by root, ell
-    and member mask (see the module docstring).
-
-    Returns (sizes, flat labels, ells, edges, rowbase): labels are the
-    members' root-local indices, rowbase[i] out_start of entry i's root.
-    """
-    emitted, ells = [], []
+    """(ells, sizes, counts, labels, rowbase, edges) of one batch of
+    root_batches, in the module docstring's order: its classes, its entries'
+    labels and rowbase, and the induced edges of its ell = 2 entries."""
+    emitted, ells, edges = [], [], 0
     for ids, nw in group:
         size = order.out_degree[ids]
         sets = _Sets(order.out_start[ids], _low_bits(size, nw), size, None)
@@ -510,6 +513,8 @@ def _build_batch(k: int, group: list, order: DegeneracyOrder,
             done = (_saturated(sets.edges, sets.size, ell) if ell > 2
                     else np.ones(sets.size.size, dtype=bool))
             out = sets.take(done)
+            if ell == 2:
+                edges += int(out.edges.sum())
             # at the table's width, so that the word classes' sets join
             out.mask = np.pad(out.mask, ((0, 0), (0, table.shape[1] - nw)))
             emitted.append(out)
@@ -521,14 +526,43 @@ def _build_batch(k: int, group: list, order: DegeneracyOrder,
             ell -= 1
     sets, ell = _Sets.concat(emitted), np.concatenate(ells)
     emitted.clear()  # so that it and the sorted copy are not held at once
-    # lexsort's last key is its first: base, then ell, then the mask's
-    # words from the highest down
-    perm = np.lexsort((*sets.mask.T, ell, sets.base))
-    sets, ell = sets.take(perm), ell[perm]
+    # lexsort's last key is its first: the class as one int (a size is at
+    # most alpha), then base, then the mask's words from the highest down
+    span = 64 * table.shape[1] + 1
+    key = ell * span + sets.size
+    perm = np.lexsort((*sets.mask.T, sets.base, key))
+    sets, key = sets.take(perm), key[perm]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
     labels = [np.empty(0, dtype=label_dtype), *(
         _members(sets.mask[c])[1].astype(label_dtype)
-        for c in _chunks(ell.size, 64 * table.shape[1]))]
-    return sets.size, np.concatenate(labels), ell, sets.edges, sets.base
+        for c in _chunks(key.size, 64 * table.shape[1]))]
+    return (*np.divmod(key[first], span), np.diff(first, append=key.size),
+            np.concatenate(labels), sets.base, edges)
+
+
+def _join(parts: list) -> tuple:
+    """The batches' (ells, sizes, counts, labels, rowbase, edges) joined:
+    each class's runs batch after batch, a batch released once copied."""
+    ells, sizes, counts = (np.concatenate([p[i] for p in parts])
+                           for i in range(3))
+    span = int(sizes.max(initial=0)) + 1
+    keys, cls = np.unique(ells * span + sizes, return_inverse=True)
+    runs = np.argsort(cls, kind="stable")  # by class, then batch
+    places = np.empty((cls.size, 2), dtype=np.int64)
+    for col, n in enumerate((counts, counts * sizes)):
+        places[runs, col] = np.cumsum(n[runs]) - n[runs]
+    rowbase = np.empty(int(counts.sum()), dtype=np.int64)
+    labels = np.empty(int(counts @ sizes), dtype=parts[0][3].dtype)
+    edges, places = sum(p[5] for p in parts), iter(places.tolist())
+    for b, (_, size, count, lb, rb, _) in enumerate(parts):
+        parts[b] = None
+        for r, l in zip(np.split(rb, np.cumsum(count))[:-1],
+                        np.split(lb, np.cumsum(count * size))[:-1]):
+            at, label_at = next(places)
+            rowbase[at:at + r.size], labels[label_at:label_at + l.size] = r, l
+    total = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(total, cls, counts)
+    return (*np.divmod(keys, span), total, labels, rowbase, edges)
 
 
 def _label_dtype(count: int) -> np.dtype:
@@ -565,22 +599,19 @@ def shadow_finder(g: Graph, k: int) -> TuranShadow:
         bits[ids.repeat(np.diff(g.indptr)), g.indices] = True
         table = np.packbits(bits, axis=1, bitorder="little").view(
             "<u8").astype(np.uint64, copy=False)
-        parts = [(np.array([n]), ids.astype(_label_dtype(n)), np.array([k]),
-                  np.array([m]), np.array([0]))]
+        parts = [(np.array([k]), np.array([n]), np.array([1]),
+                  ids.astype(_label_dtype(n)), np.array([0]), 0)]
     else:
         # one row per oriented edge: a root has at most alpha members
         ids, table = order.out_ids, oriented_table(g)
         dtype = _label_dtype(order.alpha)
         none = np.empty(0, dtype=np.int64)
-        parts = [(none, none.astype(dtype), none, none, none), *map_batches(
+        parts = [(none, none, none, none.astype(dtype), none, 0), *map_batches(
             lambda group: _build_batch(k, group, order, table, dtype),
             root_batches(order, k))]
-    sizes, labels, ells, edges, rowbase = (
-        np.concatenate([p[i] for p in parts]) for i in range(5))
-    offsets = np.zeros(sizes.size + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    for a in (offsets, labels, ells, edges, rowbase, table, ids):
+    ells, sizes, counts, labels, rowbase, edges = _join(parts)
+    for a in (ells, sizes, counts, labels, rowbase, table, ids):
         a.flags.writeable = False
-    return TuranShadow(k=k, offsets=offsets, ells=ells, edges=edges,
-                       labels=labels, rowbase=rowbase, table=table, ids=ids)
-
+    return TuranShadow(k=k, class_ells=ells, class_sizes=sizes,
+                       class_counts=counts, labels=labels, rowbase=rowbase,
+                       exact_offset=edges, table=table, ids=ids)

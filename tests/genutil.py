@@ -102,10 +102,20 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, np.ndarray]:
     return Graph(indptr, b), verts.copy()
 
 
+def entry_offsets(sh) -> np.ndarray:
+    """Where each entry's labels start in a TuranShadow, and their end:
+    entry i's labels are labels[offsets[i]:offsets[i + 1]]. Classes lay
+    out their entries one after another, each class_sizes[c] labels long."""
+    offsets = np.zeros(sh.rowbase.size + 1, dtype=np.int64)
+    np.cumsum(np.repeat(sh.class_sizes, sh.class_counts), out=offsets[1:])
+    return offsets
+
+
 def shadow_vertices(sh) -> np.ndarray:
     """Every entry's sorted ids of a TuranShadow, flat, in entry order:
     member a of entry i is vertex ids[rowbase[i] + a]."""
-    return sh.ids[np.repeat(sh.rowbase, np.diff(sh.offsets)) + sh.labels]
+    sizes = np.diff(entry_offsets(sh))
+    return sh.ids[np.repeat(sh.rowbase, sizes) + sh.labels]
 
 
 def out_neighbors(d, v: int) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Recursive Python-int reference for the shadow builder.
 
 Depth-first refinement with one bitmask per set: the result is the ordered
-list of (ell, vertices, edges) that `shadow_finder` must reproduce exactly.
-Entries are sorted by root id, then by ell, then by the member mask read
-as one integer (bit j for the root's j-th out-neighbour in ascending id),
-the library's canonical order. A root's members are its slice of the
+list of (ell, vertices, edges) that `shadow_finder` must reproduce exactly,
+edges being each entry's induced edge count. Entries are in the library's
+class-major order: by ell, then by size, then by root id, then by the
+member mask read as one integer (bit j for the root's j-th out-neighbour
+in ascending id). A root's members are its slice of the
 orientation's out_ids, and adjacency comes from Python sets of CSR
 neighbours, so this shares no induced-subgraph code with the library; it
 shares only `degeneracy_order`.
@@ -47,7 +48,8 @@ def _peel(rows, members):
 
 
 def reference_shadow(g, k):
-    """Entries of the k-clique shadow of g, in (root, ell, mask) order."""
+    """Entries of the k-clique shadow of g, in (ell, size, root, mask)
+    order."""
     n, m = g.vertex_count, g.edge_count
     if n < k:
         return []
@@ -60,7 +62,7 @@ def reference_shadow(g, k):
     def refine(v, rows, ids, members, ell):
         if ell <= 2 or _saturated(_edges(rows, members), len(_bits(members)),
                                   ell):
-            out.append(((v, ell, members), (
+            out.append(((ell, members.bit_count(), v, members), (
                 ell, tuple(ids[b] for b in _bits(members)),
                 _edges(rows, members))))
             return

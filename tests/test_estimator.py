@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 
@@ -30,7 +31,6 @@ from genutil import (
     has_edge,
     induced_subgraph,
     path_graph,
-    shadow_vertices,
     turan_graph,
     validity_suite,
 )
@@ -160,25 +160,29 @@ def test_weight_classes_draw_entries_with_exact_probabilities():
             assert st.entry_count == 0 and st.p.size == 0
             continue
         w = sum(math.comb(e.size, e.ell) for e in sampled)
-        ends = (st.first + st.count).tolist()
-        assert st.first[0] == 0 and ends[-1] == st.entry_count == len(sampled)
-        assert st.first[1:].tolist() == ends[:-1] and min(st.count) >= 1
-        keys = list(zip(st.ells.tolist(), st.sizes.tolist()))
-        assert len(keys) == len(st.first) and keys == sorted(set(keys))
+        # the sampled classes: the shadow's last, those with ell >= 3
+        lo = int(np.flatnonzero(sh.class_ells >= 3)[0])
+        first = sh.class_first[lo:].tolist()
+        count = sh.class_counts[lo:].tolist()
+        assert first[-1] + count[-1] == len(sh.entries)
+        assert st.entry_count == len(sampled) == sum(count)
+        keys = list(zip(sh.class_ells[lo:].tolist(),
+                        sh.class_sizes[lo:].tolist()))
+        assert len(keys) == len(st.p) and keys == sorted(set(keys))
         wc = [n * math.comb(size, ell)
-              for (ell, size), n in zip(keys, st.count.tolist())]
+              for (ell, size), n in zip(keys, count)]
         assert sum(wc) == w and st.total_weight == float(w)
         assert st.p.tolist() == [float(Fraction(x, w)) for x in wc]
         tol = len(wc) * 2.0 ** -52
         last = 1 - sum(Fraction(x) for x in st.p.tolist()[:-1])
         assert abs(last - Fraction(wc[-1], w)) <= tol
         # per entry: class probability over class size is C(|S|, ell) / W
-        unseen = set(np.flatnonzero(sh.ells >= 3).tolist())
+        unseen = {i for i, e in enumerate(sh.entries) if e.ell >= 3}
         cliques = [0] * len(wc)
-        for c, (a, n) in enumerate(zip(st.first, st.count)):
+        for c, (a, n) in enumerate(zip(first, count)):
             for i in range(a, a + n):
-                unseen.remove(int(st.entry[i]))  # each entry appears once
-                e = sh.entries[int(st.entry[i])]
+                unseen.remove(i)  # each entry appears once
+                e = sh.entries[i]
                 assert (e.ell, e.size) == keys[c]  # every entry of class c
                 assert Fraction(wc[c], w) / n == \
                     Fraction(math.comb(e.size, e.ell), w)
@@ -197,10 +201,11 @@ def test_weight_classes_draw_entries_with_exact_probabilities():
 
 def test_build_sampler_complete_graph():
     g = complete_graph(6)
-    st = build_sampler(shadow_finder(g, 4), g)
+    sh = shadow_finder(g, 4)
+    st = build_sampler(sh, g)
     assert st.entry_count == 1
-    assert (st.first.tolist(), st.count.tolist(), st.p.tolist()) == \
-        ([0], [1], [1.0])
+    assert (sh.class_first.tolist(), sh.class_counts.tolist(),
+            st.p.tolist()) == ([0], [1], [1.0])
     assert st.total_weight == 15.0
     assert st.exact_offset == 0
 
@@ -217,45 +222,40 @@ def test_total_weight_matches_recomputation_from_dump():
     g = er_graph(80, 0.4, seed=42)
     sh = shadow_finder(g, 5)
     st = build_sampler(sh, g)
-    recomputed = sum(math.comb(size, ell) for size, ell in
-                     zip(sh.sizes.tolist(), sh.ells.tolist()) if ell >= 3)
+    entries = list(sh.entries)
+    recomputed = sum(math.comb(e.size, e.ell) for e in entries if e.ell >= 3)
     assert st.total_weight == float(recomputed)
-    # entries sorted by (ell, size), in shadow order within a class, as
-    # narrow indices into the shadow itself
-    sampled = sorted((i for i, e in enumerate(sh.entries) if e.ell >= 3),
-                     key=lambda i: (sh.entries[i].ell, sh.entries[i].size))
-    assert st.entry.tolist() == sampled
-    assert st.entry.dtype == shadow._label_dtype(len(sh.ells))
     assert st.shadow is sh
-    # (ell, size) are kept per class, and each entry has its class's
-    ells, sizes = np.repeat(st.ells, st.count), np.repeat(st.sizes, st.count)
-    starts, vertices = sh.offsets[st.entry], shadow_vertices(sh)
-    assert [(ells[i], vertices[a:a + b].tolist())
-            for i, (a, b) in enumerate(zip(starts, sizes))] == \
-        [(sh.entries[i].ell, sh.entries[i].vertices.tolist())
-         for i in sampled]
+    # the shadow is class-major: entries ascend by (ell, size), so the
+    # sampled entries are its last, in the order the sampler draws them
+    keys = [(e.ell, e.size) for e in entries]
+    assert keys == sorted(keys)
+    sampled = [e for e in entries if e.ell >= 3]
+    assert entries[len(entries) - len(sampled):] == sampled
     # one class per distinct (ell, size), weights the exact binomials
-    keys = sorted({(sh.entries[i].ell, sh.entries[i].size) for i in sampled})
-    assert len(st.first) == len(keys) > 1
-    assert [float(Fraction(n * math.comb(s, e), recomputed))
-            for (e, s), n in zip(keys, st.count.tolist())] == st.p.tolist()
+    classes = sorted({(e.ell, e.size) for e in sampled})
+    assert len(st.p) == len(classes) > 1
+    counts = Counter((e.ell, e.size) for e in sampled)
+    assert [float(Fraction(counts[e, s] * math.comb(s, e), recomputed))
+            for e, s in classes] == st.p.tolist()
 
 
-def test_build_sampler_keeps_one_narrow_index_per_entry():
-    # the sampler copies no per-entry shadow array: what it retains is its
-    # entry index plus the class table
+def test_build_sampler_holds_o_classes_bytes():
+    # the sampler keeps nothing per entry and sorts nothing: while it is
+    # built and after, it holds at most 64 B per class plus 4 KiB
     g = er_graph(120, 0.5, seed=1)
     sh = shadow_finder(g, 6)
+    classes = sh.class_counts.size
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
         st = build_sampler(sh, g)
-        retained = tracemalloc.get_traced_memory()[0] - before
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert st.entry_count > 5000 and st.entry.itemsize == 2
-    assert retained <= (st.entry.itemsize * st.entry_count
-                        + 64 * len(st.first) + 4096)
+    assert st.entry_count > 5000
+    assert max(retained, peak) - before <= 64 * classes + 4096
 
 
 def test_run_trials_complete_graph_always_succeeds():

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections import Counter
 from dataclasses import fields
 from functools import lru_cache
 
@@ -27,6 +28,7 @@ from genutil import (
     complete_graph,
     cycle_complement,
     cycle_graph,
+    entry_offsets,
     er_graph,
     has_edge,
     induced_adjacency_matrix,
@@ -66,9 +68,9 @@ def test_dense_root_passes_through_unrefined():
     e = sh.entries[0]
     assert e.ell == 4
     assert e.vertices.tolist() == [0, 1, 2, 3, 4, 5]
-    assert len(sh.ells) == 1
+    assert len(sh.rowbase) == 1
     assert sh.representation_size == 6
-    assert sh.ells.tolist() == [sh.k]  # no refinement
+    assert sh.class_ells.tolist() == [sh.k]  # no refinement
 
 
 def test_cycle5_triangle_shadow_hand_trace():
@@ -78,13 +80,14 @@ def test_cycle5_triangle_shadow_hand_trace():
     g = cycle_graph(5)
     sh = shadow_finder(g, 3)
     assert entry_keys(sh) == [(2, (1, 4))]
-    assert sh.entries[0].edges == 0
+    assert induced_edge_count(g, sh.entries[0].vertices) == 0
+    assert sh.exact_offset == 0
     assert shadow_total(g, sh) == 0
-    assert len(sh.ells) == 1
+    assert len(sh.rowbase) == 1
     assert sh.representation_size == 2
     assert sh.max_set_size == 2
     assert sh.ell_histogram == {2: 1}
-    assert sh.k - int(sh.ells.min()) == 1  # refined once
+    assert sh.k - int(sh.class_ells.min()) == 1  # refined once
 
 
 def test_er_validity_exact_equality():
@@ -110,12 +113,6 @@ def test_every_entry_is_saturated_or_small_ell():
                 assert 2 * edges * (e.ell - 1) > s * s * (e.ell - 2)
                 # which implies the C(s,2)-normalized density threshold
                 assert 2 * edges * (e.ell - 1) > s * (s - 1) * (e.ell - 2)
-
-
-def test_cached_edge_counts_match_recomputation():
-    for g, k in validity_suite():
-        for e in shadow_finder(g, k).entries:
-            assert e.edges == induced_edge_count(g, e.vertices)
 
 
 def test_refined_entries_bounded_by_degeneracy():
@@ -167,7 +164,7 @@ def test_k_above_cap_rejected():
 def test_small_graph_yields_empty_shadow():
     sh = shadow_finder(complete_graph(3), 5)
     assert list(sh.entries) == []
-    assert len(sh.ells) == 0
+    assert len(sh.rowbase) == sh.class_ells.size == 0
     assert sh.max_set_size == 0
     assert sh.ell_histogram == {}
 
@@ -215,12 +212,23 @@ def reference_entries():
     return [reference_shadow(g, k) for g, k in reference_cases()]
 
 
+@lru_cache(maxsize=None)
+def induced_edges():
+    """induced_edge_count of each reference entry, case by case: the
+    builder's entries have the same vertices, so these are theirs too."""
+    cases = zip(reference_cases(), reference_entries())
+    return [[induced_edge_count(g, np.array(v)) for _, v, _ in expected]
+            for (g, _), expected in cases]
+
+
 @pytest.mark.parametrize("budget", [None, "unit", "batch3"],
                          ids=["default", "unit", "batch3"])
 def test_builder_matches_recursive_reference(monkeypatch, budget):
     # the level engine must emit exactly the recursive builder's entries,
-    # in the canonical (root, ell, member mask) order, whatever the root
-    # batch and chunk sizes and worker count
+    # in the canonical class-major (ell, size, root, member mask) order,
+    # whatever the root batch and chunk sizes and worker count. The
+    # reference's edge counts are each entry's induced_edge_count, and the
+    # shadow's exact_offset is their sum over the ell = 2 entries
     batches = shrink_budgets(monkeypatch, budget)
     words = []
     children = shadow._children
@@ -232,10 +240,14 @@ def test_builder_matches_recursive_reference(monkeypatch, budget):
     monkeypatch.setattr(shadow, "_children", spy)
     for workers in (1, 3):
         monkeypatch.setattr(shadow, "_workers", lambda: workers)
-        for (g, k), expected in zip(reference_cases(), reference_entries()):
-            got = [(e.ell, tuple(e.vertices.tolist()), e.edges)
-                   for e in shadow_finder(g, k).entries]
-            assert got == expected, (g, k, workers)
+        for (g, k), expected, edges in zip(
+                reference_cases(), reference_entries(), induced_edges()):
+            sh = shadow_finder(g, k)
+            got = [(e.ell, tuple(e.vertices.tolist())) for e in sh.entries]
+            assert got == [(ell, v) for ell, v, _ in expected], (g, k, workers)
+            assert [e for *_, e in expected] == edges, (g, k)
+            ell2 = sum(e for (ell, *_), e in zip(expected, edges) if ell == 2)
+            assert sh.exact_offset == ell2, (g, k, workers)
     assert max(words) == 2  # er160's roots of out-degree above 64
     check_batches(budget, batches)
 
@@ -309,33 +321,34 @@ def test_builder_batch_peaks_within_the_documented_bound(monkeypatch):
         frontier[0] = 0
         tracemalloc.start()
         try:
-            sizes, labels, *_ = shadow._build_batch(k, group, order, table,
-                                                    np.uint8)
+            *_, labels, rowbase, _ = shadow._build_batch(k, group, order,
+                                                         table, np.uint8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        set_words.append(2 * (frontier[0] + sizes.size)
+        set_words.append(2 * (frontier[0] + rowbase.size)
                          * (table.shape[1] + 4))
         assert peak <= 8 * (set_words[-1] + 16 * chunk) + 2 * labels.size
     assert set_words[0] > 2 * 16 * chunk
 
 
-SHADOW_FIELDS = ("k", "offsets", "ells", "edges", "labels", "rowbase",
-                 "table", "ids")
+SHADOW_FIELDS = ("k", "class_ells", "class_sizes", "class_counts", "labels",
+                 "rowbase", "exact_offset", "table", "ids")
 
 
-ENTRY_ARRAYS = ("offsets", "ells", "edges", "labels", "rowbase")
+ENTRY_FIELDS = ("class_ells", "class_sizes", "class_counts", "labels",
+                "rowbase", "exact_offset")
 
 
-def shadow_digest(g, ks, names=ENTRY_ARRAYS):
-    """sha256 over the named arrays of g's shadow at each k in ks, each
-    array's dtype and shape included: any change to the entries, their
+def shadow_digest(g, ks, names=ENTRY_FIELDS):
+    """sha256 over the named fields of g's shadow at each k in ks, each
+    as an array with its dtype and shape: any change to the entries, their
     order or their dtypes changes it."""
     digest = hashlib.sha256()
     for k in ks:
         sh = shadow_finder(g, k)
         for name in names:
-            a = getattr(sh, name)
+            a = np.asarray(getattr(sh, name))
             digest.update(f"{k} {name} {a.dtype.str} {a.shape}".encode())
             digest.update(a.tobytes())
     return digest.hexdigest()
@@ -344,7 +357,7 @@ def shadow_digest(g, ks, names=ENTRY_ARRAYS):
 def test_shadow_arrays_digest_is_pinned():
     # planted-small at k = 5..7, whose table rows are one word
     assert shadow_digest(planted_small(), (5, 6, 7)) == (
-        "a00be2ba041fe3ecb478618cbedb2282ae5a3feb354dc22b4e39abde6d381457")
+        "1fa5d7db84b83d7b7fae1617c1ec5623c0a6266e811c94a14c29bed0398bd2db")
 
 
 def test_shadow_arrays_digest_is_pinned_on_wide_and_whole_tables():
@@ -354,25 +367,11 @@ def test_shadow_arrays_digest_is_pinned_on_wide_and_whole_tables():
     wide = er_graph(160, 0.6, seed=2)
     assert shadow_finder(wide, 5).table.shape[1] == 2
     assert shadow_digest(wide, (5, 6)) == (
-        "de1d2aabec7bcb638d9e475cc8b97e3589512d99b588a19ddce99d45d9a8aebc")
+        "05e39aa966d81e8ae84954cb8b7c3c66385adf4ddf780fa14c859ef46427003a")
     whole = complete_graph(65)
     assert shadow_finder(whole, 8).table.shape == (65, 2)
-    assert shadow_digest(whole, (8,), (*ENTRY_ARRAYS, "table", "ids")) == (
-        "f4e48c476105a716fe8074fc6e7ef72f9476463b5ac74c4904d669fe98c4cefd")
-
-
-def test_entries_ascend_by_root_ell_and_mask():
-    # the canonical order, read off the flat arrays: (rowbase, ell, member
-    # mask as one integer) never decreases from one entry to the next
-    for g, k in [*((planted_small(), k) for k in (5, 6, 7)),
-                 (er_graph(160, 0.6, seed=2), 5)]:  # two-word masks
-        sh = shadow_finder(g, k)
-        bounds = sh.offsets.tolist()
-        keys = [(int(sh.rowbase[i]), int(sh.ells[i]),
-                 sum(1 << a for a in sh.labels[lo:hi].tolist()))
-                for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
-        assert len(keys) > 100, (g, k)
-        assert keys == sorted(keys), (g, k)
+    assert shadow_digest(whole, (8,), (*ENTRY_FIELDS, "table", "ids")) == (
+        "4dd35bb1e0fb3721288c1745be17138b160aa83bc235a67e43c98c34a8c010ea")
 
 
 def test_shadow_arrays_do_not_depend_on_batches(monkeypatch):
@@ -401,36 +400,61 @@ def test_shadow_arrays_do_not_depend_on_batches(monkeypatch):
             check_batches(budget, batches)
 
 
-def test_flat_shadow_invariants():
-    for g, k in reference_cases():
+def test_class_major_layout_invariants():
+    # classes strictly ascend by (ell, size) and are never empty; the labels
+    # are exactly the classes' entries laid out one after another; within a
+    # class, (rowbase, member mask as one integer) never decreases, and is
+    # equal only for an entry repeated in the multiset (one set reached
+    # twice under one root); the entry view and the histogram read the same
+    # layout
+    planted = planted_small()
+    big = [*((planted, k) for k in (5, 6, 7)),
+           (er_graph(160, 0.6, seed=2), 5)]  # two-word masks
+    for g, k in big:
+        assert len(shadow_finder(g, k).entries) > 100, (g, k)
+    for g, k in [*reference_cases(), *big]:
         sh = shadow_finder(g, k)
-        vertices = shadow_vertices(sh)
-        assert sh.offsets[0] == 0
-        assert np.all(np.diff(sh.offsets) >= 0)
-        assert sh.offsets[-1] == sh.representation_size == vertices.size
-        assert len(sh.entries) == len(sh.ells) == len(sh.edges) \
-            == len(sh.offsets) - 1
-        assert sh.ells.min(initial=k) >= 2  # ell <= 1 is never emitted
-        for i, e in enumerate(sh.entries):
-            a, b = sh.offsets[i], sh.offsets[i + 1]
-            assert np.array_equal(e.vertices, vertices[a:b])
-            assert (e.ell, e.edges) == (sh.ells[i], sh.edges[i])
-        assert sh.labels.size == vertices.size
-        assert sh.rowbase.size == sh.ells.size
+        classes = list(zip(sh.class_ells.tolist(), sh.class_sizes.tolist()))
+        assert all(a < b for a, b in zip(classes, classes[1:])), (g, k)
+        assert sh.class_counts.min(initial=1) >= 1
+        assert sh.class_ells.min(initial=k) >= 2  # ell <= 1 is never emitted
+        assert sh.labels.size == sh.representation_size == int(
+            (sh.class_counts * sh.class_sizes).sum())
+        assert len(sh.entries) == sh.rowbase.size == sh.class_counts.sum()
+        offsets, vertices = entry_offsets(sh), shadow_vertices(sh)
+        first, counts = sh.class_first.tolist(), sh.class_counts.tolist()
+        assert first == [sum(counts[:c]) for c in range(len(counts))]
+        assert sh.class_start.tolist() == offsets[first].tolist()
+        for c, (lo, n) in enumerate(zip(first, counts)):
+            keys = [(int(sh.rowbase[i]), sum(
+                1 << a for a in sh.labels[offsets[i]:offsets[i + 1]].tolist()))
+                for i in range(lo, lo + n)]
+            assert keys == sorted(keys), (g, k, c)
+            # each class's first and last entries, from the start and the end
+            for i in {lo, lo + n - 1}:
+                for j in (i, i - len(sh.entries)):
+                    e = sh.entries[j]
+                    assert (e.ell, e.size) == classes[c], (g, k, j)
+                    assert np.array_equal(
+                        e.vertices, vertices[offsets[i]:offsets[i + 1]])
+        hist = Counter(e.ell for e in sh.entries)
+        assert sh.ell_histogram == hist, (g, k)
+        assert all(type(v) is int for v in sh.ell_histogram.values())
         assert sh.labels.dtype.kind == "u"
-        for a in (sh.offsets, sh.ells, sh.edges, sh.labels,
+        for a in (sh.class_ells, sh.class_sizes, sh.class_counts, sh.labels,
                   sh.rowbase, sh.table, sh.ids):
             assert not a.flags.writeable
 
 
 def test_shadow_bytes_match_the_documented_bound():
-    # one 1-byte label per member (alpha <= 256 and n <= 256 here), four
-    # words per entry (one more for offsets), and a table row of
+    # one 1-byte label per member (alpha <= 256 and n <= 256 here), one
+    # rowbase word per entry, three words per class, and a table row of
     # ceil(alpha / 64) words plus an id word per oriented edge, or
     # ceil(n / 64) words plus an id word per vertex for the whole graph
     for g, k in reference_cases():
         sh = shadow_finder(g, k)
-        n, m, e = g.vertex_count, g.edge_count, len(sh.ells)
+        n, m = g.vertex_count, g.edge_count
+        e, c = len(sh.entries), sh.class_counts.size
         if n >= k and shadow._saturated(m, n, k):
             rows, words = n, -(-n // 64)
         else:
@@ -438,7 +462,7 @@ def test_shadow_bytes_match_the_documented_bound():
         arrays = [getattr(sh, f.name) for f in fields(sh)]
         total = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
         assert sh.labels.itemsize == 1
-        assert total == (sh.representation_size + 8 * (e + 1) + 24 * e
+        assert total == (sh.representation_size + 8 * e + 24 * c
                          + 8 * rows * words + 8 * rows), (g, k)
 
 
@@ -464,9 +488,10 @@ def test_table_bits_match_adjacency(monkeypatch, budget):
         else:
             assert sh.table.shape == (m, max(1, -(-order.alpha // 64)))
         assert sh.labels.dtype == np.uint8
+        offsets = entry_offsets(sh)
         for i, e in enumerate(sh.entries):
             base = int(sh.rowbase[i])
-            labels = sh.labels[sh.offsets[i]:sh.offsets[i + 1]].tolist()
+            labels = sh.labels[offsets[i]:offsets[i + 1]].tolist()
             verts = e.vertices.tolist()
             assert ids[base + np.array(labels, dtype=int)].tolist() \
                 == verts, (g, k, i)
@@ -482,7 +507,7 @@ def test_table_bits_match_adjacency(monkeypatch, budget):
                     bit = int(row[lb // 64]) >> (lb % 64) & 1
                     assert bit == has_edge(g, u, v), (g, k, i)
                     bits += bit
-            assert bits == 2 * e.edges
+            assert bits == 2 * induced_edge_count(g, e.vertices)
     check_batches(budget, batches)
 
 
@@ -531,7 +556,8 @@ def test_whole_table_is_the_packed_adjacency():
         n = g.vertex_count
         assert whole_graph(g, k), (g, k)
         sh = shadow_finder(g, k)
-        assert sh.ells.tolist() == [k] and sh.sizes.tolist() == [n]
+        assert (sh.class_ells.tolist(), sh.class_sizes.tolist(),
+                sh.class_counts.tolist()) == ([k], [n], [1])
         assert np.array_equal(sh.ids, np.arange(n))
         assert sh.table.dtype == np.uint64
         assert sh.table.shape == (n, -(-n // 64))
