@@ -400,13 +400,12 @@ def test_shadow_arrays_do_not_depend_on_batches(monkeypatch):
             check_batches(budget, batches)
 
 
-def test_class_major_layout_invariants():
-    # classes strictly ascend by (ell, size) and are never empty; the labels
-    # are exactly the classes' entries laid out one after another; within a
-    # class, (rowbase, member mask as one integer) never decreases, and is
-    # equal only for an entry repeated in the multiset (one set reached
-    # twice under one root); the entry view and the histogram read the same
-    # layout
+def test_entries_ascend_by_root_ell_and_mask():
+    # the canonical class-major order, read off the flat arrays: classes
+    # strictly ascend by (ell, size), and within a class (rowbase, member
+    # mask as one integer) never decreases from one entry to the next. It
+    # is equal only for an entry repeated in the multiset (one set reached
+    # twice under one root)
     planted = planted_small()
     big = [*((planted, k) for k in (5, 6, 7)),
            (er_graph(160, 0.6, seed=2), 5)]  # two-word masks
@@ -416,20 +415,33 @@ def test_class_major_layout_invariants():
         sh = shadow_finder(g, k)
         classes = list(zip(sh.class_ells.tolist(), sh.class_sizes.tolist()))
         assert all(a < b for a, b in zip(classes, classes[1:])), (g, k)
+        offsets = entry_offsets(sh)
+        first, counts = sh.class_first.tolist(), sh.class_counts.tolist()
+        for c, (lo, n) in enumerate(zip(first, counts)):
+            keys = [(int(sh.rowbase[i]), sum(
+                1 << a for a in sh.labels[offsets[i]:offsets[i + 1]].tolist()))
+                for i in range(lo, lo + n)]
+            assert keys == sorted(keys), (g, k, c)
+
+
+def test_flat_shadow_invariants():
+    # classes are never empty; the labels are exactly the classes' entries
+    # laid out one after another; the entry view and the histogram read the
+    # same layout; every array is read-only
+    for g, k in reference_cases():
+        sh = shadow_finder(g, k)
+        classes = list(zip(sh.class_ells.tolist(), sh.class_sizes.tolist()))
         assert sh.class_counts.min(initial=1) >= 1
         assert sh.class_ells.min(initial=k) >= 2  # ell <= 1 is never emitted
         assert sh.labels.size == sh.representation_size == int(
             (sh.class_counts * sh.class_sizes).sum())
         assert len(sh.entries) == sh.rowbase.size == sh.class_counts.sum()
         offsets, vertices = entry_offsets(sh), shadow_vertices(sh)
+        assert offsets[0] == 0 and offsets[-1] == vertices.size
         first, counts = sh.class_first.tolist(), sh.class_counts.tolist()
         assert first == [sum(counts[:c]) for c in range(len(counts))]
         assert sh.class_start.tolist() == offsets[first].tolist()
         for c, (lo, n) in enumerate(zip(first, counts)):
-            keys = [(int(sh.rowbase[i]), sum(
-                1 << a for a in sh.labels[offsets[i]:offsets[i + 1]].tolist()))
-                for i in range(lo, lo + n)]
-            assert keys == sorted(keys), (g, k, c)
             # each class's first and last entries, from the start and the end
             for i in {lo, lo + n - 1}:
                 for j in (i, i - len(sh.entries)):
