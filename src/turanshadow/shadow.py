@@ -25,21 +25,22 @@ out-neighbours, for every vertex v, so it does not depend on k; it is
 filled by forward triangle listing along the order, and no vertex pair is
 looked up. Member rows are read there in place by one flat gather
 (member_rows), and members found by one 1-D flatnonzero over the masks.
-At budget ell the frontier sets of a word class are tested together, in
-one call per level when alpha <= 64; the saturated ones (and all at
-ell <= 2) are emitted, the rest are peeled together, one minimum-degree
-member per step (the lowest index, which is the lowest id, among ties),
-and each member's out-neighborhood with at least ell - 1 members joins
-the frontier at budget ell - 1, its edges counted over its own members'
-rows.
+At budget ell the frontier sets of a word class have their edges counted
+over their own members' rows and are tested together, in one call per
+level when alpha <= 64; the saturated ones (and all at ell <= 2) are
+emitted, the rest are peeled together, one minimum-degree member per step
+(the lowest index, which is the lowest id, among ties), and each member's
+out-neighborhood with at least ell - 1 members joins the frontier at
+budget ell - 1.
 
 The shadow is a multiset, and neither the estimate nor its guarantee
 depends on the order of its entries; one canonical key fixes that order.
-Emitted sets are sorted by class (ell, then size), then by root (by base,
-out_start[root], which rises with the root id), then by the member mask
-read as one integer (bit a of word w is 2^(64w + a)). Two sets tie only
-when they are the same entry, since a mask and its root fix the members,
-the size and the edges.
+Emitted sets are sorted by class (ell, then size: one key ell * span +
+size, where span = 64 * nw + 1, for the table's nw words a row, passes
+any size), then by root (by base, out_start[root], which rises with the
+root id), then by the member mask read as one integer (bit a of word w
+is 2^(64w + a)). Two sets tie only when they are the same entry, since a
+mask and its root fix the members, the size and the edges.
 
 Roots are processed in id-ordered batches that hold no rows, only frontier
 and emitted sets. Every set below a root of out-degree d is a subset of
@@ -150,14 +151,16 @@ class TuranShadow:
     ceil(alpha / 64) table words and m ids words shared with the order;
     for the whole graph, n * ceil(n / 64) table words and n ids words.
     The table is the same at every k, and g keeps it for the counter and
-    later builds; while its chunks are cut, one m-word transient and three
-    n-word arrays are held too. While the shadow is built, its root batches
-    are listed, one word per root, and each map_batches worker holds a table
+    later builds; while its chunks are cut, two n-word arrays are held too,
+    and no m-word one. While the shadow is built, its root batches are
+    listed, one word per root, and each map_batches worker holds a table
     chunk (see oriented_table) or works on a root batch, which holds no
     rows: with nw = ceil(alpha / 64), at most twice its emitted sets plus
-    its largest frontier and the children made from it, at nw + 4 words a
-    set, two bytes a label, and about 16 * _CHUNK_ELEMS words of chunk
-    temporaries. A sampler adds no bytes per entry.
+    its largest frontier and the children made from it, at nw + 3 words a
+    set (a frontier set's base, size and edge count, or an emitted set's
+    base and class key, beside its mask), two bytes a label, and about
+    16 * _CHUNK_ELEMS words of chunk temporaries. A sampler adds no bytes
+    per entry.
     """
 
     k: int
@@ -226,16 +229,9 @@ class _Sets:
     base: np.ndarray   # table row of the root's member 0: out_start[root]
     mask: np.ndarray   # (F, nw) uint64 member bitmask
     size: np.ndarray
-    edges: np.ndarray
 
     def take(self, idx) -> "_Sets":
-        return _Sets(self.base[idx], self.mask[idx], self.size[idx],
-                     self.edges[idx])
-
-    @staticmethod
-    def concat(parts: list["_Sets"]) -> "_Sets":
-        return _Sets(*(np.concatenate([getattr(p, f) for p in parts])
-                       for f in ("base", "mask", "size", "edges")))
+        return _Sets(self.base[idx], self.mask[idx], self.size[idx])
 
 
 # _BIT[i] holds bit i alone and _LOW[i] bits 0..i - 1
@@ -299,17 +295,15 @@ def _edges(table: np.ndarray, sets: _Sets) -> np.ndarray:
 def _children(table: np.ndarray, sets: _Sets, ell: int) -> _Sets:
     """Out-neighborhoods (budget ell - 1) of unsaturated sets at budget ell,
     given by descending size; peeled by chunk, the parts joined every 16
-    chunks so that one-set chunks hold few arrays, edges counted last."""
+    chunks so that one-set chunks hold few arrays. Their edges are not
+    counted here: the next level counts them where it tests them."""
     nw = sets.mask.shape[1]
     parts = []
     for c in _chunks(sets.size.size, 64 * nw * nw):
         parts.append(_peel(table, sets.take(c), ell))
         if len(parts) == 16:
             parts = [tuple(map(np.concatenate, zip(*parts)))]
-    base, mask, size = map(np.concatenate, zip(*parts))
-    children = _Sets(base, mask, size, None)
-    children.edges = _edges(table, children)
-    return children
+    return _Sets(*map(np.concatenate, zip(*parts)))
 
 
 def _peel(table: np.ndarray, sets: _Sets, ell: int):
@@ -446,15 +440,17 @@ def oriented_table(g: Graph, check_time: Callable[[], None] = lambda: None
     A hit is the row of w, and sets the pair's bit in both rows; each
     adjacent pair of out(v) is one wedge, from whichever of the two comes
     first in the order. Vertices are cut, in id order, into chunks, as
-    root_batches cuts roots: a chunk closes before its wedges plus the bits
-    of its rows would pass 2 * _CHUNK_ELEMS (a vertex with more is a chunk
-    alone), so a vertex without wedges still counts. Beside the table,
-    cutting holds one m-word transient, the running wedge count by row,
-    three n-word arrays and the (lo, hi) bounds of every chunk, listed
-    before any is filled; a chunk holds at most 16 * _CHUNK_ELEMS words,
-    or, alone, about 8 words per unit of its cost. Chunks fill disjoint
-    rows on the threads of map_batches; check_time() runs before each
-    chunk. g keeps the finished table, read-only, and no stopped one.
+    root_batches cuts roots: a vertex of out-degree d costs
+    d * (64 * nw + alpha), the bits of its rows and a bound on their
+    wedges (a row (v, u) has out_degree[u] <= alpha), and a chunk closes
+    before its vertices' costs would pass 2 * _CHUNK_ELEMS (a vertex with
+    more is a chunk alone). Beside the table, cutting holds two n-word
+    arrays, the costs and their running sum, and the (lo, hi) bounds of
+    every chunk, listed before any is filled; a chunk holds at most
+    16 * _CHUNK_ELEMS words, or, alone, about 8 words per unit of its
+    cost. Chunks fill disjoint rows on the threads of map_batches;
+    check_time() runs before each chunk. g keeps the finished table,
+    read-only, and no stopped one.
     """
     if g._table is not None:
         return g._table
@@ -485,14 +481,8 @@ def oriented_table(g: Graph, check_time: Callable[[], None] = lambda: None
         table[rows] = np.packbits(bits, bitorder="little").view(
             "<u8").reshape(-1, nw)
 
-    # each chunk's cost, from the running wedge count by row, made in place
-    wedges = out_deg[out_ids]
-    np.cumsum(wedges, out=wedges)
-    last = out_start + out_deg - 1  # each vertex's last row, ascending
-    first = int(np.searchsorted(last, 0))  # the first vertex with a row
-    spent = row_bits * (last + 1)
-    spent[first:] += wedges[last[first:]]
-    del wedges, last
+    # a row (v, u) has row_bits bits and out_deg[u] <= alpha wedges
+    spent = np.cumsum(out_deg * (row_bits + order.alpha))
     map_batches(fill, _spans(spent, 2 * _CHUNK_ELEMS))
     table.flags.writeable = False
     g._table = table
@@ -501,63 +491,64 @@ def oriented_table(g: Graph, check_time: Callable[[], None] = lambda: None
 
 def _build_batch(k: int, group: list, order: DegeneracyOrder,
                  table: np.ndarray, label_dtype):
-    """(ells, sizes, counts, labels, rowbase, edges) of one batch of
-    root_batches, in the module docstring's order: its classes, its entries'
-    labels and rowbase, and the induced edges of its ell = 2 entries."""
-    emitted, ells, edges = [], [], 0
+    """(keys, counts, labels, rowbase, edges) of one batch of root_batches,
+    in the module docstring's order: its classes' keys ell * span + size
+    and counts, its entries' labels and rowbase, and the induced edges of
+    its ell = 2 entries. Each level appends its emitted sets as one (key,
+    base, mask) tuple, the mask padded to the table's width."""
+    width = table.shape[1]
+    span, emitted, edges = 64 * width + 1, [], 0
     for ids, nw in group:
         size = order.out_degree[ids]
-        sets = _Sets(order.out_start[ids], _low_bits(size, nw), size, None)
-        sets.edges, ell = _edges(table, sets), k - 1
+        sets = _Sets(order.out_start[ids], _low_bits(size, nw), size)
+        ell = k - 1
         while sets.size.size:
-            done = (_saturated(sets.edges, sets.size, ell) if ell > 2
-                    else np.ones(sets.size.size, dtype=bool))
+            if ell == 2:  # every set is emitted
+                edges += int(_edges(table, sets).sum())
+                done = np.ones(sets.size.size, dtype=bool)
+            else:
+                done = _saturated(_edges(table, sets), sets.size, ell)
             out = sets.take(done)
-            if ell == 2:
-                edges += int(out.edges.sum())
             # at the table's width, so that the word classes' sets join
-            out.mask = np.pad(out.mask, ((0, 0), (0, table.shape[1] - nw)))
-            emitted.append(out)
-            ells.append(np.full(out.size.size, ell))
+            emitted.append((ell * span + out.size, out.base,
+                            np.pad(out.mask, ((0, 0), (0, width - nw)))))
             rest = np.flatnonzero(~done)  # by descending size, as peeled
             sets = sets.take(rest[np.argsort(-sets.size[rest], kind="stable")])
             if sets.size.size:
                 sets = _children(table, sets, ell)
             ell -= 1
-    sets, ell = _Sets.concat(emitted), np.concatenate(ells)
+    key, base, mask = map(np.concatenate, zip(*emitted))
     emitted.clear()  # so that it and the sorted copy are not held at once
-    # lexsort's last key is its first: the class as one int (a size is at
-    # most alpha), then base, then the mask's words from the highest down
-    span = 64 * table.shape[1] + 1
-    key = ell * span + sets.size
-    perm = np.lexsort((*sets.mask.T, sets.base, key))
-    sets, key = sets.take(perm), key[perm]
+    # lexsort's last key is its first: the class, then base, then the
+    # mask's words from the highest down
+    perm = np.lexsort((*mask.T, base, key))
+    key, base, mask = key[perm], base[perm], mask[perm]
     first = np.flatnonzero(np.diff(key, prepend=-1))
     labels = [np.empty(0, dtype=label_dtype), *(
-        _members(sets.mask[c])[1].astype(label_dtype)
-        for c in _chunks(key.size, 64 * table.shape[1]))]
-    return (*np.divmod(key[first], span), np.diff(first, append=key.size),
-            np.concatenate(labels), sets.base, edges)
+        _members(mask[c])[1].astype(label_dtype)
+        for c in _chunks(key.size, 64 * width))]
+    return (key[first], np.diff(first, append=key.size),
+            np.concatenate(labels), base, edges)
 
 
-def _join(parts: list) -> tuple:
-    """The batches' (ells, sizes, counts, labels, rowbase, edges) joined:
+def _join(parts: list, span: int) -> tuple:
+    """(ells, sizes, counts, labels, rowbase, edges) of the batches'
+    (keys, counts, labels, rowbase, edges), each key ell * span + size:
     each class's runs batch after batch, a batch released once copied."""
-    ells, sizes, counts = (np.concatenate([p[i] for p in parts])
-                           for i in range(3))
-    span = int(sizes.max(initial=0)) + 1
-    keys, cls = np.unique(ells * span + sizes, return_inverse=True)
+    keys, counts = (np.concatenate([p[i] for p in parts]) for i in (0, 1))
+    sizes = keys % span
+    keys, cls = np.unique(keys, return_inverse=True)
     runs = np.argsort(cls, kind="stable")  # by class, then batch
     places = np.empty((cls.size, 2), dtype=np.int64)
     for col, n in enumerate((counts, counts * sizes)):
         places[runs, col] = np.cumsum(n[runs]) - n[runs]
     rowbase = np.empty(int(counts.sum()), dtype=np.int64)
-    labels = np.empty(int(counts @ sizes), dtype=parts[0][3].dtype)
-    edges, places = sum(p[5] for p in parts), iter(places.tolist())
-    for b, (_, size, count, lb, rb, _) in enumerate(parts):
+    labels = np.empty(int(counts @ sizes), dtype=parts[0][2].dtype)
+    edges, places = sum(p[4] for p in parts), iter(places.tolist())
+    for b, (key, count, lb, rb, _) in enumerate(parts):
         parts[b] = None
         for r, l in zip(np.split(rb, np.cumsum(count))[:-1],
-                        np.split(lb, np.cumsum(count * size))[:-1]):
+                        np.split(lb, np.cumsum(count * (key % span)))[:-1]):
             at, label_at = next(places)
             rowbase[at:at + r.size], labels[label_at:label_at + l.size] = r, l
     total = np.zeros(keys.size, dtype=np.int64)
@@ -599,17 +590,19 @@ def shadow_finder(g: Graph, k: int) -> TuranShadow:
         bits[ids.repeat(np.diff(g.indptr)), g.indices] = True
         table = np.packbits(bits, axis=1, bitorder="little").view(
             "<u8").astype(np.uint64, copy=False)
-        parts = [(np.array([k]), np.array([n]), np.array([1]),
-                  ids.astype(_label_dtype(n)), np.array([0]), 0)]
+        parts = [(np.array([k * (64 * table.shape[1] + 1) + n]),
+                  np.array([1]), ids.astype(_label_dtype(n)), np.array([0]),
+                  0)]
     else:
         # one row per oriented edge: a root has at most alpha members
         ids, table = order.out_ids, oriented_table(g)
         dtype = _label_dtype(order.alpha)
         none = np.empty(0, dtype=np.int64)
-        parts = [(none, none, none, none.astype(dtype), none, 0), *map_batches(
+        parts = [(none, none, none.astype(dtype), none, 0), *map_batches(
             lambda group: _build_batch(k, group, order, table, dtype),
             root_batches(order, k))]
-    ells, sizes, counts, labels, rowbase, edges = _join(parts)
+    ells, sizes, counts, labels, rowbase, edges = _join(
+        parts, 64 * table.shape[1] + 1)
     for a in (ells, sizes, counts, labels, rowbase, table, ids):
         a.flags.writeable = False
     return TuranShadow(k=k, class_ells=ells, class_sizes=sizes,

@@ -165,13 +165,17 @@ def grid_graph(rows: int, cols: int) -> Graph:
     return Graph.from_edges(edges, num_vertices=rows * cols)
 
 
-def cycle_complement(n):
+def cycle_complement(n, tail=0):
     """K_n less the cycle 0, 1, ..., n - 1: (n - 3)-regular, so its
-    degeneracy is n - 3, and every out-neighbourhood misses some pairs."""
+    degeneracy is n - 3, and every out-neighbourhood misses some pairs.
+    A path of `tail` more vertices, n first, hangs off vertex 0."""
     iu, ju = np.triu_indices(n, 1)
     keep = (ju - iu != 1) & (ju - iu != n - 1)
-    return Graph.from_edges(np.stack([iu[keep], ju[keep]], axis=1),
-                            num_vertices=n)
+    path = np.arange(n - 1, n + tail)
+    path[0] = 0
+    edges = np.concatenate([np.stack([iu[keep], ju[keep]], axis=1),
+                            np.stack([path[:-1], path[1:]], axis=1)])
+    return Graph.from_edges(edges, num_vertices=n + tail)
 
 
 def turan_graph(n: int, r: int) -> Graph:

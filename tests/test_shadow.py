@@ -293,12 +293,14 @@ def test_one_children_call_per_level_and_word_class(monkeypatch):
 
 def test_builder_batch_peaks_within_the_documented_bound(monkeypatch):
     # the TuranShadow docstring's bound on a batch: twice its entries plus
-    # its largest frontier and children, at nw + 4 words a set (base, size,
-    # edges and the emitted ell beside the mask), two bytes a label and 16
-    # chunks of words. Traced: the batch of each graph's widest root, alone
-    # in its batch at this small chunk; the sets' words outweigh the
-    # chunks' at er160, k = 6. At er200, k = 7, a peel chunk holds one set,
-    # so the peel's parts are many and must be joined as they come
+    # its largest frontier and children, at nw + 3 words a set (a frontier
+    # set holds base, size and one level's edge count beside its mask, an
+    # emitted set base and class key beside its padded mask), two bytes a
+    # label and 16 chunks of words. Traced: the batch of each graph's
+    # widest root, alone in its batch at this small chunk; the sets' words
+    # outweigh the chunks' at er160, k = 6. At er200, k = 7, a peel chunk
+    # holds one set, so the peel's parts are many and must be joined as
+    # they come
     chunk = 256
     monkeypatch.setattr(shadow, "_CHUNK_ELEMS", chunk)
     frontier = [0]
@@ -327,7 +329,7 @@ def test_builder_batch_peaks_within_the_documented_bound(monkeypatch):
         finally:
             tracemalloc.stop()
         set_words.append(2 * (frontier[0] + rowbase.size)
-                         * (table.shape[1] + 4))
+                         * (table.shape[1] + 3))
         assert peak <= 8 * (set_words[-1] + 16 * chunk) + 2 * labels.size
     assert set_words[0] > 2 * 16 * chunk
 
@@ -620,10 +622,10 @@ def test_table_at_word_boundaries_and_on_degenerate_graphs(monkeypatch,
 
 
 def test_table_fill_peaks_within_the_documented_bound(monkeypatch):
-    # oriented_table's bound on one worker: beside the table, one m-word
-    # transient and three n-word arrays while chunks are cut, and 16 *
-    # _CHUNK_ELEMS words a chunk. No vertex here is a chunk alone, and 4m
-    # words (2m edge keys and as many row ids) would pass the bound
+    # oriented_table's bound on one worker: beside the table, two n-word
+    # arrays (each vertex's cost and their running sum) while chunks are
+    # cut, and 16 * _CHUNK_ELEMS words a chunk. No vertex here is a chunk
+    # alone, and one m-word array beside the two would pass the bound
     chunk = 1024
     monkeypatch.setattr(shadow, "_CHUNK_ELEMS", chunk)
     monkeypatch.setattr(shadow, "_workers", lambda: 1)
@@ -631,12 +633,9 @@ def test_table_fill_peaks_within_the_documented_bound(monkeypatch):
     order = degeneracy_order(g)
     n, m = g.vertex_count, g.edge_count
     nw = max(1, -(-order.alpha // 64))
-    deg, start = order.out_degree.tolist(), order.out_start.tolist()
-    costs = [64 * nw * d + int(order.out_degree[order.out_ids[s:s + d]].sum())
-             for s, d in zip(start, deg)]  # each vertex's bits and wedges
-    assert max(costs) <= 2 * chunk
-    words = m + 3 * n + 16 * chunk
-    assert 4 * m > words
+    assert order.alpha * (64 * nw + order.alpha) <= 2 * chunk
+    words = 2 * n + 16 * chunk
+    assert 2 * n + m > words
     tracemalloc.start()
     try:
         table = shadow.oriented_table(g)
@@ -645,6 +644,42 @@ def test_table_fill_peaks_within_the_documented_bound(monkeypatch):
         tracemalloc.stop()
     assert np.array_equal(table, expected_table(g, order))
     assert peak <= table.nbytes + 8 * words
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_table_chunks_are_cut_greedily_by_out_degree(monkeypatch, workers):
+    # a vertex of out-degree d costs d * (64 * nw + alpha): its rows' bits
+    # and a bound on their wedges. Chunks are cut greedily at
+    # 2 * _CHUNK_ELEMS: each fits or holds one vertex with rows, and
+    # closed only because the next vertex did not fit. The tailed cycle
+    # complement has rows of two words, vertices that are chunks alone
+    # and a path of vertices with at most one row
+    monkeypatch.setattr(shadow, "_workers", lambda: workers)
+    monkeypatch.setattr(shadow, "_CHUNK_ELEMS", 2048)
+    limit = 2 * shadow._CHUNK_ELEMS
+    calls, map_batches = [], shadow.map_batches
+
+    def spy(fn, spans):  # the (lo, hi) vertex spans of each call
+        calls.append(list(spans))
+        return map_batches(fn, calls[-1])
+
+    monkeypatch.setattr(shadow, "map_batches", spy)
+    for g in (er_graph(300, 0.05, seed=4), cycle_complement(68, tail=200)):
+        order = degeneracy_order(g)
+        nw = max(1, -(-order.alpha // 64))
+        cost = order.out_degree * (64 * nw + order.alpha)
+        table = shadow.oriented_table(g)
+        spans = calls.pop()
+        assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+        assert spans[-1][1] == g.vertex_count
+        for lo, hi in spans:
+            with_rows = np.count_nonzero(order.out_degree[lo:hi])
+            assert cost[lo:hi].sum() <= limit or with_rows == 1, (lo, hi)
+        for (lo, hi), _ in zip(spans, spans[1:]):
+            assert cost[lo:hi + 1].sum() > limit, (lo, hi)
+        assert max(hi - lo for lo, hi in spans) > 1
+        assert np.array_equal(table, expected_table(g, order))
+    assert nw == 2 and cost.max() > limit
 
 
 def test_table_does_not_depend_on_k():
