@@ -41,13 +41,15 @@ class Graph:
     Invariants: no self-loops, no parallel edges, neighbor lists sorted
     ascending, and symmetric adjacency (v in adj[u] iff u in adj[v]).
     Safe for concurrent reads. Its degeneracy order and oriented table are
-    built lazily, once per graph, and kept read-only; two threads making the
-    first call at once may both build one, harmlessly. Nothing else is
-    cached.
+    built lazily and kept read-only: the order once per graph (two threads
+    making the first call at once may both peel one, harmlessly), and the
+    table, with the least out-degree floor its rows are filled for, once
+    per row, extended in place under a lock when a call asks for a lower
+    floor (see shadow.oriented_table). Nothing else is cached.
     """
 
     __slots__ = ("indptr", "indices", "vertex_count", "edge_count",
-                 "original_ids", "_order", "_table")
+                 "original_ids", "_order", "_table", "_table_floor")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
                  original_ids: np.ndarray | None = None):
@@ -57,7 +59,7 @@ class Graph:
         self.vertex_count = int(len(indptr) - 1)
         self.edge_count = int(len(indices)) // 2
         self.original_ids = original_ids
-        self._order = self._table = None  # see above
+        self._order = self._table = self._table_floor = None  # see above
 
     @classmethod
     def from_edges(cls, edges, num_vertices: int | None = None,

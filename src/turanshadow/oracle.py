@@ -10,10 +10,11 @@ peel costs O(n + m) plus a fixed cost for each of its rounds, at worst
 about n / 2 of them (a 100,000-vertex path takes 50,000 rounds).
 
 The counter reads the builder's table and root batches. Before any batch
-it reads shadow.oriented_table (m * ceil(alpha / 64) words, which g keeps
-once built), and, as the builder does, reads member a of a set under root
-v in place as row out_start[v] + a (shadow.member_rows), a root of
-out-degree d being a mask of nw = ceil(d / 64) words. Rows point downward:
+it reads shadow.oriented_table at the floor k - 1 (m * ceil(alpha / 64)
+words, which g keeps once built, with the rows of the roots at k filled),
+and, as the builder does, reads member a of a set under root v in place
+as row out_start[v] + a (shadow.member_rows), a root of out-degree d
+being a mask of nw = ceil(d / 64) words. Rows point downward:
 member u keeps only the members below it, so a clique is found once, from
 its highest member, and a set's lowest member, which keeps none, is never
 expanded. The counter runs level by level over (row base, member mask)
@@ -169,7 +170,7 @@ def exact_kclique_count(g: Graph, k: int,
     else:
         order, count = degeneracy_order(g), 0
         if order.alpha >= k - 1:  # else no vertex is a root
-            table = shadow.oriented_table(g, check_time)
+            table = shadow.oriented_table(g, k - 1, check_time)
             count = sum(shadow.map_batches(
                 lambda group: _count_batch(order, table, group, k,
                                            check_time),

@@ -21,17 +21,19 @@ a root. Its d members are numbered 0..d-1 in ascending id, so every set
 below it is a member mask of nw = ceil(d / 64) words, its word class. Row
 out_start[v] + a of oriented_table, one table per graph that the exact
 counter reads too, holds the adjacency of out-neighbour a of v among v's
-out-neighbours, for every vertex v, so it does not depend on k; it is
-filled by forward triangle listing along the order, and no vertex pair is
-looked up. Member rows are read there in place by one flat gather
-(member_rows), and members found by one 1-D flatnonzero over the masks.
-At budget ell the frontier sets of a word class have their edges counted
-over their own members' rows and are tested together, in one call per
-level when alpha <= 64; the saturated ones (and all at ell <= 2) are
-emitted, the rest are peeled together, one minimum-degree member per step
-(the lowest index, which is the lowest id, among ties), and each member's
-out-neighborhood with at least ell - 1 members joins the frontier at
-budget ell - 1.
+out-neighbours, so it does not depend on k; a call at k fills the rows of
+the roots alone, the only ones read, and a later call at a lower k fills
+more in place. Rows are filled by forward triangle listing along the
+order, and no vertex pair is looked up. Member rows are read there in
+place by one flat gather (member_rows), and members found by one 1-D
+flatnonzero over the masks. At budget ell the frontier sets of a word
+class have their edges counted over their own members' rows and are
+tested together, in one call per level when alpha <= 64; the saturated
+ones (and all at ell <= 2) are emitted, the rest are peeled together, one
+minimum-degree member per step (the lowest index, which is the lowest id,
+among ties; one-word sets take a lean step on 1-D masks), and each
+member's out-neighborhood with at least ell - 1 members joins the frontier
+at budget ell - 1.
 
 The shadow is a multiset, and neither the estimate nor its guarantee
 depends on the order of its entries; one canonical key fixes that order.
@@ -54,8 +56,9 @@ batch at a time (TuranShadow bounds what a batch holds). Table chunks
 fill disjoint rows, and batches only read the table. Batches are
 id-contiguous and each is sorted by the key, so laying each class's runs
 out batch after batch, with no sort over entries, sorts the whole shadow
-by it: every shadow array is a function of the graph and k alone, and the
-table of the graph alone, whatever the batch, chunk and thread counts.
+by it: every shadow array is a function of the graph and k alone, and each
+filled table row of the graph alone, whatever the batch, chunk and thread
+counts.
 
 TuranShadow describes the stored layout; its lazy `entries` view derives
 the ids an entry at a time.
@@ -150,9 +153,11 @@ class TuranShadow:
     graph), one rowbase word per entry, three words per class, and m *
     ceil(alpha / 64) table words and m ids words shared with the order;
     for the whole graph, n * ceil(n / 64) table words and n ids words.
-    The table is the same at every k, and g keeps it for the counter and
-    later builds; while its chunks are cut, two n-word arrays are held too,
-    and no m-word one. While the shadow is built, its root batches are
+    The table is allocated whole at any k, with the rows of the roots
+    filled, and g keeps it for the counter and later builds, which fill
+    the rows a lower k needs in place (see oriented_table); while its
+    chunks are cut, one n-word array and an n-byte mask are held too, and
+    no m-word one. While the shadow is built, its root batches are
     listed, one word per root, and each map_batches worker holds a table
     chunk (see oriented_table) or works on a root batch, which holds no
     rows: with nw = ceil(alpha / 64), at most twice its emitted sets plus
@@ -311,29 +316,42 @@ def _peel(table: np.ndarray, sets: _Sets, ell: int):
     ell - 1 members. Each step removes, in every set, the alive member of
     least degree (lowest index among ties), records its row & alive and
     lowers its neighbors' degrees; a set stops after size - ell + 1 steps,
-    as the member removed at step s keeps at most size - s - 1 members."""
+    as the member removed at step s keeps at most size - s - 1 members.
+    One-word sets take a lean step on 1-D masks and rows, with about half
+    the numpy calls."""
     base, mask, size = sets.base, sets.mask, sets.size
-    width = 64 * mask.shape[1]
+    nw = mask.shape[1]
+    width = 64 * nw
     big = width + 1
     deg = np.full((size.size, width), big, dtype=np.min_scalar_type(big))
     item, member, degree = _degrees(table, base, mask)
     deg[item, member] = degree
     del item, member, degree  # only deg is needed while peeling
-    alive = mask.copy()
+    flat = deg.reshape(-1)
     lane = np.arange(size.size)
     slot = lane * width  # (set, member) slot of member 0 in deg
+    # rows of one word little-endian, so that their bytes unpack in order
+    col = table[:, 0].astype("<u8", copy=False)
+    alive = mask[:, 0].copy() if nw == 1 else mask.copy()
     ats, rests = [], []
     # sizes are descending, and a set takes part in steps 0..size - ell
     for na in np.cumsum(np.bincount(size - ell)[::-1])[::-1].tolist():
         best = deg[:na].argmin(axis=1)
-        alive[lane[:na], best >> 6] ^= _BIT[best & 63]
-        rest = member_rows(table, base[:na] + best, mask.shape[1]) & alive[:na]
+        if nw == 1:
+            alive[:na] ^= _BIT[best]
+            rest = col[base[:na] + best]
+            rest &= alive[:na]
+            bits = np.unpackbits(rest.view(np.uint8), bitorder="little")
+        else:
+            alive[lane[:na], best >> 6] ^= _BIT[best & 63]
+            rest = member_rows(table, base[:na] + best, nw) & alive[:na]
+            bits = _unpack(rest, width)
         at = slot[:na] + best
-        deg.reshape(-1)[at] = big
-        deg[:na] -= _unpack(rest, width)
+        flat[at] = big
+        deg[:na] -= bits.reshape(na, width)
         ats.append(at)
         rests.append(rest)
-    cmask = np.concatenate(rests)
+    cmask = np.concatenate(rests).reshape(-1, nw)
     csize = popcount(cmask)
     keep = csize >= ell - 1
     item = np.concatenate(ats)[keep] // width
@@ -426,67 +444,105 @@ def map_batches(fn: Callable, batches: Iterable) -> list:
     return results
 
 
-def oriented_table(g: Graph, check_time: Callable[[], None] = lambda: None
+_TABLE_LOCK = threading.Lock()  # held while any graph's table is filled
+
+
+def oriented_table(g: Graph, floor: int = 0,
+                   check_time: Callable[[], None] = lambda: None
                    ) -> np.ndarray:
-    """Member-pair table of every out-neighbourhood in degeneracy_order(g).
+    """Member-pair table of the out-neighbourhoods in degeneracy_order(g).
 
     Returns the (m, max(1, ceil(alpha / 64))) uint64 table whose row
     out_start[v] + a stands for out-neighbour a of v (out_ids order): bit b
     is set exactly when out-neighbours a and b of v are adjacent in g, so
-    rows of vertices with out-degree <= 1 are zero. It depends on the order
-    alone, not on any k. It is filled by forward triangle listing: a wedge
-    is a row (v, u) and a w in out(u), and each w is looked up among the
-    ascending keys v * n + x, v chunk-local, of the chunk's own rows (v, x).
-    A hit is the row of w, and sets the pair's bit in both rows; each
-    adjacent pair of out(v) is one wedge, from whichever of the two comes
-    first in the order. Vertices are cut, in id order, into chunks, as
-    root_batches cuts roots: a vertex of out-degree d costs
-    d * (64 * nw + alpha), the bits of its rows and a bound on their
-    wedges (a row (v, u) has out_degree[u] <= alpha), and a chunk closes
+    rows of vertices with out-degree <= 1 are zero. The rows are filled for
+    every vertex of out-degree at least `floor` (the builder and the
+    counter at k pass k - 1, the out-degree of a root; 0 fills every row),
+    and the rest are zero or filled by an earlier call: a row, once filled,
+    depends on the order alone, not on any k. g keeps one table, read-only,
+    and the least floor filled so far; a call with a lower floor fills the
+    missing vertices in place, into the array under that same read-only
+    one, so each row is written once and rows at or above the old floor,
+    all that earlier callers read, are never written. Fills are serialized
+    by one lock, so two threads extending the floor at once fill each row
+    once. Rows are filled by forward triangle listing: a wedge is a row
+    (v, u) and a w in out(u), and each w is looked up among the ascending
+    keys v * n + x, v chunk-local, of the chunk's own rows (v, x). A hit is
+    the row of w, and sets the pair's bit in both rows; each adjacent pair
+    of out(v) is one wedge, from whichever of the two comes first in the
+    order. Vertices are cut, in id order, into chunks, as root_batches cuts
+    roots: a vertex to fill of out-degree d costs d * (64 * nw + alpha),
+    the bits of its rows and a bound on their wedges (a row (v, u) has
+    out_degree[u] <= alpha), any other vertex nothing, and a chunk closes
     before its vertices' costs would pass 2 * _CHUNK_ELEMS (a vertex with
-    more is a chunk alone). Beside the table, cutting holds two n-word
-    arrays, the costs and their running sum, and the (lo, hi) bounds of
-    every chunk, listed before any is filled; a chunk holds at most
-    16 * _CHUNK_ELEMS words, or, alone, about 8 words per unit of its
-    cost. Chunks fill disjoint rows on the threads of map_batches;
-    check_time() runs before each chunk. g keeps the finished table,
-    read-only, and no stopped one.
+    more is a chunk alone). Beside the table, cutting holds one n-word
+    array, the costs summed in place, an n-byte mask of the vertices to
+    fill, and the (lo, hi) bounds of every chunk, listed before any is
+    filled; a chunk holds at most 16 * _CHUNK_ELEMS words, or, alone,
+    about 8 words per unit of its cost. Chunks fill disjoint rows on the
+    threads of map_batches; check_time() runs before each chunk. A stopped
+    first fill leaves g no table, and a stopped extension the old floor, so
+    the next call fills that extension's vertices again.
     """
-    if g._table is not None:
+    if g._table_floor is not None and g._table_floor <= floor:
         return g._table
-    order = degeneracy_order(g)
-    n, out_deg, out_start = g.vertex_count, order.out_degree, order.out_start
-    out_ids = order.out_ids
-    nw = max(1, -(-order.alpha // 64))
+    with _TABLE_LOCK:
+        filled = g._table_floor  # None before the first fill
+        if filled is not None and filled <= floor:
+            return g._table  # filled by another thread meanwhile
+        order = degeneracy_order(g)
+        out_deg = order.out_degree
+        nw = max(1, -(-order.alpha // 64))
+        if g._table is None:  # nothing filled: no out-degree passes alpha
+            table = np.zeros((g.edge_count, nw), dtype=np.uint64)
+            filled = order.alpha + 1
+        else:  # the writable array under the read-only one handed out
+            table = g._table.base
+        fill_here = (out_deg >= floor) & (out_deg < filled)
+
+        def fill(span):
+            check_time()
+            vs = np.arange(*span)[fill_here[span[0]:span[1]]]
+            if vs.size:
+                _fill_rows(table, order, vs)
+
+        # a row (v, u) has 64 * nw bits and out_deg[u] <= alpha wedges
+        spent = out_deg * (64 * nw + order.alpha)
+        spent[~fill_here] = 0
+        map_batches(fill, _spans(np.cumsum(spent, out=spent),
+                                 2 * _CHUNK_ELEMS))
+        if g._table is None:
+            g._table = table.view()
+            g._table.flags.writeable = False
+        g._table_floor = floor  # only once every row is filled
+        return g._table
+
+
+def _fill_rows(table: np.ndarray, order: DegeneracyOrder, vs: np.ndarray):
+    """Fill the table rows of the vertices vs, ascending, by forward
+    triangle listing (see oriented_table)."""
+    out_deg, out_start, out_ids = (order.out_degree, order.out_start,
+                                   order.out_ids)
+    n, nw = out_deg.size, table.shape[1]
     row_bits = 64 * nw
-    table = np.zeros((g.edge_count, nw), dtype=np.uint64)
-
-    def fill(span):
-        check_time()
-        deg, start = out_deg[span[0]:span[1]], out_start[span[0]:span[1]]
-        rows = np.arange(start[0], start[-1] + deg[-1])
-        owner = np.arange(deg.size).repeat(deg)  # chunk-local v of row (v, u)
-        member = rows - start[owner]
-        u = out_ids[rows]
-        keys = owner * n + u
-        # wedge (v, u, w) for each w in out(u): row a is (v, u)
-        a = np.arange(rows.size).repeat(out_deg[u])
-        q = owner[a] * n + _gather_rows(out_ids, out_start[u], out_deg[u])
-        b = np.searchsorted(keys, q).clip(max=rows.size - 1)
-        hit = keys[b] == q
-        a, b = a[hit], b[hit]
-        bits = np.zeros(rows.size * row_bits, dtype=bool)
-        bits[a * row_bits + member[b]] = True
-        bits[b * row_bits + member[a]] = True
-        table[rows] = np.packbits(bits, bitorder="little").view(
-            "<u8").reshape(-1, nw)
-
-    # a row (v, u) has row_bits bits and out_deg[u] <= alpha wedges
-    spent = np.cumsum(out_deg * (row_bits + order.alpha))
-    map_batches(fill, _spans(spent, 2 * _CHUNK_ELEMS))
-    table.flags.writeable = False
-    g._table = table
-    return table
+    deg = out_deg[vs]
+    owner = np.arange(vs.size).repeat(deg)  # chunk-local v of row (v, u)
+    first = np.cumsum(deg) - deg  # chunk-local row of each v's member 0
+    member = np.arange(owner.size) - first[owner]
+    rows = out_start[vs][owner] + member
+    u = out_ids[rows]
+    keys = owner * n + u
+    # wedge (v, u, w) for each w in out(u): row a is (v, u)
+    a = np.arange(rows.size).repeat(out_deg[u])
+    q = owner[a] * n + _gather_rows(out_ids, out_start[u], out_deg[u])
+    b = np.searchsorted(keys, q).clip(max=rows.size - 1)
+    hit = keys[b] == q
+    a, b = a[hit], b[hit]
+    bits = np.zeros(rows.size * row_bits, dtype=bool)
+    bits[a * row_bits + member[b]] = True
+    bits[b * row_bits + member[a]] = True
+    table[rows] = np.packbits(bits, bitorder="little").view(
+        "<u8").reshape(-1, nw)
 
 
 def _build_batch(k: int, group: list, order: DegeneracyOrder,
@@ -594,8 +650,9 @@ def shadow_finder(g: Graph, k: int) -> TuranShadow:
                   np.array([1]), ids.astype(_label_dtype(n)), np.array([0]),
                   0)]
     else:
-        # one row per oriented edge: a root has at most alpha members
-        ids, table = order.out_ids, oriented_table(g)
+        # one row per oriented edge: a root has at most alpha members, and
+        # only the rows of roots, of out-degree k - 1 or more, are read
+        ids, table = order.out_ids, oriented_table(g, k - 1)
         dtype = _label_dtype(order.alpha)
         none = np.empty(0, dtype=np.int64)
         parts = [(none, none, none.astype(dtype), none, 0), *map_batches(

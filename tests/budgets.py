@@ -96,8 +96,8 @@ def spy_builds(monkeypatch):
         built["order"].append(make_order(*args))
         return built["order"][-1]
 
-    def table_spy(*args):
-        table = oriented_table(*args)
+    def table_spy(*args, **kwargs):
+        table = oriented_table(*args, **kwargs)
         if not any(table is t for t in built["table"]):
             built["table"].append(table)
         return table

@@ -299,6 +299,37 @@ def test_a_stopped_table_build_keeps_no_table(monkeypatch):
     assert built["order"] == []  # the stopped count's order is kept
 
 
+def test_a_stopped_table_extension_keeps_the_old_floor(monkeypatch):
+    # a count at k = 7 fills the rows of out-degree 6 and more; one at
+    # k = 4 extends the floor to 3, one vertex a chunk, until the budget
+    # stops it: g keeps the same table at floor 6, and a count with no
+    # budget extends it and is exact
+    g = er_graph(100, 0.2, seed=3)
+    assert exact_kclique_count(g, 7).count == reference_count(g, 7)
+    table = g._table
+    assert g._table_floor == 6
+    order = degeneracy_order(g)
+    extend = np.count_nonzero((order.out_degree >= 3)
+                              & (order.out_degree < 6))
+    assert extend > 10
+    fill_rows, chunks = shadow._fill_rows, []
+
+    def slow_fill(*args):
+        chunks.append(None)
+        time.sleep(0.02)
+        return fill_rows(*args)
+
+    with monkeypatch.context() as mp:
+        shrink_budgets(mp, "unit")
+        mp.setattr(shadow, "_fill_rows", slow_fill)
+        with pytest.raises(TimeBudgetExceeded):
+            exact_kclique_count(g, 4, time_budget=0.05)
+    assert 0 < len(chunks) < extend  # stopped part way
+    assert g._table is table and g._table_floor == 6
+    assert exact_kclique_count(g, 4).count == reference_count(g, 4)
+    assert g._table is table and g._table_floor == 3
+
+
 def test_time_budget_refusal():
     g = er_graph(100, 0.5, seed=4)
     with pytest.raises(TimeBudgetExceeded):

@@ -41,6 +41,7 @@ from genutil import (
     turan_graph,
     validity_suite,
 )
+from oracle_reference import reference_count
 from shadow_reference import reference_shadow
 
 
@@ -544,17 +545,33 @@ def whole_graph(g, k):
     return n >= k and shadow._saturated(g.edge_count, n, k)
 
 
+def fresh_copy(g):
+    """g with no order or table built yet."""
+    return Graph(g.indptr, g.indices)
+
+
 def test_oriented_table_matches_adjacency():
-    # every row, those of vertices with out-degree below k - 1 included:
-    # the table depends on the order alone
+    # at k, the rows of the roots, the vertices of out-degree k - 1 or
+    # more, are those of expected_table and, on a fresh graph, every other
+    # row is zero; with no floor every row is filled. Some graph here has
+    # nonzero rows below its floor, so the floor is seen to skip them
     tables = {}  # by graph, which it holds so that no id is reused
+    skipped = False
     for g, k in reference_cases():
         if whole_graph(g, k):
             continue
         if id(g) not in tables:
             tables[id(g)] = g, expected_table(g, degeneracy_order(g))
-        assert np.array_equal(shadow_finder(g, k).table, tables[id(g)][1]), \
-            (g, k)
+            full = shadow.oriented_table(fresh_copy(g))
+            assert np.array_equal(full, tables[id(g)][1]), g
+        expected = tables[id(g)][1]
+        order = degeneracy_order(g)
+        root_rows = (order.out_degree >= k - 1).repeat(order.out_degree)
+        table = shadow_finder(fresh_copy(g), k).table
+        assert np.array_equal(table[root_rows], expected[root_rows]), (g, k)
+        assert not table[~root_rows].any(), (g, k)
+        skipped |= bool(expected[~root_rows].any())
+    assert skipped
 
 
 WHOLE_GRAPHS = [(complete_graph(n), k) for n in (63, 64, 65, 128, 129)
@@ -719,6 +736,129 @@ def test_order_and_table_are_built_once_per_graph(monkeypatch):
         assert g._order is built["order"][0]
         assert g._table is built["table"][0]
         monkeypatch.undo()
+
+
+def test_table_floor_is_extended_in_place_once_per_row(monkeypatch):
+    # the builder at k = 7, then the counter at k = 4 and k = 3: one
+    # table object throughout, each vertex's rows filled at most once, and
+    # in the end every row of expected_table
+    g = er_graph(160, 0.3, seed=5)
+    order = degeneracy_order(g)
+    assert order.out_degree.max() >= 6 and (order.out_degree == 2).any()
+    filled, fill_rows = [], shadow._fill_rows
+
+    def spy(table, order, vs):
+        filled.extend(vs.tolist())
+        return fill_rows(table, order, vs)
+
+    monkeypatch.setattr(shadow, "_fill_rows", spy)
+    built = spy_builds(monkeypatch)
+    table = shadow_finder(g, 7).table
+    for k in (4, 3):
+        assert exact_kclique_count(g, k).count == reference_count(g, k)
+    assert shadow.oriented_table(g, floor=2) is table is g._table
+    assert len(built["table"]) == 1 and built["table"][0] is table
+    assert not table.flags.writeable
+    assert g._table_floor == 2
+    counts = Counter(filled)
+    assert max(counts.values()) == 1
+    assert set(counts) == set(np.flatnonzero(order.out_degree >= 2).tolist())
+    expected = expected_table(g, order)
+    rows = (order.out_degree >= 2).repeat(order.out_degree)
+    assert np.array_equal(table[rows], expected[rows])
+    assert np.array_equal(shadow.oriented_table(g), expected)
+
+
+def test_two_threads_extend_the_floor_once(monkeypatch):
+    # two threads lower the floor from 6 to 2 at once: one fills the rows,
+    # the other waits and gets the same table, every vertex filled once
+    g = er_graph(160, 0.3, seed=5)
+    table = shadow.oriented_table(g, 6)
+    filled, fill_rows = [], shadow._fill_rows
+
+    def spy(table, order, vs):
+        filled.extend(vs.tolist())
+        time.sleep(0.01)  # so that the second thread arrives mid-fill
+        return fill_rows(table, order, vs)
+
+    monkeypatch.setattr(shadow, "_CHUNK_ELEMS", 64)
+    monkeypatch.setattr(shadow, "_fill_rows", spy)
+    start = threading.Barrier(2)
+
+    def extend():
+        start.wait()
+        return shadow.oriented_table(g, 2)
+
+    got = run_bounded(lambda: _both(extend))
+    assert all(t is table for t in got)
+    order = degeneracy_order(g)
+    fill = (order.out_degree >= 2) & (order.out_degree < 6)
+    assert sorted(filled) == np.flatnonzero(fill).tolist()
+    rows = (order.out_degree >= 2).repeat(order.out_degree)
+    assert np.array_equal(table[rows], expected_table(g, order)[rows])
+
+
+def _both(fn):
+    """fn() on this thread and one more at once; both results."""
+    box = []
+    thread = threading.Thread(target=lambda: box.append(fn()))
+    thread.start()
+    mine = fn()
+    thread.join()
+    return [mine, *box]
+
+
+def test_nothing_reads_table_rows_below_the_floor():
+    # a copy whose rows below the floor hold all-ones gives the same
+    # shadow, fixed-seed estimate and exact count: no reader looks there
+    cases = [(planted_small(), k) for k in (5, 6, 7)] + [
+        (er_graph(160, 0.6, seed=2), k) for k in (4, 5)] + [
+        (er_graph(160, 0.3, seed=5), 6)]
+    for g, k in cases:
+        clean, dirty = fresh_copy(g), fresh_copy(g)
+        order = degeneracy_order(dirty)
+        below = (order.out_degree < k - 1).repeat(order.out_degree)
+        assert below.any() and not whole_graph(g, k), (g, k)
+        shadow.oriented_table(dirty, k - 1).base[below] = ~np.uint64(0)
+        want, got = shadow_finder(clean, k), shadow_finder(dirty, k)
+        for name in (*ENTRY_FIELDS, "ids"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert (turan_shadow_count(dirty, k, samples=4000, seed=3).estimate
+                == turan_shadow_count(clean, k, samples=4000,
+                                      seed=3).estimate), (g, k)
+        assert (exact_kclique_count(dirty, k).count
+                == exact_kclique_count(clean, k).count), (g, k)
+        assert dirty._table[below].all()  # not written over
+
+
+def test_one_word_peel_matches_the_general_peel():
+    # _peel's lean one-word step against the general step on the same
+    # sets padded to two words (over the table padded with a zero word),
+    # level after level below planted-small's roots
+    g, k = planted_small(), 7
+    order = degeneracy_order(g)
+    table = shadow.oriented_table(g, k - 1)
+    assert table.shape[1] == 1
+    wide = np.pad(table, ((0, 0), (0, 1)))
+    ids = np.flatnonzero(order.out_degree >= k - 1)
+    ids = ids[np.argsort(-order.out_degree[ids], kind="stable")]
+    size = order.out_degree[ids]
+    sets = shadow._Sets(order.out_start[ids], shadow._low_bits(size, 1), size)
+    levels = 0
+    for ell in range(k - 1, 2, -1):
+        padded = shadow._Sets(sets.base, np.pad(sets.mask, ((0, 0), (0, 1))),
+                              sets.size)
+        lean = shadow._peel(table, sets, ell)
+        general = shadow._peel(wide, padded, ell)
+        assert lean[1].shape[1] == 1 and not general[1][:, 1].any()
+        assert np.array_equal(lean[0], general[0]), ell
+        assert np.array_equal(lean[1], general[1][:, :1]), ell
+        assert np.array_equal(lean[2], general[2]), ell
+        assert lean[2].dtype == general[2].dtype
+        sets = shadow._Sets(*lean)
+        sets = sets.take(np.argsort(-sets.size, kind="stable"))
+        levels += bool(sets.size.size)
+    assert levels >= 3
 
 
 def test_entries_view_indexing():
